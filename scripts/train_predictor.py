@@ -15,7 +15,7 @@ import pathlib
 import numpy as np
 
 from qcorrkit.dataset import build_dataset, write_dataset_csv
-from qcorrkit.mlp import forward, save_mlp, weight_summary
+from qcorrkit.mlp import forward, save_mlp, weight_summary_csv
 from qcorrkit.states import StateFamily
 from qcorrkit.training import restart_search
 
@@ -40,10 +40,7 @@ def main() -> None:
         save_mlp(net, args.out / f"{tag}_model.json")
 
         with open(args.out / f"{tag}_weights.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["input", "mean", "std"])
-            for name, mean, std in weight_summary(net):
-                writer.writerow([name, repr(mean), repr(std)])
+            fh.write(weight_summary_csv(net))
 
         predictions = forward(net, data.features)
         with open(args.out / f"{tag}_predictions.csv", "w", newline="", encoding="utf-8") as fh:

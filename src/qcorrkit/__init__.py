@@ -57,6 +57,7 @@ from .mlp import (
     load_mlp,
     save_mlp,
     weight_summary,
+    weight_summary_csv,
 )
 from .optimize import OptimizationResult, optimal_qmr
 from .states import (
@@ -68,6 +69,7 @@ from .states import (
     mems_state,
     nme_state,
     purity_and_linear_entropy,
+    random_density_matrix,
     random_x_state,
     validate_density_matrix,
     von_neumann_entropy,

@@ -24,10 +24,10 @@ import numpy as np
 from .channels import ChannelParams, WmrMode
 from .dataset import build_dataset, read_dataset_csv, write_dataset_csv
 from .exceptions import NumericalContractError, OptimizationError
-from .mlp import forward, load_mlp, save_mlp, weight_summary
+from .mlp import forward, load_mlp, save_mlp, weight_summary_csv
 from .optimize import optimal_qmr
 from .states import StateFamily
-from .sweep import SweepConfig, run_sweep, write_sweep_csv
+from .sweep import SweepConfig, run_sweep, sweep_csv_text
 from .training import TrainConfig, restart_search
 from .verification import full_verification
 
@@ -76,10 +76,7 @@ def cmd_sweep(args) -> int:
         q_fixed=args.q,
         normalized=args.normalized,
     )
-    result = run_sweep(config)
-    buf = io.StringIO()
-    write_sweep_csv(result, buf)
-    _write_text(args.output, buf.getvalue())
+    _write_text(args.output, sweep_csv_text(run_sweep(config)))
     return 0
 
 
@@ -133,15 +130,6 @@ def cmd_verify(args) -> int:
     return 3
 
 
-def _summary_csv(net) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["input", "mean", "std"])
-    for name, mean, std in weight_summary(net):
-        writer.writerow([name, repr(mean), repr(std)])
-    return buf.getvalue()
-
-
 def cmd_train(args) -> int:
     if args.data:
         data = read_dataset_csv(args.data)
@@ -156,7 +144,7 @@ def cmd_train(args) -> int:
     if args.model_out:
         save_mlp(net, args.model_out)
     if args.summary_out:
-        _write_text(args.summary_out, _summary_csv(net))
+        _write_text(args.summary_out, weight_summary_csv(net))
     print(
         json.dumps(
             {
@@ -199,7 +187,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    _write_text(args.output, _summary_csv(load_mlp(args.model)))
+    _write_text(args.output, weight_summary_csv(load_mlp(args.model)))
     return 0
 
 

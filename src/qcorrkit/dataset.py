@@ -1,12 +1,14 @@
-"""Sweep-generated feature/target tables for the discord predictor.
+"""Feature/target tables for the discord predictor, projected from a sweep.
 
-A dataset row holds the five raw (unnormalized) measures
-[jsd, concurrence, fidelity, qs, chi] as features and the trace-distance
-discord as the target, tagged with the generating scenario.  Two
-scenarios exist: a damping sweep without protection ("no_wmr", p runs
-over [0, 1]) and a measurement-strength sweep with two-qubit protection
-("wmr2", p fixed at 0.5, q runs over [0, 0.99] with the per-point
-optimal reversal strength).  Interchange format is CSV with the header
+A dataset is a column projection of one unnormalized :func:`run_sweep`:
+the five raw measures [jsd, concurrence, fidelity, qs, chi] become the
+features, the trace-distance discord the target, and the sweep axis the
+``sweep_value`` column.  Two scenarios map to sweeps: "no_wmr" is a
+damping sweep without protection (p runs over [0, 1]) and "wmr2" a
+measurement-strength sweep with two-qubit protection (p fixed, 0.5 by
+default; q runs over [0, 0.99] with the per-point optimal reversal
+strength).  This module owns only that mapping and the CSV interchange,
+whose header is
 ``scenario,eta,sweep_var,sweep_value,jsd,concurrence,fidelity,qs,chi,tdd``.
 """
 
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelParams, WmrMode, WmrParams, apply_cad, wmr_pipeline
-from .measures import correlation_vector
-from .optimize import optimal_qmr
-from .states import StateFamily, make_state
+from .channels import WmrMode
+from .states import StateFamily
+from .sweep import SweepConfig, run_sweep
 
 SCENARIOS = ("no_wmr", "wmr2")
 CSV_HEADER = [
@@ -45,13 +46,6 @@ class Dataset:
         return len(self.targets)
 
 
-def _row_from_state(state) -> tuple[list[float], float]:
-    v = correlation_vector(state)
-    if v.qs is None or v.tdd is None:
-        raise ValueError("sweep produced a non-X state; measures undefined")
-    return [v.jsd, v.concurrence, v.fidelity, v.qs, v.chi], v.tdd
-
-
 def build_dataset(
     family: StateFamily,
     scenario: str,
@@ -59,35 +53,24 @@ def build_dataset(
     points: int = 500,
     p_fixed: float = 0.5,
 ) -> Dataset:
-    """Evaluate all measures along a sweep and package them as a dataset."""
+    """Run the scenario's sweep and project its columns into a dataset."""
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if points < 50:
         raise ValueError("need at least 50 rows")
-    rho0 = make_state(family)
-    feats, targets = [], []
     if scenario == "no_wmr":
-        sweep_var = "p"
-        values = np.linspace(0.0, 1.0, points)
-        for p in values:
-            f, t = _row_from_state(apply_cad(rho0, ChannelParams(float(p), eta)))
-            feats.append(f)
-            targets.append(t)
+        config = SweepConfig(family, eta, var="p", points=points, normalized=False)
     else:
-        sweep_var = "q"
-        values = np.linspace(0.0, 0.99, points)
-        ch = ChannelParams(p_fixed, eta)
-        for q in values:
-            r_star = optimal_qmr(family, ch, float(q), WmrMode.TWO_QUBIT).r_star
-            out = wmr_pipeline(rho0, ch, WmrParams(float(q), r_star, WmrMode.TWO_QUBIT))
-            f, t = _row_from_state(out.state)
-            feats.append(f)
-            targets.append(t)
-    features = np.array(feats)
-    targets = np.array(targets)
+        config = SweepConfig(
+            family, eta, WmrMode.TWO_QUBIT, var="q", points=points, p_fixed=p_fixed,
+            normalized=False,
+        )
+    result = run_sweep(config)
+    features = np.column_stack([result.column(name) for name in FEATURE_COLUMNS])
+    targets = result.column("tdd")
     if not (np.isfinite(features).all() and np.isfinite(targets).all()):
         raise ValueError("non-finite measure values in generated dataset")
-    return Dataset(features, targets, scenario, eta, sweep_var, values)
+    return Dataset(features, targets, scenario, eta, config.var, result.column("value"))
 
 
 def write_dataset_csv(path, data: Dataset) -> None:
@@ -103,7 +86,11 @@ def write_dataset_csv(path, data: Dataset) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Parse a dataset CSV; malformed cells are reported by row and column."""
+    """Parse a dataset CSV; malformed cells are reported by row and column.
+
+    Every row must carry the same scenario, eta and sweep_var; the first
+    row that disagrees with row 2 is reported.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -113,11 +100,10 @@ def read_dataset_csv(path) -> Dataset:
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         feats, targets, values = [], [], []
-        scenario, eta, sweep_var = None, None, None
+        tag = None
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}: row {line_no} has {len(row)} fields")
-            scenario, sweep_var = row[0], row[2]
             numbers = []
             for col, cell in zip(CSV_HEADER[3:], row[3:]):
                 try:
@@ -132,11 +118,20 @@ def read_dataset_csv(path) -> Dataset:
                 raise ValueError(
                     f"{path}: row {line_no}, column 'eta': not a number: {row[1]!r}"
                 ) from None
+            row_tag = (row[0], eta, row[2])
+            if tag is None:
+                tag = row_tag
+            elif row_tag != tag:
+                raise ValueError(
+                    f"{path}: row {line_no}: scenario, eta, sweep_var "
+                    f"{row_tag!r} differ from row 2's {tag!r}"
+                )
             values.append(numbers[0])
             feats.append(numbers[1:6])
             targets.append(numbers[6])
     if not targets:
         raise ValueError(f"{path}: no data rows")
+    scenario, eta, sweep_var = tag
     return Dataset(
         features=np.array(feats),
         targets=np.array(targets),

@@ -175,3 +175,14 @@ def random_x_state(rng: np.random.Generator) -> np.ndarray:
     rho[0, 3] = rho[3, 0] = c14
     rho[1, 2] = rho[2, 1] = c23
     return rho
+
+
+def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
+    """Draw a random full-rank 4x4 density matrix.
+
+    A complex Ginibre matrix A (real parts drawn before imaginary parts)
+    gives rho = A A^dagger / Tr(A A^dagger), which is generally not X-form.
+    """
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    return rho / rho.trace()

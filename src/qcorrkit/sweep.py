@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ChannelParams, WmrMode, WmrParams, apply_cad, wmr_pipeline
-from .measures import (
-    DEFAULT_NORMALIZATION,
-    NormalizationTable,
-    correlation_vector,
-    normalize,
-)
+from .measures import correlation_vector, normalize
 from .optimize import optimal_qmr
 from .states import StateFamily, make_state
 
@@ -41,8 +36,7 @@ class SweepConfig:
     points: int = 201
     p_fixed: float = 0.5    # damping used when sweeping q or alpha2
     q_fixed: float = 0.5    # measurement strength when sweeping p or alpha2 under protection
-    normalized: bool = True
-    table: NormalizationTable = field(default=DEFAULT_NORMALIZATION)
+    normalized: bool = True    # normalized columns use DEFAULT_NORMALIZATION
 
     def __post_init__(self):
         if self.var not in ("p", "q", "alpha2"):
@@ -73,11 +67,8 @@ class SweepResult:
 
 
 def _sweep_values(config: SweepConfig) -> np.ndarray:
-    if config.var == "p":
-        return np.linspace(0.0, 1.0, config.points)
-    if config.var == "q":
-        return np.linspace(0.0, 0.99, config.points)
-    return np.linspace(0.0, 1.0, config.points)
+    upper = 0.99 if config.var == "q" else 1.0
+    return np.linspace(0.0, upper, config.points)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -113,7 +104,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         vector = correlation_vector(state)
         row = [config.var, float(value), *vector.as_tuple()]
         if config.normalized:
-            row += list(normalize(vector, config.table).as_tuple())
+            row += list(normalize(vector).as_tuple())
         rows.append(row + extras)
     return SweepResult(config, header, rows)
 

@@ -13,9 +13,13 @@ from qcorrkit.channels import (
     wmr_pipeline,
 )
 from qcorrkit.exceptions import DegenerateMeasurementError
-from qcorrkit.states import bell_state, is_x_state, random_x_state, validate_density_matrix
-
-from conftest import random_density_matrix
+from qcorrkit.states import (
+    bell_state,
+    is_x_state,
+    random_density_matrix,
+    random_x_state,
+    validate_density_matrix,
+)
 
 
 def kraus_sum_oracle(rho, p):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,50 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "third_row",
+        [
+            "wmr2,0.0,p,0.2,0.1,0.2,0.3,0.4,0.5,0.6",
+            "no_wmr,1.0,p,0.2,0.1,0.2,0.3,0.4,0.5,0.6",
+            "no_wmr,0.0,q,0.2,0.1,0.2,0.3,0.4,0.5,0.6",
+        ],
+        ids=["scenario", "eta", "sweep_var"],
+    )
+    def test_mixed_rows_rejected(self, tmp_path, third_row):
+        path = tmp_path / "mixed.csv"
+        path.write_text(
+            ",".join(CSV_HEADER)
+            + "\nno_wmr,0.0,p,0.0,0.1,0.2,0.3,0.4,0.5,0.6"
+            + "\nno_wmr,0.0,p,0.1,0.1,0.2,0.3,0.4,0.5,0.6"
+            + "\n" + third_row
+            + "\nwmr2,1.0,q,0.3,0.1,0.2,0.3,0.4,0.5,0.6\n"
+        )
+        with pytest.raises(ValueError, match=r"row 4: scenario, eta, sweep_var"):
+            read_dataset_csv(path)
+
+
+class TestBytePins:
+    """SHA-256 of the written CSV of 50-row datasets: any change to the
+    values, their order or their formatting shows here."""
+
+    @pytest.mark.parametrize(
+        "family, scenario, digest",
+        [
+            (
+                StateFamily("bell"),
+                "wmr2",
+                "677257be1954c79b82805cb13eb499912725ab2fa842d4b2cd75a10466fd5bfd",
+            ),
+            (
+                StateFamily("mems", 0.8),
+                "no_wmr",
+                "4d281ec56a5793c4d9c77379b95fe32c2766e58176161bdfce58296c9597a655",
+            ),
+        ],
+        ids=["bell-wmr2", "mems08-no_wmr"],
+    )
+    def test_csv_digest(self, tmp_path, family, scenario, digest):
+        path = tmp_path / "pin.csv"
+        write_dataset_csv(path, build_dataset(family, scenario, 1.0, points=50))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

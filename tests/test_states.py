@@ -13,6 +13,7 @@ from qcorrkit.states import (
     mems_state,
     nme_state,
     purity_and_linear_entropy,
+    random_density_matrix,
     random_x_state,
     validate_density_matrix,
     von_neumann_entropy,
@@ -159,3 +160,9 @@ class TestPurityAndXForm:
             rho = random_x_state(rng)
             validate_density_matrix(rho)
             assert is_x_state(rho, 1e-14)
+
+    def test_random_density_matrices_valid_and_general(self, rng):
+        for _ in range(200):
+            rho = random_density_matrix(rng)
+            validate_density_matrix(rho)
+            assert not is_x_state(rho, 1e-6)
