@@ -32,7 +32,6 @@ from .exceptions import (
     ConfigurationError,
     DegenerateMeasurementError,
     NumericalContractError,
-    OptimizationError,
     TrainingFailure,
     UnsupportedStateError,
 )

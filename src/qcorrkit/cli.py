@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import ChannelParams, WmrMode
 from .dataset import build_dataset, read_dataset_csv, write_dataset_csv
-from .exceptions import NumericalContractError, OptimizationError
+from .exceptions import NumericalContractError
 from .mlp import forward, load_mlp, save_mlp, weight_summary_csv
 from .optimize import optimal_qmr
 from .states import StateFamily
@@ -131,6 +131,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = TrainConfig(max_epochs=args.max_epochs)
     if args.data:
         data = read_dataset_csv(args.data)
     else:
@@ -139,7 +140,6 @@ def cmd_train(args) -> int:
         )
         if args.dataset_out:
             write_dataset_csv(args.dataset_out, data)
-    config = TrainConfig(max_epochs=args.max_epochs)
     net, report = restart_search(data, restarts=args.restarts, seed=args.seed, config=config)
     if args.model_out:
         save_mlp(net, args.model_out)
@@ -263,9 +263,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     except NumericalContractError as exc:
         print(f"numerical contract failure: {exc}", file=sys.stderr)
-        return 2
-    except OptimizationError as exc:
-        print(f"optimization failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

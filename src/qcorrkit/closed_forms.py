@@ -199,6 +199,8 @@ def verify_closed_forms(
     closed forms are checked for both measurement placements; the Werner
     and MEMS families are checked for pipeline/reference self-consistency.
     """
+    if grid_points < 1:
+        raise ValueError(f"grid_points={grid_points}: need at least 1 point per axis")
     slices = slices or {}
     ps = _axis(grid_points, upper, slices.get("p"))
     qs = _axis(grid_points, upper, slices.get("q"))

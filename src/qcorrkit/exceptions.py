@@ -24,10 +24,6 @@ class UnsupportedStateError(ValueError):
     """The state lies outside the family an analytic formula is valid for."""
 
 
-class OptimizationError(RuntimeError):
-    """The reversal-strength search found no admissible candidate."""
-
-
 class ConfigurationError(ValueError):
     """An invalid configuration value, e.g. a degenerate normalization row."""
 

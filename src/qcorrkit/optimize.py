@@ -2,132 +2,113 @@
 
 The objective is the concurrence of the full measurement/channel/reversal
 pipeline as a function of the reversal strength r at fixed damping,
-memory, and measurement strength.  The search is a dense coarse grid
-(the state after measurement and channel is fixed, so the grid reduces
-to an entrywise rescale and is evaluated in one batch) followed by
-golden-section refinement of the bracketed maximum.  Everything is
-deterministic.
+memory, and measurement strength.  The state sigma after measurement and
+channel does not depend on r, so it is built once and every candidate r
+only sandwiches it with the reversal: a dense coarse grid, evaluated in
+one batch, then golden-section refinement of the bracketed maximum.
+The result carries the protected state at the optimum, so callers never
+rebuild it.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (
-    ChannelParams,
-    WmrMode,
-    WmrParams,
-    apply_cad,
-    apply_wm,
-    qmr_diagonal,
-    wmr_pipeline,
-)
-from .exceptions import DegenerateMeasurementError, OptimizationError
+from .channels import ChannelParams, WmrMode, apply_cad, apply_qmr, apply_wm, qmr_diagonal
 from .measures import concurrence
 from .states import StateFamily, make_state
 
 _R_MAX = 1.0 - 1e-6
+_GRID_STEP = 1e-3
+_REFINE_TOL = 1e-8
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best reversal strength and the pipeline quality reached there."""
+    """Best reversal strength, the pipeline quality and state reached there."""
 
     r_star: float
     concurrence_at_star: float
     success_probability: float
     evaluations: int
+    state: np.ndarray = field(compare=False, repr=False)
 
 
 def optimal_qmr(
-    family: StateFamily,
-    ch: ChannelParams,
-    q: float,
-    mode: WmrMode,
-    grid_step: float = 1e-3,
-    refine_tol: float = 1e-8,
+    family: StateFamily, ch: ChannelParams, q: float, mode: WmrMode
 ) -> OptimizationResult:
     """Maximize pipeline concurrence over the reversal strength r.
 
-    Coarse grid of the given step over [0, 1 - 1e-6], then golden-section
-    refinement of the best bracket down to ``refine_tol`` in r.  Ties and
-    all-zero plateaus (entanglement already dead everywhere) resolve to
-    the smallest admissible r.
+    Coarse grid of step ``_GRID_STEP`` over [0, 1 - 1e-6], then
+    golden-section refinement of the best bracket down to ``_REFINE_TOL``
+    in r.  Ties and all-zero plateaus (entanglement already dead
+    everywhere) resolve to the smallest admissible r.
     """
     if mode is WmrMode.NONE:
         raise ValueError("reversal optimization needs a measurement mode")
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q={q} outside [0, 1)")
 
-    rho0 = make_state(family)
-    measured, _ = apply_wm(rho0, q, mode)
+    measured, t_wm = apply_wm(make_state(family), q, mode)
     sigma = apply_cad(measured, ch)
 
-    grid = np.arange(0.0, _R_MAX, grid_step)
+    grid = np.arange(0.0, _R_MAX, _GRID_STEP)
     if grid[-1] < _R_MAX:
         grid = np.append(grid, _R_MAX)
 
+    # every reversal diagonal entry is at least 1 - r >= 1 - _R_MAX (about 1e-6),
+    # so each sandwiched trace is at least about 1e-12 * Tr(sigma), far above
+    # the 1e-14 degenerate-trace threshold: no r in [0, _R_MAX] annihilates sigma
     diags = np.stack([qmr_diagonal(r, mode) for r in grid])
     sandwiched = sigma[None, :, :] * (diags[:, :, None] * diags[:, None, :])
     traces = np.einsum("gii->g", sandwiched).real
-    valid = traces > 1e-14
-    if not valid.any():
-        raise OptimizationError("every reversal strength annihilates the state")
-    values = np.full(len(grid), -np.inf)
-    values[valid] = concurrence(sandwiched[valid] / traces[valid, None, None])
-    evaluations = int(valid.sum())
+    values = concurrence(sandwiched / traces[:, None, None])
+    evaluations = len(grid)
 
     best = int(values.argmax())  # argmax takes the first index, i.e. smallest r
 
     def objective(r: float) -> float:
-        try:
-            out = wmr_pipeline(rho0, ch, WmrParams(q, r, mode))
-        except DegenerateMeasurementError:
-            return -np.inf
-        return float(concurrence(out.state))
+        return float(concurrence(apply_qmr(sigma, r, mode)[0]))
 
     if values[best] <= 0.0:
         # plateau: no r recovers any entanglement; report the smallest one
-        r_star = float(grid[np.flatnonzero(valid)[0]])
-        c_star = max(values[valid][0], 0.0)
+        r_star, c_star = 0.0, 0.0
     else:
         lo = grid[best - 1] if best > 0 else grid[best]
         hi = grid[best + 1] if best + 1 < len(grid) else grid[best]
-        r_star, c_star, extra = _golden_max(objective, float(lo), float(hi), refine_tol)
+        r_star, c_star, extra = _golden_max(objective, float(lo), float(hi))
         evaluations += extra
         # refinement must never lose to the best coarse candidate, and a
         # tie (flat or boundary maximum) resolves to the smaller r
         if c_star < values[best] or (c_star - values[best] <= 1e-12 and grid[best] < r_star):
             r_star, c_star = float(grid[best]), float(values[best])
 
-    out = wmr_pipeline(rho0, ch, WmrParams(q, float(r_star), mode))
+    state, t_qmr = apply_qmr(sigma, float(r_star), mode)
     return OptimizationResult(
         r_star=float(r_star),
         concurrence_at_star=float(c_star),
-        success_probability=out.success_probability,
+        success_probability=t_wm * t_qmr,
         evaluations=evaluations,
+        state=state,
     )
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float, int]:
+def _golden_max(f, a: float, b: float) -> tuple[float, float, int]:
     """Golden-section maximization on [a, b]; assumes unimodality there.
 
     Returns (argmax, max, evaluation count).  On ties the midpoint rule of
     the shrinking bracket drifts left, so equal maxima resolve to the
     smaller argument.
     """
-    evals = 0
     h = b - a
-    if h <= tol:
-        return a, f(a), 1
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
     fc, fd = f(c), f(d)
-    evals += 2
-    while h > tol:
+    evals = 2
+    while h > _REFINE_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             h = b - a

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelParams, WmrMode, WmrParams, apply_cad, wmr_pipeline
+from .channels import ChannelParams, WmrMode, apply_cad
 from .measures import correlation_vector, normalize
 from .optimize import optimal_qmr
 from .states import StateFamily, make_state
@@ -91,15 +91,13 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             q = float(value)
         else:
             family = StateFamily("nme", float(value))
-        rho0 = make_state(family)
         ch = ChannelParams(p, config.eta)
 
         if protected:
             result = optimal_qmr(family, ch, q, config.mode)
-            out = wmr_pipeline(rho0, ch, WmrParams(q, result.r_star, config.mode))
-            state, extras = out.state, [result.r_star, out.success_probability]
+            state, extras = result.state, [result.r_star, result.success_probability]
         else:
-            state, extras = apply_cad(rho0, ch), []
+            state, extras = apply_cad(make_state(family), ch), []
 
         vector = correlation_vector(state)
         row = [config.var, float(value), *vector.as_tuple()]

@@ -40,6 +40,10 @@ class TrainConfig:
     max_val_fails: int = 6
     split: tuple[float, float, float] = (0.70, 0.15, 0.15)
 
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs={self.max_epochs}: need at least 1 epoch")
+
 
 @dataclass
 class TrainReport:

@@ -108,6 +108,8 @@ def full_verification(
     samples: int = 200,
     oracle_samples: int = 12,
 ) -> VerificationReport:
+    if samples < 1:
+        raise ValueError(f"samples={samples}: need at least 1 random state")
     report = verify_closed_forms(grid_points=grid_points, upper=upper, tol=tol, slices=slices)
     rng = np.random.default_rng(seed)
     report.checks.extend(_channel_checks(rng, samples))

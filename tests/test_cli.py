@@ -77,6 +77,22 @@ class TestVerifyCommand:
     def test_bad_slice_is_usage_error(self):
         assert main(["verify", "--slice", "bogus"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid-points", "0"], "grid_points=0"),
+            (["--samples", "0"], "samples=0"),
+            (["--grid-points", "0", "--samples", "0"], "samples=0"),
+            (["--grid-points", "-2", "--samples", "5"], "grid_points=-2"),
+        ],
+    )
+    def test_empty_verification_is_usage_error(self, capsys, flags, message):
+        # an empty grid or sample set checks nothing and must not pass
+        assert main(["verify", *flags]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "PASS" not in captured.out
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -151,6 +167,17 @@ class TestTrainPredictWeights:
 
     def test_missing_model_is_usage_error(self, tmp_path):
         assert main(["weights", "--model", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_no_epochs_is_usage_error(self, tmp_path, capsys, epochs):
+        model = tmp_path / "model.json"
+        code = main(
+            ["train", "--rows", "50", "--restarts", "1", "--max-epochs", epochs,
+             "--model-out", str(model)]
+        )
+        assert code == 1
+        assert f"max_epochs={epochs}" in capsys.readouterr().err
+        assert not model.exists()
 
 
 class TestExitCodeContract:

@@ -6,11 +6,12 @@ from qcorrkit.channels import (
     WmrMode,
     WmrParams,
     apply_cad,
+    apply_qmr,
     apply_wm,
     wmr_pipeline,
 )
 from qcorrkit.measures import concurrence
-from qcorrkit.optimize import optimal_qmr
+from qcorrkit.optimize import _R_MAX, optimal_qmr
 from qcorrkit.states import StateFamily, make_state
 
 
@@ -117,6 +118,40 @@ class TestOptimalQmr:
         a = optimal_qmr(fam, ChannelParams(0.3, 1.0), 0.7, WmrMode.TWO_QUBIT)
         b = optimal_qmr(fam, ChannelParams(0.3, 1.0), 0.7, WmrMode.TWO_QUBIT)
         assert a == b
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    @pytest.mark.parametrize(
+        "branch, family, ch, q",
+        [
+            ("interior", StateFamily("mems", 0.8), ChannelParams(0.5, 1.0), 0.5),
+            ("plateau", StateFamily("werner", 0.8), ChannelParams(1.0, 0.0), 0.3),
+            ("r_star_zero", StateFamily("bell"), ChannelParams(0.0, 0.0), 0.0),
+        ],
+        ids=["interior", "plateau", "r_star_zero"],
+    )
+    def test_state_and_success_match_the_pipeline(self, mode, branch, family, ch, q):
+        # wmr_pipeline stays the reference for what the optimizer returns
+        res = optimal_qmr(family, ch, q, mode)
+        if branch == "interior":
+            assert 0.0 < res.r_star < _R_MAX and res.concurrence_at_star > 0.0
+        elif branch == "plateau":
+            assert res.r_star == 0.0 and res.concurrence_at_star == 0.0
+        else:
+            assert res.r_star == 0.0 and res.concurrence_at_star > 0.0
+        out = wmr_pipeline(make_state(family), ch, WmrParams(q, res.r_star, mode))
+        assert np.array_equal(res.state, out.state)
+        assert res.success_probability == out.success_probability
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    def test_strongest_reversal_keeps_the_ground_state(self, mode):
+        # every reversal diagonal entry is at least 1 - r, so the sandwiched
+        # trace is at least (1 - _R_MAX)^2, about 1e-12: far above the 1e-14
+        # degenerate-trace threshold, and no candidate r annihilates a state
+        ground = np.zeros((4, 4), dtype=complex)
+        ground[0, 0] = 1.0
+        _, trace = apply_qmr(ground, _R_MAX, mode)
+        assert trace >= (1.0 - _R_MAX) ** 2
+        assert trace == pytest.approx(1e-12 if mode is WmrMode.TWO_QUBIT else 1e-6, rel=1e-9)
 
     def test_memory_dominance_for_bell(self):
         bell = make_state(StateFamily("bell"))

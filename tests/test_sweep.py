@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from qcorrkit.channels import WmrMode
+from qcorrkit.cli import main
 from qcorrkit.states import StateFamily
 from qcorrkit.sweep import (
     SweepConfig,
@@ -85,6 +88,34 @@ class TestRunSweep:
     def test_csv_is_deterministic(self):
         config = SweepConfig(family=StateFamily("werner", 0.8), points=9, eta=1.0)
         assert sweep_csv_text(run_sweep(config)) == sweep_csv_text(run_sweep(config))
+
+
+class TestBytePins:
+    """SHA-256 of CLI ``sweep -o`` files under protection: one-qubit rows
+    and dead-plateau rows (r* = 0, C = 0), values and formatting alike."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "--family mems --param 0.8 --eta 1 --mode wm1 --var q --points 21",
+                "175c4ffbc6b1a8f1b808542ff0540bd0d14cd402995189103724c87cfa9a4d77",
+            ),
+            (
+                "--family werner --param 0.8 --eta 0 --mode wm2 --var p --q 0.5 --points 21",
+                "9019c830e67700cc128590b18d0320c0d1b779da410944906ca2cac723a2d3e2",
+            ),
+            (
+                "--family nme --var alpha2 --mode wm1 --eta 1 --p 0.5 --q 0.5 --points 11",
+                "a302e4ac4afd55d7c30e5d33ad5147406798bb895642d6817ad0987334e47b34",
+            ),
+        ],
+        ids=["mems08-wm1-q", "werner08-wm2-p", "nme-wm1-alpha2"],
+    )
+    def test_csv_digest(self, tmp_path, argv, digest):
+        path = tmp_path / "pin.csv"
+        assert main(["sweep", *argv.split(), "-o", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestZeroCrossing:
