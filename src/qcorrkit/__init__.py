@@ -29,7 +29,6 @@ from .closed_forms import (
 )
 from .dataset import Dataset, build_dataset, read_dataset_csv, write_dataset_csv
 from .exceptions import (
-    ConfigurationError,
     DegenerateMeasurementError,
     NumericalContractError,
     TrainingFailure,

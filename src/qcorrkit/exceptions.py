@@ -11,8 +11,8 @@ class NumericalContractError(ArithmeticError):
     """A numerical postcondition was violated beyond its tolerance window.
 
     Examples: a non-Hermitian matrix passed where a Hermitian one is
-    required, a coherence radicand below -1e-12, or spurious imaginary
-    parts in spin-flip eigenvalues.
+    required, an array that is not a (stack of) 4x4 matrices, or a
+    coherence radicand below -1e-12.
     """
 
 
@@ -22,10 +22,6 @@ class DegenerateMeasurementError(NumericalContractError):
 
 class UnsupportedStateError(ValueError):
     """The state lies outside the family an analytic formula is valid for."""
-
-
-class ConfigurationError(ValueError):
-    """An invalid configuration value, e.g. a degenerate normalization row."""
 
 
 class TrainingFailure(RuntimeError):

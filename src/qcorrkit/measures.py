@@ -1,60 +1,42 @@
-"""Six correlation measures on two-qubit states, raw and normalized.
+"""Six correlation measures on two-qubit X states, raw and normalized.
+
+Every state this toolkit produces is an X state with real coherences,
+so six numbers fix it: the populations (a, b, c, d) = (rho11, rho22,
+rho33, rho44) and the coherences z = rho14, w = rho23.  Each measure is
+a closed form in those six numbers (``docs/decisions.md`` section 2
+derives them); :func:`x_entries` extracts and validates them, and input
+off the real X pattern is refused rather than approximated.  Every
+measure takes one state or a ``(..., 4, 4)`` stack.  The dense 4x4
+routes live on as independent oracles in ``oracles.py`` and
+``closed_forms.py``.
 
 All logarithms are base 2, so entropic quantities are in bits and the
-dense-coding capacity peaks at 2.  The discord and steering formulas are
-analytic X-state expressions and refuse non-X input; everything this
-toolkit produces is X-form.
+dense-coding capacity peaks at 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    ConfigurationError,
-    NumericalContractError,
-    UnsupportedStateError,
-)
-from .states import is_x_state, von_neumann_entropy
+from .exceptions import NumericalContractError, UnsupportedStateError
+from .states import is_x_state
 
 X_STATE_TOL = 1e-10
 _CLAMP = 1e-12
-
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP = np.kron(_SY, _SY).real  # real anti-diagonal (-1, 1, 1, -1)
-
-# Encoding unitaries for two classical bits on one qubit: identity, bit
-# flip, phase flip, and their product (global phases drop out of the mix).
-_I2 = np.eye(2, dtype=complex)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SZ = np.diag([1.0, -1.0]).astype(complex)
-_ENCODERS = [np.kron(u, _I2) for u in (_I2, _SX, _SZ, _SX @ _SZ)]
-
-# Orthonormal basis in which every maximally entangled state has real
-# coefficients; columns are (|00>+|11>)/sqrt2, i(|00>-|11>)/sqrt2,
-# i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2.
-_MAGIC_BASIS = np.array(
-    [
-        [1.0, 1.0j, 0.0, 0.0],
-        [0.0, 0.0, 1.0j, 1.0],
-        [0.0, 0.0, 1.0j, -1.0],
-        [1.0, -1.0j, 0.0, 0.0],
-    ],
-    dtype=complex,
-) / np.sqrt(2.0)
+_TINY = 2.2250738585072014e-308  # smallest normal double; stands in for x = 0 under log2
 
 
 @dataclass(frozen=True)
 class CorrelationVector:
-    """The six measures of one state; X-only entries are None off X-form."""
+    """The six measures of one state."""
 
     chi: float
     fidelity: float
     concurrence: float
-    qs: float | None
-    tdd: float | None
+    qs: float
+    tdd: float
     jsd: float
 
     def as_tuple(self):
@@ -77,268 +59,228 @@ class NormalizationTable:
     tdd: tuple[float, float] = (1.0, 0.0)
     jsd: tuple[float, float] = (0.56, 0.0)
 
+    def as_tuple(self):
+        return (self.chi, self.fidelity, self.concurrence, self.qs, self.tdd, self.jsd)
+
 
 DEFAULT_NORMALIZATION = NormalizationTable()
 
 
-@dataclass(frozen=True)
-class SteeringCoefficients:
-    """Matrix-element combinations entering the steering inequality.
+def x_entries(rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The six numbers (a, b, c, d, z, w) of a real X state, or of a stack.
 
-    r_marg and s_marg are the two local population imbalances (named to
-    avoid a clash with the reversal strength r used elsewhere).
-    """
-
-    c1: float
-    c2: float
-    c3: float
-    r_marg: float
-    s_marg: float
-
-
-@dataclass(frozen=True)
-class FanoBlochX:
-    """Correlation components of an X state used by the discord formula."""
-
-    gamma1: float
-    gamma2: float
-    gamma3: float
-    x_a3: float
-
-
-def _require_real_x_state(rho: np.ndarray, tol: float) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if not is_x_state(rho, tol):
-        raise UnsupportedStateError("analytic X-state formula fed a non-X state")
-    imag = max(abs(rho[0, 3].imag), abs(rho[1, 2].imag))
-    if imag > tol:
-        raise UnsupportedStateError(
-            f"X-state coherences must be real (imaginary part {imag:.3e})"
-        )
-    return rho
-
-
-def steering_coefficients(rho: np.ndarray, tol: float = X_STATE_TOL) -> SteeringCoefficients:
-    rho = _require_real_x_state(rho, tol)
-    d = rho.diagonal().real
-    c23 = rho[1, 2].real
-    c14 = rho[0, 3].real
-    return SteeringCoefficients(
-        c1=2.0 * (c23 + c14),
-        c2=2.0 * (c23 - c14),
-        c3=d[0] + d[3] - d[1] - d[2],
-        r_marg=d[0] + d[1] - d[3] - d[2],
-        s_marg=d[0] - d[3] - d[1] + d[2],
-    )
-
-
-def fano_bloch(rho: np.ndarray, tol: float = X_STATE_TOL) -> FanoBlochX:
-    rho = _require_real_x_state(rho, tol)
-    d = rho.diagonal().real
-    c32 = rho[2, 1].real
-    c41 = rho[3, 0].real
-    return FanoBlochX(
-        gamma1=2.0 * (c32 + c41),
-        gamma2=2.0 * (c32 - c41),
-        gamma3=1.0 - 2.0 * (d[1] + d[2]),
-        x_a3=2.0 * (d[0] + d[1]) - 1.0,
-    )
-
-
-def _xlog2x(x: float) -> float:
-    """x * log2(x) with 0 log 0 := 0; tiny negatives are clamped to 0."""
-    if x < 0.0:
-        if x < -_CLAMP:
-            raise NumericalContractError(f"entropy argument {x:.3e} below -1e-12")
-        return 0.0
-    if x == 0.0:
-        return 0.0
-    return x * np.log2(x)
-
-
-def jsd_coherence(rho: np.ndarray) -> float:
-    """Square root of the entropic divergence between rho and its diagonal.
-
-    Vanishes exactly for incoherent (diagonal) states and reaches about
-    0.56 on a Bell state.
+    Raises :class:`NumericalContractError` for a shape other than
+    ``(..., 4, 4)`` or a deviation from Hermiticity, and
+    :class:`UnsupportedStateError` for entries off the X pattern or
+    imaginary parts of the coherences; each deviation is allowed up to
+    ``X_STATE_TOL``.
     """
     rho = np.asarray(rho, dtype=complex)
-    rho_d = np.diag(rho.diagonal())
+    if rho.shape[-2:] != (4, 4):
+        raise NumericalContractError(f"expected (..., 4, 4) states, got shape {rho.shape}")
+    herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
+    if herm_dev > X_STATE_TOL:
+        raise NumericalContractError(f"non-Hermitian input (deviation {herm_dev:.3e})")
+    if not np.all(is_x_state(rho, X_STATE_TOL)):
+        raise UnsupportedStateError("X-state formula fed a non-X state")
+    z, w = rho[..., 0, 3], rho[..., 1, 2]
+    imag = np.abs(rho[..., [0, 1], [3, 2]].imag).max()
+    if imag > X_STATE_TOL:
+        raise UnsupportedStateError(f"X-state coherences must be real (imaginary part {imag:.3e})")
+    a, b, c, d = (rho[..., i, i].real for i in range(4))
+    # [()] turns the entries of one state into scalars, and leaves arrays as they are
+    return tuple(e[()] for e in (a, b, c, d, z.real, w.real))
+
+
+def _scalar(x: np.ndarray) -> float | np.ndarray:
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _xlog2x(terms) -> np.ndarray:
+    """x * log2(x) for each of the stacked terms, with 0 log 0 := 0.
+
+    Arguments in [-1e-12, 0) count as 0; anything lower raises.
+    """
+    x = np.asarray(terms)
+    if x.min() < -_CLAMP:
+        raise NumericalContractError(f"entropy argument {x.min():.3e} below -1e-12")
+    x = np.maximum(x, 0.0)
+    return x * np.log2(np.maximum(x, _TINY))
+
+
+def _entropy(probs) -> np.ndarray:
+    """Shannon entropy in bits of the distribution ``probs``."""
+    return -_xlog2x(probs).sum(axis=0)
+
+
+def _x_spectrum(a, b, c, d, z, w) -> tuple[np.ndarray, ...]:
+    """The four eigenvalues: those of the (a, z, d) and the (b, w, c) blocks."""
+    m14, r14 = (a + d) / 2.0, np.sqrt(((a - d) / 2.0) ** 2 + z**2)
+    m23, r23 = (b + c) / 2.0, np.sqrt(((b - c) / 2.0) ** 2 + w**2)
+    return m14 + r14, m14 - r14, m23 + r23, m23 - r23
+
+
+def _concurrence(a, b, c, d, z, w):
+    gap14 = np.abs(z) - np.sqrt(np.maximum(b * c, 0.0))
+    gap23 = np.abs(w) - np.sqrt(np.maximum(a * d, 0.0))
+    return 2.0 * np.maximum(0.0, np.maximum(gap14, gap23))
+
+
+def _dense_coding(a, b, c, d, z, w):
+    return 1.0 + _entropy((a + c, b + d)) - _entropy(_x_spectrum(a, b, c, d, z, w))
+
+
+def _fef(a, b, c, d, z, w):
+    return np.maximum((a + d) / 2.0 + np.abs(z), (b + c) / 2.0 + np.abs(w))
+
+
+def _jsd(a, b, c, d, z, w):
+    # S(rho_d) = H(a, b, c, d), taken through the same spectrum formula so
+    # that an incoherent state (z = w = 0) gets an exact 0
     radicand = (
-        von_neumann_entropy((rho + rho_d) / 2.0)
-        - von_neumann_entropy(rho) / 2.0
-        - von_neumann_entropy(rho_d) / 2.0
+        _entropy(_x_spectrum(a, b, c, d, z / 2.0, w / 2.0))
+        - _entropy(_x_spectrum(a, b, c, d, z, w)) / 2.0
+        - _entropy(_x_spectrum(a, b, c, d, 0.0, 0.0)) / 2.0
     )
-    if radicand < -_CLAMP:
-        raise NumericalContractError(f"coherence radicand {radicand:.3e}")
-    return float(np.sqrt(max(radicand, 0.0)))
+    if (radicand < -_CLAMP).any():
+        raise NumericalContractError(f"coherence radicand {radicand.min():.3e}")
+    return np.sqrt(np.maximum(radicand, 0.0))
+
+
+def _discord(a, b, c, d, z, w):
+    # only the squares of the transverse correlations 2(w + z), 2(w - z)
+    # enter, ordered so that the larger is gamma1
+    sq_plus, sq_minus = (2.0 * (w + z)) ** 2, (2.0 * (w - z)) ** 2
+    g1sq, g2sq = np.maximum(sq_plus, sq_minus), np.minimum(sq_plus, sq_minus)
+    g3sq = (1.0 - 2.0 * (b + c)) ** 2
+    x_a3 = 2.0 * (a + b) - 1.0
+    big = np.maximum(g3sq, g2sq + x_a3**2)
+    small = np.minimum(g3sq, g1sq)
+    denom = big - small + g1sq - g2sq
+    degenerate = np.abs(denom) < 1e-12
+    ratio = np.where(
+        degenerate, g1sq, (g1sq * big - g2sq * small) / np.where(degenerate, 1.0, denom)
+    )
+    if (ratio < -_CLAMP).any():
+        raise NumericalContractError(f"negative discord radicand {ratio.min():.3e}")
+    return 0.5 * np.sqrt(np.maximum(ratio, 0.0))
+
+
+def _steering(a, b, c, d, z, w):
+    c1, c2 = 2.0 * (w + z), 2.0 * (w - z)
+    c3 = a + d - b - c
+    r_marg = a + b - d - c
+    s_marg = a - d - b + c
+    t = _xlog2x((
+        1.0 + c1, 1.0 - c1, 1.0 + c2, 1.0 - c2,
+        1.0 + r_marg, 1.0 - r_marg,
+        1.0 + c3 + r_marg + s_marg,
+        1.0 + c3 - r_marg - s_marg,
+        1.0 - c3 - r_marg + s_marg,
+        1.0 - c3 + r_marg - s_marg,
+    ))
+    return t[0] + t[1] + t[2] + t[3] - t[4] + t[5] + 0.5 * (t[6] + t[7] + t[8] + t[9])
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
-    """Entanglement monotone from the spin-flipped spectrum.
+    """Wootters concurrence of an X state, 2 max(0, |w| - sqrt(ad), |z| - sqrt(bc)).
 
-    Equals max{0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)} over the
-    descending eigenvalues l_i of rho (sy x sy) rho* (sy x sy).  The
-    roots sqrt(l_i) are computed as the singular values of
-    sqrt(rho) (sy x sy) sqrt(rho)*, which shares its squared spectrum
-    with the non-normal product but avoids the half-precision loss of a
-    general eigensolve at defective zero eigenvalues.  Accepts a stack
-    of states with shape (..., 4, 4) and then returns an array.
+    A separable X state gets an exact 0.  Accepts a stack of states with
+    shape (..., 4, 4) and then returns an array.
     """
-    rho = np.asarray(rho, dtype=complex)
-    herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
-    if herm_dev > 1e-8:
-        raise NumericalContractError(
-            f"spin-flip spectrum undefined for non-Hermitian input ({herm_dev:.3e})"
-        )
-    w, v = np.linalg.eigh(rho)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    m = root @ _SPIN_FLIP @ root.conj()
-    s = np.linalg.svd(m, compute_uv=False)
-    c = np.maximum(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3], 0.0)
-    return float(c) if c.ndim == 0 else c
+    return _scalar(_concurrence(*x_entries(rho)))
 
 
-def dense_coding_capacity(rho: np.ndarray) -> float:
-    """Holevo quantity of the four-encoding ensemble.
+def dense_coding_capacity(rho: np.ndarray) -> float | np.ndarray:
+    """Holevo quantity of the four-encoding ensemble, 1 + H(a + c) - S(rho).
 
     The sender's qubit (the first one) is encoded with each of the four
-    unitaries with equal weight; the capacity is S(mixed) - S(rho) in bits.
+    Pauli unitaries with equal weight; the mixture is I/2 x rho_B, and
+    rho_B = diag(a + c, b + d) for an X state.
     """
-    rho = np.asarray(rho, dtype=complex)
-    mixed = sum(u @ rho @ u.conj().T for u in _ENCODERS) / 4.0
-    return von_neumann_entropy(mixed) - von_neumann_entropy(rho)
+    return _scalar(_dense_coding(*x_entries(rho)))
 
 
-def fully_entangled_fraction(rho: np.ndarray) -> float:
+def fully_entangled_fraction(rho: np.ndarray) -> float | np.ndarray:
     """Largest overlap with any maximally entangled pure state.
 
-    Equals the top eigenvalue of the real part of rho expressed in the
-    magic basis, where maximally entangled states are the real unit
-    vectors.
+    For a real X state this is the largest Bell-state overlap,
+    max((a + d)/2 + |z|, (b + c)/2 + |w|).
     """
-    m = _MAGIC_BASIS.conj().T @ np.asarray(rho, dtype=complex) @ _MAGIC_BASIS
-    return float(np.linalg.eigvalsh(m.real)[-1])
+    return _scalar(_fef(*x_entries(rho)))
 
 
-def teleportation_fidelity(rho: np.ndarray) -> float:
+def teleportation_fidelity(rho: np.ndarray) -> float | np.ndarray:
     """Optimal teleportation fidelity (1 + 2 FEF)/3."""
     return (1.0 + 2.0 * fully_entangled_fraction(rho)) / 3.0
 
 
-def trace_distance_discord(rho: np.ndarray, tol: float = X_STATE_TOL) -> float:
+def jsd_coherence(rho: np.ndarray) -> float | np.ndarray:
+    """Square root of the entropic divergence between rho and its diagonal.
+
+    (rho + rho_d)/2 is the X state with coherences z/2 and w/2.  Vanishes
+    exactly for incoherent (diagonal) states and reaches about 0.56 on a
+    Bell state.
+    """
+    return _scalar(_jsd(*x_entries(rho)))
+
+
+def trace_distance_discord(rho: np.ndarray) -> float | np.ndarray:
     """Analytic trace-norm discord of an X state.
 
-    The two transverse correlations enter as an ordered pair with
-    |gamma1| >= |gamma2|; states whose anti-diagonal coherences share a
-    single nonzero entry satisfy this automatically.  When the max/min
-    branches coincide the general expression is 0/0; the limit along the
+    The transverse correlations gamma1, gamma2 = 2(w + z), 2(w - z)
+    enter ordered as |gamma1| >= |gamma2|, with gamma3 = 1 - 2(b + c)
+    and the local imbalance x = 2(a + b) - 1.  When the max/min branches
+    coincide the general expression is 0/0; the limit along the
     degenerate family (all four branch arguments equal, e.g.
     Bell-diagonal states) is |gamma1|/2 and is returned instead.
     """
-    g = fano_bloch(rho, tol)
-    g1, g2 = g.gamma1, g.gamma2
-    if abs(g2) > abs(g1):
-        g1, g2 = g2, g1
-    g1sq, g2sq, g3sq = g1**2, g2**2, g.gamma3**2
-    big = max(g3sq, g2sq + g.x_a3**2)
-    small = min(g3sq, g1sq)
-    denom = big - small + g1sq - g2sq
-    if abs(denom) < 1e-12:
-        return abs(g1) / 2.0
-    num = g1sq * big - g2sq * small
-    ratio = num / denom
-    if ratio < 0.0:
-        if ratio < -_CLAMP:
-            raise NumericalContractError(f"negative discord radicand {ratio:.3e}")
-        ratio = 0.0
-    return 0.5 * float(np.sqrt(ratio))
+    return _scalar(_discord(*x_entries(rho)))
 
 
-def epr_steering(rho: np.ndarray, tol: float = X_STATE_TOL) -> float:
+def epr_steering(rho: np.ndarray) -> float | np.ndarray:
     """Left-hand side of the entropic steering inequality for X states.
 
     Values above the classical limit 2 certify steering; the maximum is 6
     on a Bell state.
     """
-    c = steering_coefficients(rho, tol)
-    total = 0.0
-    for cj in (c.c1, c.c2):
-        total += _xlog2x(1.0 + cj) + _xlog2x(1.0 - cj)
-    total += -_xlog2x(1.0 + c.r_marg) + _xlog2x(1.0 - c.r_marg)
-    total += 0.5 * (
-        _xlog2x(1.0 + c.c3 + c.r_marg + c.s_marg)
-        + _xlog2x(1.0 + c.c3 - c.r_marg - c.s_marg)
-        + _xlog2x(1.0 - c.c3 - c.r_marg + c.s_marg)
-        + _xlog2x(1.0 - c.c3 + c.r_marg - c.s_marg)
-    )
-    return float(total)
+    return _scalar(_steering(*x_entries(rho)))
 
 
-def correlation_vector(rho: np.ndarray, x_tol: float = X_STATE_TOL) -> CorrelationVector:
-    """All six measures of one state.
-
-    The steering and discord entries are analytic X-state formulas; for a
-    non-X input they are reported as None rather than silently falling
-    back to something else.
-    """
-    x_form = is_x_state(rho, x_tol)
+def correlation_vector(rho: np.ndarray) -> CorrelationVector:
+    """All six measures of one X state, validated once."""
+    x = x_entries(rho)
     return CorrelationVector(
-        chi=dense_coding_capacity(rho),
-        fidelity=teleportation_fidelity(rho),
-        concurrence=float(concurrence(rho)),
-        qs=epr_steering(rho, x_tol) if x_form else None,
-        tdd=trace_distance_discord(rho, x_tol) if x_form else None,
-        jsd=jsd_coherence(rho),
+        chi=float(_dense_coding(*x)),
+        fidelity=float((1.0 + 2.0 * _fef(*x)) / 3.0),
+        concurrence=float(_concurrence(*x)),
+        qs=float(_steering(*x)),
+        tdd=float(_discord(*x)),
+        jsd=float(_jsd(*x)),
     )
 
 
-def _affine(value: float | None, anchors: tuple[float, float]) -> float | None:
-    maximum, classical = anchors
-    if maximum == classical:
-        raise ConfigurationError("normalization anchors coincide")
-    if value is None:
-        return None
-    return (value - classical) / (maximum - classical)
-
-
-def normalize(
-    v: CorrelationVector, table: NormalizationTable = DEFAULT_NORMALIZATION
-) -> CorrelationVector:
-    """Map each measure to (raw - classical)/(max - classical)."""
-    return replace(
-        v,
-        chi=_affine(v.chi, table.chi),
-        fidelity=_affine(v.fidelity, table.fidelity),
-        concurrence=_affine(v.concurrence, table.concurrence),
-        qs=_affine(v.qs, table.qs),
-        tdd=_affine(v.tdd, table.tdd),
-        jsd=_affine(v.jsd, table.jsd),
+def normalize(v: CorrelationVector) -> CorrelationVector:
+    """Map each measure to (raw - classical)/(max - classical), by DEFAULT_NORMALIZATION."""
+    anchors = DEFAULT_NORMALIZATION.as_tuple()
+    return CorrelationVector(
+        *((x - classical) / (maximum - classical) for x, (maximum, classical) in zip(v.as_tuple(), anchors))
     )
-
-
-def reduced_state(rho: np.ndarray, keep: int) -> np.ndarray:
-    """Partial trace down to one qubit; keep=0 for the first, 1 for the second."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
 
 
 __all__ = [
+    "X_STATE_TOL",
     "CorrelationVector",
     "NormalizationTable",
     "DEFAULT_NORMALIZATION",
-    "SteeringCoefficients",
-    "FanoBlochX",
-    "steering_coefficients",
-    "fano_bloch",
-    "jsd_coherence",
+    "x_entries",
     "concurrence",
     "dense_coding_capacity",
     "fully_entangled_fraction",
     "teleportation_fidelity",
+    "jsd_coherence",
     "trace_distance_discord",
     "epr_steering",
     "correlation_vector",
     "normalize",
-    "reduced_state",
 ]

@@ -12,7 +12,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .states import von_neumann_entropy
-from .measures import reduced_state
 
 _I2 = np.eye(2, dtype=complex)
 _PAULIS = (
@@ -20,6 +19,25 @@ _PAULIS = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.diag([1.0, -1.0]).astype(complex),
 )
+
+# Orthonormal basis in which every maximally entangled state has real
+# coefficients; columns are (|00>+|11>)/sqrt2, i(|00>-|11>)/sqrt2,
+# i(|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2.
+_MAGIC_BASIS = np.array(
+    [
+        [1.0, 1.0j, 0.0, 0.0],
+        [0.0, 0.0, 1.0j, 1.0],
+        [0.0, 0.0, 1.0j, -1.0],
+        [1.0, -1.0j, 0.0, 0.0],
+    ],
+    dtype=complex,
+) / np.sqrt(2.0)
+
+
+def reduced_state(rho: np.ndarray, keep: int) -> np.ndarray:
+    """Partial trace down to one qubit; keep=0 for the first, 1 for the second."""
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    return np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
 
 
 def _direction_projector(theta: float, phi: float) -> np.ndarray:
@@ -100,6 +118,33 @@ def dense_coding_oracle(rho: np.ndarray) -> float:
     1 + S(reduced other qubit) - S(rho).
     """
     return 1.0 + von_neumann_entropy(reduced_state(rho, keep=1)) - von_neumann_entropy(rho)
+
+
+def fully_entangled_fraction_oracle(rho: np.ndarray) -> float:
+    """Largest overlap with any maximally entangled pure state, for any state.
+
+    Equals the top eigenvalue of the real part of rho expressed in the
+    magic basis, where maximally entangled states are the real unit
+    vectors.
+    """
+    m = _MAGIC_BASIS.conj().T @ np.asarray(rho, dtype=complex) @ _MAGIC_BASIS
+    return float(np.linalg.eigvalsh(m.real)[-1])
+
+
+def jsd_coherence_oracle(rho: np.ndarray) -> float:
+    """Divergence-based coherence from three dense eigensolves, for any state.
+
+    The square root of S((rho + rho_d)/2) - S(rho)/2 - S(rho_d)/2, with
+    rho_d the diagonal part of rho.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    rho_d = np.diag(rho.diagonal())
+    radicand = (
+        von_neumann_entropy((rho + rho_d) / 2.0)
+        - von_neumann_entropy(rho) / 2.0
+        - von_neumann_entropy(rho_d) / 2.0
+    )
+    return float(np.sqrt(max(radicand, 0.0)))
 
 
 def _shannon(p: np.ndarray) -> float:

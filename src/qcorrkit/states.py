@@ -156,9 +156,14 @@ def purity_and_linear_entropy(rho: np.ndarray) -> tuple[float, float]:
     return p, 4.0 / 3.0 * (1.0 - p)
 
 
-def is_x_state(rho: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff every entry off the diagonal/anti-diagonal has modulus <= tol."""
-    return bool(np.abs(np.asarray(rho)[~_X_MASK]).max() <= tol)
+def is_x_state(rho: np.ndarray, tol: float = 1e-10) -> bool | np.ndarray:
+    """True iff every entry off the diagonal/anti-diagonal has modulus <= tol.
+
+    Accepts a stack of states with shape (..., 4, 4) and then returns a
+    boolean array, one entry per state.
+    """
+    ok = np.abs(np.asarray(rho)[..., ~_X_MASK]).max(axis=-1) <= tol
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def random_x_state(rng: np.random.Generator) -> np.ndarray:

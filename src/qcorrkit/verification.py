@@ -19,7 +19,12 @@ from .channels import (
     apply_cad,
     wmr_pipeline,
 )
-from .closed_forms import EquivalenceCheck, VerificationReport, verify_closed_forms
+from .closed_forms import (
+    EquivalenceCheck,
+    VerificationReport,
+    _reference_pipeline_state,
+    verify_closed_forms,
+)
 from .measures import concurrence, trace_distance_discord
 from .oracles import tdd_measurement_oracle
 from .states import bell_state, is_x_state, random_density_matrix, random_x_state
@@ -37,8 +42,11 @@ def _channel_checks(rng: np.random.Generator, samples: int) -> list[EquivalenceC
         for out in (ad, cad):
             dev_trace = max(dev_trace, abs(out.trace().real - 1.0))
             dev_psd = max(dev_psd, max(0.0, -np.linalg.eigvalsh(out).min()))
+        # the independent straight-line composition, not apply_ad_uncorrelated,
+        # which apply_cad itself returns at eta = 0; with q = r = 0 the mode is moot
+        reference = _reference_pipeline_state(rho, p, 0.0, 0.0, 0.0, WmrMode.TWO_QUBIT)
         dev_reduction = max(
-            dev_reduction, np.abs(apply_cad(rho, ChannelParams(p, 0.0)) - ad).max()
+            dev_reduction, np.abs(apply_cad(rho, ChannelParams(p, 0.0)) - reference).max()
         )
     checks.append(EquivalenceCheck("channel trace preservation", dev_trace, 1e-12))
     checks.append(EquivalenceCheck("channel positivity", dev_psd, 1e-10))

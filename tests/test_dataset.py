@@ -117,12 +117,12 @@ class TestBytePins:
             (
                 StateFamily("bell"),
                 "wmr2",
-                "677257be1954c79b82805cb13eb499912725ab2fa842d4b2cd75a10466fd5bfd",
+                "9d34945db838207a66c41fa228a921640c72ce5658f170341b2f1c23063c664f",
             ),
             (
                 StateFamily("mems", 0.8),
                 "no_wmr",
-                "4d281ec56a5793c4d9c77379b95fe32c2766e58176161bdfce58296c9597a655",
+                "768442833f1c75340c0aa5516fc1eed580e26b4df9d9757de69e2afff21b0323",
             ),
         ],
         ids=["bell-wmr2", "mems08-no_wmr"],

@@ -4,21 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcorrkit.channels import ChannelParams, apply_cad
-from qcorrkit.exceptions import ConfigurationError, UnsupportedStateError
+from qcorrkit.exceptions import NumericalContractError, UnsupportedStateError
 from qcorrkit.measures import (
     CorrelationVector,
-    NormalizationTable,
     concurrence,
     correlation_vector,
     dense_coding_capacity,
     epr_steering,
-    fano_bloch,
     fully_entangled_fraction,
     jsd_coherence,
     normalize,
-    steering_coefficients,
     teleportation_fidelity,
     trace_distance_discord,
+    x_entries,
 )
 from qcorrkit.states import (
     bell_state,
@@ -31,6 +29,40 @@ from qcorrkit.sweep import find_zero_crossing
 
 MIXED = np.eye(4, dtype=complex) / 4
 GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+PLUS_ZERO = np.kron(np.full((2, 2), 0.5, dtype=complex), np.diag([1.0, 0.0]).astype(complex))
+
+
+class TestXEntries:
+    def test_six_numbers_of_one_state_and_of_a_stack(self, rng):
+        assert x_entries(mems_state(0.8)) == pytest.approx((0.4, 0.2, 0.0, 0.4, 0.4, 0.0))
+        stack = np.stack([random_x_state(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        entries = x_entries(stack)
+        assert all(e.shape == (2, 3) for e in entries)
+        assert [e[1, 2] for e in entries] == list(x_entries(stack[1, 2]))
+
+    def test_non_x_rejected(self, rng):
+        stack = np.stack([random_x_state(rng), PLUS_ZERO])
+        for rho in (PLUS_ZERO, stack):
+            with pytest.raises(UnsupportedStateError, match="non-X"):
+                x_entries(rho)
+
+    def test_complex_coherence_rejected(self):
+        rho = bell_state()
+        rho[1, 1] = rho[2, 2] = 0.0
+        rho[1, 2], rho[2, 1] = 1e-9j, -1e-9j
+        with pytest.raises(UnsupportedStateError, match="real"):
+            x_entries(rho)
+
+    def test_non_hermitian_rejected(self):
+        rho = werner_state(0.8)
+        rho[0, 3] += 1e-6
+        with pytest.raises(NumericalContractError, match="non-Hermitian"):
+            x_entries(rho)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2), (4, 3), (3, 4, 2)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(NumericalContractError, match="shape"):
+            x_entries(np.zeros(shape))
 
 
 class TestJsd:
@@ -90,6 +122,19 @@ class TestConcurrence:
             assert batched[i] == pytest.approx(float(concurrence(stack[i])), abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [dense_coding_capacity, fully_entangled_fraction, teleportation_fidelity,
+     jsd_coherence, trace_distance_discord, epr_steering],
+)
+def test_every_measure_takes_a_stack(rng, measure):
+    # concurrence: TestConcurrence::test_batched_matches_scalar
+    stack = np.stack([random_x_state(rng) for _ in range(6)] + [bell_state(), werner_state(0.8)])
+    batched = measure(stack.reshape(2, 4, 4, 4))
+    assert batched.shape == (2, 4)
+    assert batched.ravel().tolist() == [measure(rho) for rho in stack]
+
+
 class TestDenseCoding:
     def test_bell_two_bits(self):
         assert dense_coding_capacity(bell_state()) == pytest.approx(2.0, abs=1e-9)
@@ -122,11 +167,9 @@ class TestTraceDistanceDiscord:
         assert trace_distance_discord(GROUND) == 0.0
 
     def test_mems_nondegenerate_branch(self):
-        # frozen: gamma1 = 0.8, gamma2 = -0.8, gamma3 = 0.6, x = 0.2
+        # frozen: (a, b, c, d, z, w) = (0.4, 0.2, 0, 0.4, 0.4, 0), so
+        # gamma1 = 0.8, gamma2 = -0.8, gamma3 = 0.6, x = 0.2
         # -> ratio (0.64*0.68 - 0.64*0.36)/0.32 = 0.64, half its root is 0.4
-        g = fano_bloch(mems_state(0.8))
-        assert (g.gamma1, g.gamma2) == (pytest.approx(0.8), pytest.approx(-0.8))
-        assert g.gamma3 == pytest.approx(0.6) and g.x_a3 == pytest.approx(0.2)
         assert trace_distance_discord(mems_state(0.8)) == pytest.approx(0.4, abs=1e-12)
 
     def test_werner_degenerate_branch(self):
@@ -137,10 +180,8 @@ class TestTraceDistanceDiscord:
         assert trace_distance_discord(bell_state()) == pytest.approx(0.5, abs=1e-12)
 
     def test_non_x_state_rejected(self):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        rho = np.kron(plus, np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(UnsupportedStateError):
-            trace_distance_discord(rho)
+            trace_distance_discord(PLUS_ZERO)
 
     def test_complex_coherence_rejected(self):
         rho = bell_state()
@@ -152,10 +193,9 @@ class TestTraceDistanceDiscord:
 
 class TestSteering:
     def test_bell_maximal(self):
-        # term-by-term: c1 = 1, c2 = -1, c3 = 1, local imbalances 0
-        c = steering_coefficients(bell_state())
-        assert (c.c1, c.c2, c.c3) == (pytest.approx(1.0), pytest.approx(-1.0), pytest.approx(1.0))
-        assert c.r_marg == pytest.approx(0.0) and c.s_marg == pytest.approx(0.0)
+        # term-by-term: (a, b, c, d, z, w) = (1/2, 0, 0, 1/2, 1/2, 0), so
+        # c1 = 2(w + z) = 1, c2 = 2(w - z) = -1, c3 = 1, local imbalances 0
+        assert x_entries(bell_state()) == pytest.approx((0.5, 0.0, 0.0, 0.5, 0.5, 0.0))
         assert epr_steering(bell_state()) == pytest.approx(6.0, abs=1e-9)
 
     def test_ground_state_classical_limit(self):
@@ -166,10 +206,8 @@ class TestSteering:
         assert epr_steering(MIXED) == pytest.approx(0.0, abs=1e-12)
 
     def test_non_x_rejected(self):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        rho = np.kron(plus, np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(UnsupportedStateError):
-            epr_steering(rho)
+            epr_steering(PLUS_ZERO)
 
 
 class TestCorrelationVector:
@@ -204,11 +242,10 @@ class TestCorrelationVector:
             pytest.approx(0.0, abs=1e-12),
         )
 
-    def test_non_x_flags_absent(self):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        v = correlation_vector(np.kron(plus, np.diag([1.0, 0.0]).astype(complex)))
-        assert v.qs is None and v.tdd is None
-        assert v.chi is not None and np.isfinite(v.jsd)
+    def test_non_x_rejected(self):
+        # every measure is an X-state closed form, so there is no partial vector
+        with pytest.raises(UnsupportedStateError):
+            correlation_vector(PLUS_ZERO)
 
 
 finite_measure = st.floats(min_value=-5, max_value=10, allow_nan=False)
@@ -228,12 +265,6 @@ class TestNormalization:
         n = normalize(v)
         assert n.chi < 0.0 and n.fidelity < 0.0 and n.qs < 0.0
 
-    def test_degenerate_table_rejected(self):
-        bad = NormalizationTable(chi=(1.0, 1.0))
-        v = correlation_vector(bell_state())
-        with pytest.raises(ConfigurationError):
-            normalize(v, bad)
-
     @given(
         a=st.tuples(*[finite_measure] * 6),
         b=st.tuples(*[finite_measure] * 6),
@@ -246,11 +277,6 @@ class TestNormalization:
         for x, y, nx, ny in zip(a, b, na.as_tuple(), nb.as_tuple()):
             if x <= y:
                 assert nx <= ny + 1e-12
-
-    def test_none_passes_through(self):
-        v = CorrelationVector(chi=1.5, fidelity=0.9, concurrence=0.4, qs=None, tdd=None, jsd=0.1)
-        n = normalize(v)
-        assert n.qs is None and n.tdd is None
 
 
 class TestProducedValueRanges:

@@ -126,8 +126,11 @@ class TestOptimalQmr:
             ("interior", StateFamily("mems", 0.8), ChannelParams(0.5, 1.0), 0.5),
             ("plateau", StateFamily("werner", 0.8), ChannelParams(1.0, 0.0), 0.3),
             ("r_star_zero", StateFamily("bell"), ChannelParams(0.0, 0.0), 0.0),
+            # separable at every r: a round-off concurrence must not count
+            # as recovered entanglement and move r* off 0
+            ("plateau", StateFamily("nme", 0.0), ChannelParams(0.5, 1.0), 0.5),
         ],
-        ids=["interior", "plateau", "r_star_zero"],
+        ids=["interior", "plateau", "r_star_zero", "separable_nme_plateau"],
     )
     def test_state_and_success_match_the_pipeline(self, mode, branch, family, ch, q):
         # wmr_pipeline stays the reference for what the optimizer returns

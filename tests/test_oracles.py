@@ -3,19 +3,31 @@
 import numpy as np
 import pytest
 
+from qcorrkit.channels import ChannelParams, WmrMode, WmrParams, apply_cad, wmr_pipeline
+from qcorrkit.closed_forms import wootters_concurrence_oracle
 from qcorrkit.measures import (
     concurrence,
     dense_coding_capacity,
     epr_steering,
-    teleportation_fidelity,
+    fully_entangled_fraction,
+    jsd_coherence,
     trace_distance_discord,
 )
 from qcorrkit.oracles import (
     dense_coding_oracle,
+    fully_entangled_fraction_oracle,
+    jsd_coherence_oracle,
     steering_entropy_oracle,
     tdd_measurement_oracle,
 )
-from qcorrkit.states import bell_state, mems_state, random_x_state, werner_state
+from qcorrkit.states import (
+    StateFamily,
+    bell_state,
+    make_state,
+    mems_state,
+    random_x_state,
+    werner_state,
+)
 
 from conftest import random_unitary
 
@@ -56,6 +68,55 @@ class TestTddOracle:
         assert abs(swapped - 2 * closed) > 1e-3
 
 
+def edge_states(rng):
+    """Random X states plus pipeline states at the parameter edges.
+
+    Covers p in {0, 1}, the strongest measurement q = 0.99 with the
+    strongest reversal r = 1 - 1e-6, states with rho11 = 0, and pure
+    partially entangled inputs.
+    """
+    states = [random_x_state(rng) for _ in range(200)]
+    for _ in range(20):
+        rho = random_x_state(rng)
+        rho[0, 0] = rho[0, 3] = rho[3, 0] = 0.0
+        states.append(rho / rho.trace())
+    families = [StateFamily("bell"), StateFamily("werner", 0.8), StateFamily("mems", 0.8),
+                StateFamily("mems", 0.5), StateFamily("nme", 0.0), StateFamily("nme", 0.3)]
+    for family in families:
+        rho0 = make_state(family)
+        states.append(rho0)
+        for p in (0.0, 0.5, 1.0):
+            for eta in (0.0, 1.0):
+                ch = ChannelParams(p, eta)
+                states.append(apply_cad(rho0, ch))
+                for mode in (WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT):
+                    for q, r in ((0.99, 1.0 - 1e-6), (0.5, 0.3)):
+                        states.append(wmr_pipeline(rho0, ch, WmrParams(q, r, mode)).state)
+    return states
+
+
+class TestClosedFormsAgainstDenseOracles:
+    """The six-number closed forms against the dense 4x4 routes."""
+
+    def test_dense_coding(self, rng):
+        for rho in edge_states(rng):
+            assert abs(dense_coding_capacity(rho) - dense_coding_oracle(rho)) <= 1e-12
+
+    def test_fully_entangled_fraction(self, rng):
+        for rho in edge_states(rng):
+            assert abs(fully_entangled_fraction(rho) - fully_entangled_fraction_oracle(rho)) <= 1e-12
+
+    def test_jsd_radicand(self, rng):
+        # the square root amplifies round-off near 0, so the squares are compared
+        for rho in edge_states(rng):
+            assert abs(jsd_coherence(rho) ** 2 - jsd_coherence_oracle(rho) ** 2) <= 1e-12
+
+    def test_concurrence(self, rng):
+        # the general eigensolve is good to about sqrt(machine eps) only
+        for rho in edge_states(rng):
+            assert abs(concurrence(rho) - wootters_concurrence_oracle(rho)) <= 1e-7
+
+
 class TestDenseCodingOracle:
     def test_partial_trace_identity(self, rng):
         for rho in (bell_state(), werner_state(0.6), mems_state(0.7), random_x_state(rng)):
@@ -88,16 +149,17 @@ class TestSteeringOracle:
 
 class TestLocalUnitaryInvariance:
     def test_spectrum_based_measures(self, rng):
+        # rotated states are no longer X-form, so the dense oracles take them
         for rho in (werner_state(0.8), random_x_state(rng)):
-            c0 = concurrence(rho)
-            f0 = teleportation_fidelity(rho)
-            x0 = dense_coding_capacity(rho)
+            c0 = wootters_concurrence_oracle(rho)
+            f0 = fully_entangled_fraction_oracle(rho)
+            x0 = dense_coding_oracle(rho)
             for _ in range(50):
                 u = local_rotation(rng)
                 rotated = u @ rho @ u.conj().T
-                assert concurrence(rotated) == pytest.approx(c0, abs=1e-8)
-                assert teleportation_fidelity(rotated) == pytest.approx(f0, abs=1e-8)
-                assert dense_coding_capacity(rotated) == pytest.approx(x0, abs=1e-8)
+                assert wootters_concurrence_oracle(rotated) == pytest.approx(c0, abs=1e-8)
+                assert fully_entangled_fraction_oracle(rotated) == pytest.approx(f0, abs=1e-8)
+                assert dense_coding_oracle(rotated) == pytest.approx(x0, abs=1e-8)
 
     def test_steering_oracle(self, rng):
         for _ in range(2):

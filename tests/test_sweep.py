@@ -99,15 +99,15 @@ class TestBytePins:
         [
             (
                 "--family mems --param 0.8 --eta 1 --mode wm1 --var q --points 21",
-                "175c4ffbc6b1a8f1b808542ff0540bd0d14cd402995189103724c87cfa9a4d77",
+                "f37600a89e504e96b93ae1fc3f4c07b2c3c7b00f153f11cad2d9aa660513ba49",
             ),
             (
                 "--family werner --param 0.8 --eta 0 --mode wm2 --var p --q 0.5 --points 21",
-                "9019c830e67700cc128590b18d0320c0d1b779da410944906ca2cac723a2d3e2",
+                "0619c1ff5638cbc071b4011c3e58e0d8f19b29b19e757198b8f2080a3d845f16",
             ),
             (
                 "--family nme --var alpha2 --mode wm1 --eta 1 --p 0.5 --q 0.5 --points 11",
-                "a302e4ac4afd55d7c30e5d33ad5147406798bb895642d6817ad0987334e47b34",
+                "60823a5f0f8d17e900a25c1538e3b35e4ec5baf315e81196e51324e575acdf9e",
             ),
         ],
         ids=["mems08-wm1-q", "werner08-wm2-p", "nme-wm1-alpha2"],
