@@ -4,8 +4,10 @@ The two-qubit channel interpolates between independent single-qubit
 amplitude damping (memory eta = 0) and fully correlated damping (eta = 1),
 where both excitations decay together or not at all.  Optional protection
 wraps the channel between a weak measurement of strength q (applied before
-the noise) and a measurement reversal of strength r (applied after).  Both
-measurement operators are diagonal, hence non-unitary: the sandwiched state
+the noise) and a measurement reversal of strength r (applied after).  The
+Kraus sums that define these steps run as entry maps on (..., 4, 4) stacks:
+damping scales entries and moves decayed weight onto the ground block, and
+the diagonal, non-unitary measurements rescale entries.  The measured state
 is renormalized and the discarded trace is reported as the success
 probability of the probabilistic protocol.
 """
@@ -71,46 +73,41 @@ class PipelineOutput:
     success_probability: float
 
 
-def ad_kraus(p: float) -> list[np.ndarray]:
-    """Single-qubit amplitude-damping Kraus pair for decay probability p."""
-    e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
-    e1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return [e0, e1]
+def _damp_qubit(rho: np.ndarray, p: float, first: bool) -> np.ndarray:
+    """Amplitude damping of one qubit, as an entry map on (..., 4, 4) stacks.
 
-
-def correlated_kraus(p: float) -> list[np.ndarray]:
-    """Two-qubit Kraus pair of the fully correlated damping branch.
-
-    A0 damps only the doubly excited amplitude; A1 sends |11> to |00>
-    with probability p.
+    Entry (i, j) scales by sqrt(1 - p) once per excitation of the damped
+    qubit in i and in j; p times the excited block lands on the ground block.
     """
-    a0 = np.diag([1.0, 1.0, 1.0, np.sqrt(1.0 - p)]).astype(complex)
-    a1 = np.zeros((4, 4), dtype=complex)
-    a1[0, 3] = np.sqrt(p)
-    return [a0, a1]
-
-
-def apply_ad_uncorrelated(rho: np.ndarray, p: float) -> np.ndarray:
-    """Memoryless two-qubit amplitude damping: sum over E_i x E_j sandwiches."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    es = ad_kraus(p)
-    out = np.zeros((4, 4), dtype=complex)
-    for ei in es:
-        for ej in es:
-            k = np.kron(ei, ej)
-            out += k @ rho @ k.conj().T
+    s = np.sqrt(1.0 - p)
+    factors = np.array([1.0, 1.0, s, s] if first else [1.0, s, 1.0, s])
+    out = rho * np.outer(factors, factors)
+    if first:
+        out[..., :2, :2] += p * rho[..., 2:, 2:]
+    else:
+        out[..., ::2, ::2] += p * rho[..., 1::2, 1::2]
     return out
 
 
+def apply_ad_uncorrelated(rho: np.ndarray, p: float) -> np.ndarray:
+    """Memoryless two-qubit amplitude damping: each qubit damped on its own."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
+    return _damp_qubit(_damp_qubit(rho, p, first=True), p, first=False)
+
+
 def apply_cad(rho: np.ndarray, ch: ChannelParams) -> np.ndarray:
-    """Partially correlated damping: (1-eta) * uncorrelated + eta * correlated."""
+    """Partially correlated damping: (1-eta) * uncorrelated + eta * correlated.
+
+    The correlated branch damps only the doubly excited amplitude and
+    sends the weight p of |11><11| to |00><00|.  Accepts (..., 4, 4) stacks.
+    """
     uncorr = apply_ad_uncorrelated(rho, ch.p)
     if ch.eta == 0.0:
         return uncorr
-    corr = np.zeros((4, 4), dtype=complex)
-    for a in correlated_kraus(ch.p):
-        corr += a @ rho @ a.conj().T
+    factors = np.array([1.0, 1.0, 1.0, np.sqrt(1.0 - ch.p)])
+    corr = rho * np.outer(factors, factors)
+    corr[..., 0, 0] += ch.p * rho[..., 3, 3]
     return (1.0 - ch.eta) * uncorr + ch.eta * corr
 
 
@@ -119,28 +116,25 @@ def wm_diagonal(q: float, mode: WmrMode) -> np.ndarray:
     sq = np.sqrt(1.0 - q)
     if mode is WmrMode.TWO_QUBIT:
         return np.array([1.0, sq, sq, 1.0 - q])
-    if mode is WmrMode.ONE_QUBIT:
-        return np.array([1.0, sq, 1.0, sq])
-    return np.ones(4)
+    return np.array([1.0, sq, 1.0, sq])
 
 
-def qmr_diagonal(r: float, mode: WmrMode) -> np.ndarray:
-    """Diagonal of the reversal operator (1 and sqrt(1-r) swapped vs. WM)."""
+def qmr_diagonal(r: float | np.ndarray, mode: WmrMode) -> np.ndarray:
+    """Reversal diagonal (1 and sqrt(1-r) swapped vs. WM); an array r stacks one per entry."""
     sr = np.sqrt(1.0 - r)
+    one = np.ones_like(sr)
     if mode is WmrMode.TWO_QUBIT:
-        return np.array([1.0 - r, sr, sr, 1.0])
-    if mode is WmrMode.ONE_QUBIT:
-        return np.array([sr, 1.0, sr, 1.0])
-    return np.ones(4)
+        return np.stack([1.0 - r, sr, sr, one], axis=-1)
+    return np.stack([sr, one, sr, one], axis=-1)
 
 
-def _sandwich_normalized(rho: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, float]:
-    # M rho M^dag for diagonal real M is an entrywise rescale
-    out = rho * np.outer(diag, diag)
-    t = float(out.trace().real)
-    if t < _DEGENERATE_TRACE:
-        raise DegenerateMeasurementError(f"post-measurement trace {t:.3e}")
-    return out / t, t
+def _sandwich_normalized(rho: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # M rho M^dag for diagonal real M is an entrywise rescale; diag may stack (..., 4)
+    out = rho * (diag[..., :, None] * diag[..., None, :])
+    t = out.trace(axis1=-2, axis2=-1).real
+    if (t < _DEGENERATE_TRACE).any():
+        raise DegenerateMeasurementError(f"post-measurement trace {t.min():.3e}")
+    return out / t[..., None, None], t
 
 
 def apply_wm(rho: np.ndarray, q: float, mode: WmrMode) -> tuple[np.ndarray, float]:
@@ -157,11 +151,19 @@ def apply_wm(rho: np.ndarray, q: float, mode: WmrMode) -> tuple[np.ndarray, floa
     return _sandwich_normalized(rho, wm_diagonal(q, mode))
 
 
-def apply_qmr(rho: np.ndarray, r: float, mode: WmrMode) -> tuple[np.ndarray, float]:
-    """Measurement reversal of strength r; mirrors :func:`apply_wm`."""
-    if not 0.0 <= r < 1.0:
+def apply_qmr(
+    rho: np.ndarray, r: float | np.ndarray, mode: WmrMode
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Measurement reversal of strength r; mirrors :func:`apply_wm`.
+
+    ``r`` may be an array of strengths: the result then stacks one
+    reversed state and one trace per entry, and every entry must lie in
+    [0, 1) and keep a nondegenerate trace.
+    """
+    r = np.asarray(r, dtype=float)
+    if not ((0.0 <= r) & (r < 1.0)).all():
         raise ValueError(f"r={r} outside [0, 1)")
-    if mode is WmrMode.NONE or r == 0.0:
+    if mode is WmrMode.NONE or (r.ndim == 0 and r == 0.0):
         return rho, 1.0
     return _sandwich_normalized(rho, qmr_diagonal(r, mode))
 

@@ -48,6 +48,14 @@ def _activation_derivative(name: str, out: np.ndarray) -> np.ndarray:
     return np.ones_like(out)
 
 
+def _check_architecture(layer_sizes, activations) -> None:
+    if len(activations) != len(layer_sizes) - 1:
+        raise ValueError("need one activation per weight layer")
+    unknown = set(activations) - set(_ACTIVATIONS)
+    if unknown:
+        raise ValueError(f"unknown activations {sorted(unknown)}")
+
+
 @dataclass
 class Mlp:
     layer_sizes: tuple[int, ...]
@@ -73,11 +81,7 @@ def init_mlp(
     The initial scaling anchors are (-1, 1) per feature, which makes the
     scaler the identity until a trainer fits real anchors.
     """
-    if len(activations) != len(layer_sizes) - 1:
-        raise ValueError("need one activation per weight layer")
-    unknown = set(activations) - set(_ACTIVATIONS)
-    if unknown:
-        raise ValueError(f"unknown activations {sorted(unknown)}")
+    _check_architecture(layer_sizes, activations)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -182,7 +186,7 @@ def weight_summary(net: Mlp) -> list[tuple[str, float, float]]:
     """Mean and standard deviation of first-layer weights per input.
 
     One row per input feature, aggregated over the first hidden layer's
-    neurons; the sign of the mean indicates the direction of influence.
+    neurons.  It reads no deeper layer, so it is not an attribution.
     """
     w = net.weights[0]
     names = FEATURE_NAMES if w.shape[1] == len(FEATURE_NAMES) else tuple(
@@ -221,17 +225,35 @@ def mlp_to_json(net: Mlp) -> str:
 
 
 def mlp_from_json(text: str) -> Mlp:
+    """Rebuild a model from :func:`mlp_to_json` output.
+
+    Raises ``ValueError`` unless the document has every required key, one
+    known activation per layer, weights and biases whose shapes chain
+    ``layer_sizes``, and one scaling anchor pair per input.
+    """
     doc = json.loads(text)
-    return Mlp(
-        layer_sizes=tuple(doc["layer_sizes"]),
-        activations=tuple(doc["activations"]),
-        weights=[np.array(w, dtype=float) for w in doc["weights"]],
-        biases=[np.array(b, dtype=float) for b in doc["biases"]],
-        input_min=np.array(doc["input_scaling"]["min"], dtype=float),
-        input_max=np.array(doc["input_scaling"]["max"], dtype=float),
-        seed=int(doc["seed"]),
-        train_report=doc.get("train_report", {}),
-    )
+    try:
+        net = Mlp(
+            layer_sizes=tuple(int(n) for n in doc["layer_sizes"]),
+            activations=tuple(doc["activations"]),
+            weights=[np.array(w, dtype=float) for w in doc["weights"]],
+            biases=[np.array(b, dtype=float) for b in doc["biases"]],
+            input_min=np.array(doc["input_scaling"]["min"], dtype=float),
+            input_max=np.array(doc["input_scaling"]["max"], dtype=float),
+            seed=int(doc["seed"]),
+            train_report=doc.get("train_report", {}),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model document: missing or mistyped {exc}") from exc
+    _check_architecture(net.layer_sizes, net.activations)
+    sizes = net.layer_sizes
+    weight_shapes = list(zip(sizes[1:], sizes[:-1]))
+    bias_shapes = [(n,) for n in sizes[1:]]
+    if [w.shape for w in net.weights] != weight_shapes or [b.shape for b in net.biases] != bias_shapes:
+        raise ValueError(f"weight and bias shapes do not chain layer_sizes {list(sizes)}")
+    if net.input_min.shape != (sizes[0],) or net.input_max.shape != (sizes[0],):
+        raise ValueError(f"input scaling needs {sizes[0]} anchors per side")
+    return net
 
 
 def save_mlp(net: Mlp, path) -> None:

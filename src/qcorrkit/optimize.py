@@ -4,8 +4,9 @@ The objective is the concurrence of the full measurement/channel/reversal
 pipeline as a function of the reversal strength r at fixed damping,
 memory, and measurement strength.  The state sigma after measurement and
 channel does not depend on r, so it is built once and every candidate r
-only sandwiches it with the reversal: a dense coarse grid, evaluated in
-one batch, then golden-section refinement of the bracketed maximum.
+only applies the reversal to it: a dense coarse grid, reversed and
+scored in one batched ``apply_qmr`` call, then golden-section
+refinement of the bracketed maximum.
 The result carries the protected state at the optimum, so callers never
 rebuild it.  Everything is deterministic.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelParams, WmrMode, apply_cad, apply_qmr, apply_wm, qmr_diagonal
+from .channels import ChannelParams, WmrMode, apply_cad, apply_qmr, apply_wm
 from .measures import concurrence
 from .states import StateFamily, make_state
 
@@ -59,13 +60,7 @@ def optimal_qmr(
     if grid[-1] < _R_MAX:
         grid = np.append(grid, _R_MAX)
 
-    # every reversal diagonal entry is at least 1 - r >= 1 - _R_MAX (about 1e-6),
-    # so each sandwiched trace is at least about 1e-12 * Tr(sigma), far above
-    # the 1e-14 degenerate-trace threshold: no r in [0, _R_MAX] annihilates sigma
-    diags = np.stack([qmr_diagonal(r, mode) for r in grid])
-    sandwiched = sigma[None, :, :] * (diags[:, :, None] * diags[:, None, :])
-    traces = np.einsum("gii->g", sandwiched).real
-    values = concurrence(sandwiched / traces[:, None, None])
+    values = concurrence(apply_qmr(sigma, grid, mode)[0])
     evaluations = len(grid)
 
     best = int(values.argmax())  # argmax takes the first index, i.e. smallest r
@@ -90,7 +85,7 @@ def optimal_qmr(
     return OptimizationResult(
         r_star=float(r_star),
         concurrence_at_star=float(c_star),
-        success_probability=t_wm * t_qmr,
+        success_probability=float(t_wm * t_qmr),
         evaluations=evaluations,
         state=state,
     )

@@ -15,6 +15,7 @@ import numpy as np
 from .exceptions import NumericalContractError
 
 HERMITICITY_TOL = 1e-12
+EIGEN_HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
@@ -103,16 +104,12 @@ def make_state(family: StateFamily) -> np.ndarray:
     return nme_state(family.param)
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise :class:`NumericalContractError` unless rho is a valid state.
 
     Checks entrywise Hermiticity, unit trace, positive semidefiniteness
-    (up to the given tolerances) and that every entry is finite.
+    (up to ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``PSD_TOL``) and that
+    every entry is finite.
     """
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
@@ -120,21 +117,21 @@ def validate_density_matrix(
     if not np.isfinite(rho).all():
         raise NumericalContractError("non-finite entries in density matrix")
     herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > herm_tol:
+    if herm_dev > HERMITICITY_TOL:
         raise NumericalContractError(f"Hermiticity violated by {herm_dev:.3e}")
     trace_dev = abs(rho.trace().real - 1.0) + abs(rho.trace().imag)
-    if trace_dev > trace_tol:
+    if trace_dev > TRACE_TOL:
         raise NumericalContractError(f"trace deviates from 1 by {trace_dev:.3e}")
     min_eig = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min()
-    if min_eig < -psd_tol:
+    if min_eig < -PSD_TOL:
         raise NumericalContractError(f"negative eigenvalue {min_eig:.3e}")
 
 
-def hermitian_eigenvalues(m: np.ndarray, herm_tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian 4x4 matrix, sorted descending."""
     m = np.asarray(m, dtype=complex)
     dev = np.abs(m - m.conj().T).max()
-    if dev > herm_tol:
+    if dev > EIGEN_HERMITICITY_TOL:
         raise NumericalContractError(f"matrix not Hermitian (deviation {dev:.3e})")
     return np.linalg.eigvalsh(m)[::-1]
 

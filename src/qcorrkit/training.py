@@ -29,16 +29,17 @@ from .mlp import (
 )
 
 
+_MU0 = 1e-3
+_MU_FACTOR = 10.0
+_MU_MAX = 1e10
+_MU_MIN = 1e-20  # keeps the damped system solvable after long streaks
+_MAX_VAL_FAILS = 6
+
+
 @dataclass
 class TrainConfig:
-    mu0: float = 1e-3
-    mu_factor: float = 10.0
-    mu_max: float = 1e10
-    mu_min: float = 1e-20  # keeps the damped system solvable after long streaks
     max_epochs: int = 1000
     grad_tol: float = 1e-7
-    max_val_fails: int = 6
-    split: tuple[float, float, float] = (0.70, 0.15, 0.15)
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -83,12 +84,12 @@ def lm_train(net: Mlp, data: Dataset, config: TrainConfig | None = None) -> Trai
 
     The split and the input-scaling anchors are derived from the
     training portion of a shuffle seeded by ``net.seed``.  Stopping:
-    damping above ``mu_max``, epoch limit, gradient infinity norm below
-    ``grad_tol``, or ``max_val_fails`` consecutive epochs without a new
+    damping above ``_MU_MAX``, epoch limit, gradient infinity norm below
+    ``grad_tol``, or ``_MAX_VAL_FAILS`` consecutive epochs without a new
     best validation MSE (the best-validation weights are then restored).
     """
     cfg = config or TrainConfig()
-    idx_train, idx_val, idx_test = split_indices(len(data), net.seed, cfg.split)
+    idx_train, idx_val, idx_test = split_indices(len(data), net.seed)
     if len(idx_train) == 0 or len(idx_val) == 0 or len(idx_test) == 0:
         raise ValueError("dataset too small for the requested split")
 
@@ -98,7 +99,7 @@ def lm_train(net: Mlp, data: Dataset, config: TrainConfig | None = None) -> Trai
     x_val, y_val = scaled[idx_val], data.targets[idx_val]
 
     n = len(x_train)
-    mu = cfg.mu0
+    mu = _MU0
     mse = _mse(net, x_train, y_train)
     if not np.isfinite(mse):
         raise TrainingFailure("initial training loss is not finite")
@@ -122,21 +123,21 @@ def lm_train(net: Mlp, data: Dataset, config: TrainConfig | None = None) -> Trai
         theta = get_params(net)
         jjt = jac @ jac.T
         accepted = False
-        while mu <= cfg.mu_max:
+        while mu <= _MU_MAX:
             try:
                 step = jac.T @ np.linalg.solve(jjt + mu * eye, err)
             except np.linalg.LinAlgError:
-                mu *= cfg.mu_factor
+                mu *= _MU_FACTOR
                 continue
             set_params(net, theta + step)
             candidate = _mse(net, x_train, y_train)
             if np.isfinite(candidate) and candidate < mse:
                 mse = candidate
-                mu = max(mu / cfg.mu_factor, cfg.mu_min)
+                mu = max(mu / _MU_FACTOR, _MU_MIN)
                 accepted = True
                 break
             set_params(net, theta)
-            mu *= cfg.mu_factor
+            mu *= _MU_FACTOR
         if not accepted:
             stop_reason = "mu_overflow"
             break
@@ -151,7 +152,7 @@ def lm_train(net: Mlp, data: Dataset, config: TrainConfig | None = None) -> Trai
             val_fails = 0
         else:
             val_fails += 1
-            if val_fails >= cfg.max_val_fails:
+            if val_fails >= _MAX_VAL_FAILS:
                 stop_reason = "validation"
                 set_params(net, best_val_params)
                 break

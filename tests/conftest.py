@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qcorrkit.channels import WmrMode
+
 
 @pytest.fixture
 def rng():
@@ -12,3 +14,27 @@ def random_unitary(rng, dim=2):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def closed_form_optimum(sigma: np.ndarray, mode: WmrMode) -> float:
+    """Best pipeline concurrence over the reversal strength, in closed form.
+
+    ``sigma`` is the X state after weak measurement and channel.  With
+    u = 1 - r in [1e-6, 1] the reversal rescales it so that both
+    concurrence branches carry one common factor: the concurrence is
+    K u / (s11 u^2 + (s22 + s33) u + s44) for two qubits, peaked at
+    u = sqrt(s44 / s11), and K sqrt(u) / ((s11 + s33) u + s22 + s44) for
+    one qubit, peaked at u = (s22 + s44) / (s11 + s33).  Both are unimodal
+    in u, so clipping the peak to the admissible range is exact.
+    """
+    s11, s22, s33, s44 = sigma.diagonal().real
+    k = 2.0 * max(
+        0.0,
+        abs(sigma[0, 3]) - np.sqrt(s22 * s33),
+        abs(sigma[1, 2]) - np.sqrt(s11 * s44),
+    )
+    if mode is WmrMode.TWO_QUBIT:
+        u = min(max(np.sqrt(s44 / s11), 1e-6), 1.0)
+        return k * u / (s11 * u * u + (s22 + s33) * u + s44)
+    u = min(max((s22 + s44) / (s11 + s33), 1e-6), 1.0)
+    return k * np.sqrt(u) / ((s11 + s33) * u + s22 + s44)

@@ -43,6 +43,8 @@ from qcorrkit.states import (
 from qcorrkit.sweep import SweepConfig, find_zero_crossing, run_sweep
 from qcorrkit.training import TrainConfig, lm_train, restart_search
 
+from conftest import closed_form_optimum
+
 GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
 FAMILIES = (StateFamily("bell"), StateFamily("werner", 0.8), StateFamily("mems", 0.8))
@@ -145,30 +147,6 @@ LEDGER_TWO_BELOW_ONE = {
     ("mems", 1.0, 0.1, 0.8): 3.6958861e-3,
     ("mems", 1.0, 0.1, 0.9): 6.6797890e-3,
 }
-
-
-def closed_form_optimum(sigma: np.ndarray, mode: WmrMode) -> float:
-    """Best pipeline concurrence over the reversal strength, in closed form.
-
-    ``sigma`` is the X state after weak measurement and channel.  With
-    u = 1 - r in [1e-6, 1] the reversal rescales it so that both
-    concurrence branches carry one common factor: the concurrence is
-    K u / (s11 u^2 + (s22 + s33) u + s44) for two qubits, peaked at
-    u = sqrt(s44 / s11), and K sqrt(u) / ((s11 + s33) u + s22 + s44) for
-    one qubit, peaked at u = (s22 + s44) / (s11 + s33).  Both are unimodal
-    in u, so clipping the peak to the admissible range is exact.
-    """
-    s11, s22, s33, s44 = sigma.diagonal().real
-    k = 2.0 * max(
-        0.0,
-        abs(sigma[0, 3]) - np.sqrt(s22 * s33),
-        abs(sigma[1, 2]) - np.sqrt(s11 * s44),
-    )
-    if mode is WmrMode.TWO_QUBIT:
-        u = min(max(np.sqrt(s44 / s11), 1e-6), 1.0)
-        return k * u / (s11 * u * u + (s22 + s33) * u + s44)
-    u = min(max((s22 + s44) / (s11 + s33), 1e-6), 1.0)
-    return k * np.sqrt(u) / ((s11 + s33) * u + s22 + s44)
 
 
 def test_criterion_4_wmr_dominance_grid():

@@ -5,13 +5,13 @@ from qcorrkit.channels import (
     ChannelParams,
     WmrMode,
     WmrParams,
-    ad_kraus,
     apply_ad_uncorrelated,
     apply_cad,
     apply_qmr,
     apply_wm,
     wmr_pipeline,
 )
+from qcorrkit.closed_forms import _reference_pipeline_state
 from qcorrkit.exceptions import DegenerateMeasurementError
 from qcorrkit.states import (
     bell_state,
@@ -22,15 +22,20 @@ from qcorrkit.states import (
 )
 
 
-def kraus_sum_oracle(rho, p):
-    """Four-term sandwich sum computed from scratch."""
-    es = ad_kraus(p)
-    out = np.zeros((4, 4), dtype=complex)
-    for ei in es:
-        for ej in es:
+def kraus_sum_oracle(rho, p, eta=0.0):
+    """Partially correlated damping as Kraus sandwich sums, built from scratch."""
+    e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
+    e1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
+    uncorr = np.zeros((4, 4), dtype=complex)
+    for ei in (e0, e1):
+        for ej in (e0, e1):
             k = np.kron(ei, ej)
-            out += k @ rho @ k.conj().T
-    return out
+            uncorr += k @ rho @ k.conj().T
+    a0 = np.diag([1.0, 1.0, 1.0, np.sqrt(1.0 - p)]).astype(complex)
+    a1 = np.zeros((4, 4), dtype=complex)
+    a1[0, 3] = np.sqrt(p)
+    corr = a0 @ rho @ a0.conj().T + a1 @ rho @ a1.conj().T
+    return (1.0 - eta) * uncorr + eta * corr
 
 
 class TestUncorrelated:
@@ -55,6 +60,35 @@ class TestUncorrelated:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             apply_ad_uncorrelated(bell_state(), 1.2)
+
+
+class TestAgainstKrausSums:
+    """The entry maps against Kraus sums that share no code with them."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    def test_non_x_states(self, rng, p, eta):
+        for _ in range(20):
+            rho = random_density_matrix(rng)
+            np.testing.assert_allclose(
+                apply_cad(rho, ChannelParams(p, eta)), kraus_sum_oracle(rho, p, eta), rtol=0, atol=1e-15
+            )
+
+    def test_reference_composition_on_random_states(self, rng):
+        # 1200 X and non-X states: random (p, eta), then each corner of [0, 1]^2
+        corners = [(p, eta) for p in (0.0, 1.0) for eta in (0.0, 1.0)]
+        params = [(float(rng.random()), float(rng.random())) for _ in range(1000)] + corners * 50
+        for k, (p, eta) in enumerate(params):
+            rho = random_x_state(rng) if k % 3 == 0 else random_density_matrix(rng)
+            reference = _reference_pipeline_state(rho, p, eta, 0.0, 0.0, WmrMode.TWO_QUBIT)
+            assert np.abs(apply_cad(rho, ChannelParams(p, eta)) - reference).max() <= 1e-14
+
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    def test_stack_equals_per_state_calls(self, rng, eta):
+        stack = np.stack([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        ch = ChannelParams(0.6, eta)
+        expected = np.stack([apply_cad(rho, ch) for rho in stack.reshape(6, 4, 4)])
+        np.testing.assert_array_equal(apply_cad(stack, ch), expected.reshape(2, 3, 4, 4))
 
 
 class TestCorrelated:
@@ -162,6 +196,20 @@ class TestMeasurements:
         np.testing.assert_array_equal(wm_diagonal(q, WmrMode.ONE_QUBIT), np.diag(np.kron(eye2, m_wm)))
         np.testing.assert_allclose(qmr_diagonal(r, WmrMode.TWO_QUBIT), np.diag(np.kron(m_qmr, m_qmr)), atol=1e-15)
         np.testing.assert_array_equal(qmr_diagonal(r, WmrMode.ONE_QUBIT), np.diag(np.kron(eye2, m_qmr)))
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    def test_reversal_strength_array_equals_per_strength_calls(self, rng, mode):
+        rho = random_density_matrix(rng)
+        rs = np.array([0.1, 0.45, 0.9, 1.0 - 1e-6])
+        states, traces = apply_qmr(rho, rs, mode)
+        for r, state, t in zip(rs, states, traces):
+            expected, expected_t = apply_qmr(rho, float(r), mode)
+            np.testing.assert_array_equal(state, expected)
+            assert t == expected_t
+        with pytest.raises(ValueError):
+            apply_qmr(rho, np.array([0.2, 1.0, 0.5]), mode)
+        with pytest.raises(ValueError):
+            apply_qmr(rho, np.array([0.2, -0.1]), mode)
 
     def test_strength_domain(self):
         with pytest.raises(ValueError):

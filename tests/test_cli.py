@@ -168,6 +168,24 @@ class TestTrainPredictWeights:
     def test_missing_model_is_usage_error(self, tmp_path):
         assert main(["weights", "--model", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: {**doc, "weights": doc["weights"][:-1]},
+            lambda doc: {**doc, "activations": ["relu", *doc["activations"][1:]]},
+            lambda doc: {k: v for k, v in doc.items() if k != "seed"},
+        ],
+        ids=["weight_layer_dropped", "unknown_activation", "seed_missing"],
+    )
+    def test_malformed_model_is_usage_error(self, trained, tmp_path, capsys, edit):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(edit(json.loads((trained / "model.json").read_text()))))
+        predict = ["predict", "--model", str(model), "--data", str(trained / "data.csv"),
+                   "--output", str(tmp_path / "pred.csv")]
+        assert main(predict) == 1
+        assert main(["weights", "--model", str(model), "--output", str(tmp_path / "w.csv")]) == 1
+        assert capsys.readouterr().err.count("error:") == 2
+
     @pytest.mark.parametrize("epochs", ["0", "-3"])
     def test_no_epochs_is_usage_error(self, tmp_path, capsys, epochs):
         model = tmp_path / "model.json"

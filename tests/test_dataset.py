@@ -117,12 +117,12 @@ class TestBytePins:
             (
                 StateFamily("bell"),
                 "wmr2",
-                "9d34945db838207a66c41fa228a921640c72ce5658f170341b2f1c23063c664f",
+                "8e09130ea1e68a23aa0cd56e084bdd4dde6520226b1601d9274aaedbd11544c8",
             ),
             (
                 StateFamily("mems", 0.8),
                 "no_wmr",
-                "768442833f1c75340c0aa5516fc1eed580e26b4df9d9757de69e2afff21b0323",
+                "6ed62c19a7eae404d3c61fde7c4f7aa1e1836ced9cd4d5b5a7c3bd95488f8d7b",
             ),
         ],
         ids=["bell-wmr2", "mems08-no_wmr"],

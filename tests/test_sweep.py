@@ -1,17 +1,21 @@
+import csv
 import hashlib
 
 import numpy as np
 import pytest
 
-from qcorrkit.channels import WmrMode
-from qcorrkit.cli import main
-from qcorrkit.states import StateFamily
+from qcorrkit.channels import ChannelParams, WmrMode, WmrParams, apply_cad, apply_wm, wmr_pipeline
+from qcorrkit.cli import _family, build_parser, main
+from qcorrkit.measures import correlation_vector, normalize
+from qcorrkit.states import StateFamily, make_state
 from qcorrkit.sweep import (
     SweepConfig,
     find_zero_crossing,
     run_sweep,
     sweep_csv_text,
 )
+
+from conftest import closed_form_optimum
 
 
 class TestConfigValidation:
@@ -90,32 +94,64 @@ class TestRunSweep:
         assert sweep_csv_text(run_sweep(config)) == sweep_csv_text(run_sweep(config))
 
 
+#: CLI ``sweep`` flags -> SHA-256 of the written file
+SWEEP_PINS = {
+    "mems08-wm1-q": (
+        "--family mems --param 0.8 --eta 1 --mode wm1 --var q --points 21",
+        "15fe688fefb37dbb0fdd37a4f30c590a6dd650763f2781e6dcb6142ecd5dcf59",
+    ),
+    "werner08-wm2-p": (
+        "--family werner --param 0.8 --eta 0 --mode wm2 --var p --q 0.5 --points 21",
+        "caaa46dfaefe542ab6273c473114943aa62b5770d6210b8532a141ffc224a6fe",
+    ),
+    "nme-wm1-alpha2": (
+        "--family nme --var alpha2 --mode wm1 --eta 1 --p 0.5 --q 0.5 --points 11",
+        "289376ae3cd3338acca4886dc1360450e886dbb6b83d4c4d2a527430cd6ff8a5",
+    ),
+}
+
+
 class TestBytePins:
     """SHA-256 of CLI ``sweep -o`` files under protection: one-qubit rows
-    and dead-plateau rows (r* = 0, C = 0), values and formatting alike."""
+    and dead-plateau rows (r* = 0, C = 0), values and formatting alike.
+    A round-off change may re-pin them only while the gate below holds."""
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                "--family mems --param 0.8 --eta 1 --mode wm1 --var q --points 21",
-                "f37600a89e504e96b93ae1fc3f4c07b2c3c7b00f153f11cad2d9aa660513ba49",
-            ),
-            (
-                "--family werner --param 0.8 --eta 0 --mode wm2 --var p --q 0.5 --points 21",
-                "0619c1ff5638cbc071b4011c3e58e0d8f19b29b19e757198b8f2080a3d845f16",
-            ),
-            (
-                "--family nme --var alpha2 --mode wm1 --eta 1 --p 0.5 --q 0.5 --points 11",
-                "60823a5f0f8d17e900a25c1538e3b35e4ec5baf315e81196e51324e575acdf9e",
-            ),
-        ],
-        ids=["mems08-wm1-q", "werner08-wm2-p", "nme-wm1-alpha2"],
-    )
+    @pytest.mark.parametrize("argv, digest", SWEEP_PINS.values(), ids=SWEEP_PINS.keys())
     def test_csv_digest(self, tmp_path, argv, digest):
         path = tmp_path / "pin.csv"
         assert main(["sweep", *argv.split(), "-o", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [a for a, _ in SWEEP_PINS.values()], ids=SWEEP_PINS.keys())
+    def test_rows_match_closed_form_and_own_r_star(self, tmp_path, argv):
+        # each row's concurrence is the closed-form reversal optimum, and
+        # every column is the pipeline evaluated at the row's own r_star
+        path = tmp_path / "pin.csv"
+        assert main(["sweep", *argv.split(), "-o", str(path)]) == 0
+        args = build_parser().parse_args(["sweep", *argv.split()])
+        mode = WmrMode(args.mode)
+        header, *rows = list(csv.reader(path.read_text().splitlines()))
+        for row in rows:
+            values = [float(x) for x in row[1:]]
+            family, p, q = _family(args), args.p, args.q
+            if args.var == "p":
+                p = values[0]
+            elif args.var == "q":
+                q = values[0]
+            else:
+                family = StateFamily("nme", values[0])
+            rho0, ch = make_state(family), ChannelParams(p, args.eta)
+            sigma = apply_cad(apply_wm(rho0, q, mode)[0], ch)
+            c = values[header.index("concurrence") - 1]
+            assert abs(c - closed_form_optimum(sigma, mode)) <= 1e-9, row
+            r_star = values[header.index("r_star") - 1]
+            out = wmr_pipeline(rho0, ch, WmrParams(q, r_star, mode))
+            vector = correlation_vector(out.state)
+            expected = [
+                values[0], *vector.as_tuple(), *normalize(vector).as_tuple(),
+                r_star, out.success_probability,
+            ]
+            assert values == expected, row
 
 
 class TestZeroCrossing:
