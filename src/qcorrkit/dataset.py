@@ -15,6 +15,7 @@ whose header is
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,20 @@ def write_dataset_csv(path, data: Dataset) -> None:
             )
 
 
+def _finite(path, line_no: int, col: str, cell: str) -> float:
+    try:
+        x = float(cell)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(
+            f"{path}: row {line_no}, column {col!r}: not a finite number: {cell!r}"
+        )
+    return x
+
+
 def read_dataset_csv(path) -> Dataset:
-    """Parse a dataset CSV; malformed cells are reported by row and column.
+    """Parse a dataset CSV; a malformed or non-finite cell is reported by row and column.
 
     Every row must carry the same scenario, eta and sweep_var; the first
     row that disagrees with row 2 is reported.
@@ -104,20 +117,10 @@ def read_dataset_csv(path) -> Dataset:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}: row {line_no} has {len(row)} fields")
-            numbers = []
-            for col, cell in zip(CSV_HEADER[3:], row[3:]):
-                try:
-                    numbers.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {line_no}, column {col!r}: not a number: {cell!r}"
-                    ) from None
-            try:
-                eta = float(row[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {line_no}, column 'eta': not a number: {row[1]!r}"
-                ) from None
+            numbers = [
+                _finite(path, line_no, col, cell) for col, cell in zip(CSV_HEADER[3:], row[3:])
+            ]
+            eta = _finite(path, line_no, "eta", row[1])
             row_tag = (row[0], eta, row[2])
             if tag is None:
                 tag = row_tag

@@ -1,12 +1,13 @@
-"""Search for the reversal strength that best restores entanglement.
+"""The reversal strength that best restores entanglement.
 
 The objective is the concurrence of the full measurement/channel/reversal
 pipeline as a function of the reversal strength r at fixed damping,
 memory, and measurement strength.  The state sigma after measurement and
-channel does not depend on r, so it is built once and every candidate r
-only applies the reversal to it: a dense coarse grid, reversed and
-scored in one batched ``apply_qmr`` call, then golden-section
-refinement of the bracketed maximum.
+channel does not depend on r, so it is built once.  A dense coarse grid,
+reversed and scored in one batched ``apply_qmr`` call, detects the dead
+plateau and guards the result; the optimum itself is the stationary
+point of the concurrence in u = 1 - r, which is unimodal there
+(``docs/decisions.md`` section 1.2).
 The result carries the protected state at the optimum, so callers never
 rebuild it.  Everything is deterministic.
 """
@@ -23,8 +24,6 @@ from .states import StateFamily, make_state
 
 _R_MAX = 1.0 - 1e-6
 _GRID_STEP = 1e-3
-_REFINE_TOL = 1e-8
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,14 @@ def optimal_qmr(
 ) -> OptimizationResult:
     """Maximize pipeline concurrence over the reversal strength r.
 
-    Coarse grid of step ``_GRID_STEP`` over [0, 1 - 1e-6], then
-    golden-section refinement of the best bracket down to ``_REFINE_TOL``
-    in r.  Ties and all-zero plateaus (entanglement already dead
-    everywhere) resolve to the smallest admissible r.
+    With sigma the state after measurement and channel, the optimum is
+    u* = sqrt(sigma44 / sigma11) for two qubits and
+    u* = (sigma22 + sigma44) / (sigma11 + sigma33) for one, clipped to
+    [1 - ``_R_MAX``, 1], with r* = 1 - u*.  A coarse grid of step
+    ``_GRID_STEP`` over [0, ``_R_MAX``] guards it: if no grid point has
+    positive concurrence (entanglement already dead everywhere) r* is 0,
+    and the best grid point replaces r* if it scores higher, or within
+    1e-12 at a smaller r.
     """
     if mode is WmrMode.NONE:
         raise ValueError("reversal optimization needs a measurement mode")
@@ -64,60 +67,29 @@ def optimal_qmr(
     evaluations = len(grid)
 
     best = int(values.argmax())  # argmax takes the first index, i.e. smallest r
-
-    def objective(r: float) -> float:
-        return float(concurrence(apply_qmr(sigma, r, mode)[0]))
-
     if values[best] <= 0.0:
         # plateau: no r recovers any entanglement; report the smallest one
         r_star, c_star = 0.0, 0.0
+        state, t_qmr = apply_qmr(sigma, r_star, mode)
     else:
-        lo = grid[best - 1] if best > 0 else grid[best]
-        hi = grid[best + 1] if best + 1 < len(grid) else grid[best]
-        r_star, c_star, extra = _golden_max(objective, float(lo), float(hi))
-        evaluations += extra
-        # refinement must never lose to the best coarse candidate, and a
+        # the concurrence is unimodal in u = 1 - r: take its stationary point
+        s11, s22, s33, s44 = sigma.diagonal().real
+        u = np.sqrt(s44 / s11) if mode is WmrMode.TWO_QUBIT else (s22 + s44) / (s11 + s33)
+        r_star = 1.0 - min(max(float(u), 1.0 - _R_MAX), 1.0)
+        state, t_qmr = apply_qmr(sigma, r_star, mode)
+        c_star = float(concurrence(state))
+        evaluations += 1
+        # the closed form must never lose to the best grid candidate, and a
         # tie (flat or boundary maximum) resolves to the smaller r
         if c_star < values[best] or (c_star - values[best] <= 1e-12 and grid[best] < r_star):
             r_star, c_star = float(grid[best]), float(values[best])
+            state, t_qmr = apply_qmr(sigma, r_star, mode)
 
-    state, t_qmr = apply_qmr(sigma, float(r_star), mode)
     return OptimizationResult(
-        r_star=float(r_star),
-        concurrence_at_star=float(c_star),
+        r_star=r_star,
+        concurrence_at_star=c_star,
         success_probability=float(t_wm * t_qmr),
         evaluations=evaluations,
         state=state,
     )
 
-
-def _golden_max(f, a: float, b: float) -> tuple[float, float, int]:
-    """Golden-section maximization on [a, b]; assumes unimodality there.
-
-    Returns (argmax, max, evaluation count).  On ties the midpoint rule of
-    the shrinking bracket drifts left, so equal maxima resolve to the
-    smaller argument.
-    """
-    h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = f(c), f(d)
-    evals = 2
-    while h > _REFINE_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = f(d)
-        evals += 1
-    x = a if fc >= fd else b
-    candidates = [(f(x), x), (fc, c), (fd, d)]
-    evals += 1
-    best_val = max(v for v, _ in candidates)
-    best_x = min(x for v, x in candidates if v >= best_val - 1e-15)
-    return best_x, best_val, evals

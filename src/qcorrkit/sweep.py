@@ -126,7 +126,5 @@ def find_zero_crossing(x: np.ndarray, y: np.ndarray) -> float | None:
     y = np.asarray(y, dtype=float)
     for i in range(len(y) - 1):
         if y[i] > 0.0 >= y[i + 1]:
-            if y[i + 1] == y[i]:
-                return float(x[i + 1])
             return float(x[i] + (0.0 - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i]))
     return None

@@ -34,6 +34,7 @@ _MU_FACTOR = 10.0
 _MU_MAX = 1e10
 _MU_MIN = 1e-20  # keeps the damped system solvable after long streaks
 _MAX_VAL_FAILS = 6
+_SPLIT = (0.70, 0.15, 0.15)  # train, validation, test fractions
 
 
 @dataclass
@@ -62,15 +63,11 @@ class TrainReport:
         return asdict(self)
 
 
-def split_indices(
-    n: int, seed: int, fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded shuffle split into train/validation/test index arrays."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
     perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(_SPLIT[0] * n))
+    n_val = int(round(_SPLIT[1] * n))
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 

@@ -16,6 +16,20 @@ def random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def closed_form_u_star(sigma: np.ndarray, mode: WmrMode) -> float:
+    """Stationary point u* = 1 - r* of the reversal, clipped to [1e-6, 1].
+
+    ``sigma`` is the X state after weak measurement and channel:
+    u* = sqrt(s44 / s11) for two qubits, (s22 + s44) / (s11 + s33) for one.
+    """
+    s11, s22, s33, s44 = sigma.diagonal().real
+    if mode is WmrMode.TWO_QUBIT:
+        u = np.sqrt(s44 / s11)
+    else:
+        u = (s22 + s44) / (s11 + s33)
+    return min(max(u, 1e-6), 1.0)
+
+
 def closed_form_optimum(sigma: np.ndarray, mode: WmrMode) -> float:
     """Best pipeline concurrence over the reversal strength, in closed form.
 
@@ -33,8 +47,7 @@ def closed_form_optimum(sigma: np.ndarray, mode: WmrMode) -> float:
         abs(sigma[0, 3]) - np.sqrt(s22 * s33),
         abs(sigma[1, 2]) - np.sqrt(s11 * s44),
     )
+    u = closed_form_u_star(sigma, mode)
     if mode is WmrMode.TWO_QUBIT:
-        u = min(max(np.sqrt(s44 / s11), 1e-6), 1.0)
         return k * u / (s11 * u * u + (s22 + s33) * u + s44)
-    u = min(max((s22 + s44) / (s11 + s33), 1e-6), 1.0)
     return k * np.sqrt(u) / ((s11 + s33) * u + s22 + s44)

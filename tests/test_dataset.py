@@ -67,6 +67,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=r"row 2.*'tdd'.*oops"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("col", ["qs", "tdd", "sweep_value", "eta"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, col, cell):
+        row = "no_wmr,0.0,p,0.0,0.1,0.2,0.3,0.4,0.5,0.6".split(",")
+        row[CSV_HEADER.index(col)] = cell
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + ",".join(row) + "\n")
+        with pytest.raises(ValueError, match=rf"row 2, column '{col}'.*{cell}"):
+            read_dataset_csv(path)
+
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -117,7 +127,7 @@ class TestBytePins:
             (
                 StateFamily("bell"),
                 "wmr2",
-                "8e09130ea1e68a23aa0cd56e084bdd4dde6520226b1601d9274aaedbd11544c8",
+                "15ef28a962e62a2718d1eb8e03066dc4c089603ea4344bb6c99a8e9c1736c57a",
             ),
             (
                 StateFamily("mems", 0.8),

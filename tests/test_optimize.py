@@ -11,16 +11,18 @@ from qcorrkit.channels import (
     wmr_pipeline,
 )
 from qcorrkit.measures import concurrence
-from qcorrkit.optimize import _R_MAX, optimal_qmr
+from qcorrkit.optimize import _GRID_STEP, _R_MAX, optimal_qmr
 from qcorrkit.states import StateFamily, make_state
+
+from conftest import closed_form_optimum, closed_form_u_star
 
 
 def exhaustive_grid_oracle(family, ch, q, mode, n=1_000_001):
     """Best r on a 1e-6-step grid, via the analytic X-state concurrence.
 
-    Independent of the production path twice over: exhaustive search
-    instead of golden-section refinement, and the anti-diagonal gap
-    formula instead of the spin-flip spectrum.
+    Independent of the production path: exhaustive search instead of
+    the stationary point of the reversal, and entries rescaled here
+    instead of by ``apply_qmr``.
     """
     measured, _ = apply_wm(make_state(family), q, mode)
     sigma = apply_cad(measured, ch)
@@ -144,6 +146,38 @@ class TestOptimalQmr:
         out = wmr_pipeline(make_state(family), ch, WmrParams(q, res.r_star, mode))
         assert np.array_equal(res.state, out.state)
         assert res.success_probability == out.success_probability
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            StateFamily("bell"),
+            StateFamily("werner", 0.8),
+            StateFamily("mems", 0.8),
+            StateFamily("nme", 0.3),
+        ],
+        ids=["bell", "werner08", "mems08", "nme03"],
+    )
+    def test_r_star_is_the_stationary_point(self, family, eta, mode):
+        # docs/decisions.md section 1.2: on interior points r* = 1 - u*
+        interior = 0
+        for p in (0.1, 0.5, 0.9):
+            for q in (0.3, 0.7, 0.9):
+                ch = ChannelParams(p, eta)
+                res = optimal_qmr(family, ch, q, mode)
+                if not 0.0 < res.r_star < _R_MAX:
+                    continue
+                interior += 1
+                sigma = apply_cad(apply_wm(make_state(family), q, mode)[0], ch)
+                assert abs(res.concurrence_at_star - closed_form_optimum(sigma, mode)) <= 1e-12
+                r_closed = 1.0 - closed_form_u_star(sigma, mode)
+                if abs(res.r_star - r_closed) > 1e-12:
+                    # tie rule: a smaller coarse-grid r within 1e-12 of the peak wins
+                    assert res.r_star < r_closed
+                    k = round(res.r_star / _GRID_STEP)
+                    assert res.r_star == pytest.approx(k * _GRID_STEP, abs=1e-15)
+        assert interior > 0
 
     @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
     def test_strongest_reversal_keeps_the_ground_state(self, mode):

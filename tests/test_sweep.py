@@ -98,15 +98,15 @@ class TestRunSweep:
 SWEEP_PINS = {
     "mems08-wm1-q": (
         "--family mems --param 0.8 --eta 1 --mode wm1 --var q --points 21",
-        "15fe688fefb37dbb0fdd37a4f30c590a6dd650763f2781e6dcb6142ecd5dcf59",
+        "ae4e00e5254be6dcb1869c6fc39df543b91ee57cb79d04b25fd98b90ec66c3a4",
     ),
     "werner08-wm2-p": (
         "--family werner --param 0.8 --eta 0 --mode wm2 --var p --q 0.5 --points 21",
-        "caaa46dfaefe542ab6273c473114943aa62b5770d6210b8532a141ffc224a6fe",
+        "1f7cf84e239288e080f5902dfbc510762225c177baca337d7b7db627fd4fd4f9",
     ),
     "nme-wm1-alpha2": (
         "--family nme --var alpha2 --mode wm1 --eta 1 --p 0.5 --q 0.5 --points 11",
-        "289376ae3cd3338acca4886dc1360450e886dbb6b83d4c4d2a527430cd6ff8a5",
+        "1fe3e1aeb82d2b9a874326303e31677cbefe8e1b722151073aec66f3b8539873",
     ),
 }
 

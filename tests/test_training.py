@@ -38,10 +38,6 @@ class TestSplit:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
-    def test_bad_fractions(self):
-        with pytest.raises(ValueError):
-            split_indices(100, 0, (0.5, 0.2, 0.2))
-
 
 class TestLmTrain:
     def test_linear_network_recovers_exact_least_squares(self, rng):
