@@ -7,7 +7,8 @@ write model and weight summary), ``predict`` (apply a saved model to a
 dataset CSV), and ``weights`` (weight summary of a saved model).
 
 Exit codes: 0 success, 1 usage error, 2 numerical-contract failure,
-3 verification failure.  All randomness is governed by ``--seed``;
+3 verification failure, 4 training failure (every restart's loss turned
+non-finite).  All randomness is governed by ``--seed``;
 identical invocations produce byte-identical outputs.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .channels import ChannelParams, WmrMode
 from .dataset import build_dataset, read_dataset_csv, write_dataset_csv
-from .exceptions import NumericalContractError
+from .exceptions import NumericalContractError, TrainingFailure
 from .mlp import forward, load_mlp, save_mlp, weight_summary_csv
 from .optimize import optimal_qmr
 from .states import StateFamily
@@ -264,6 +265,9 @@ def main(argv=None) -> int:
     except NumericalContractError as exc:
         print(f"numerical contract failure: {exc}", file=sys.stderr)
         return 2
+    except TrainingFailure as exc:
+        print(f"error: training failed: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

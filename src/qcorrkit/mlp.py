@@ -154,12 +154,60 @@ def set_params(net: Mlp, vec: np.ndarray) -> None:
         raise ValueError(f"parameter vector size {vec.size}, expected {pos}")
 
 
+def backprop_factors(
+    net: Mlp, scaled: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """One forward and one backward pass, kept in per-layer factors.
+
+    Returns (predictions, inputs, deltas): for weight layer l, inputs[l]
+    is its input activation A_l, shape (n, n_in), and deltas[l] is
+    Δ_l = d output / d (layer-l preactivation), shape (n, n_out).  Row i
+    of the Jacobian is, layer by layer, the outer product Δ_l[i] A_l[i]
+    (weights, row-major) followed by Δ_l[i] (biases), so
+    :func:`factor_gram` and :func:`factor_jt_vector` need no Jacobian.
+    """
+    a = np.atleast_2d(scaled)
+    inputs = []
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        inputs.append(a)
+        a = _ACTIVATIONS[act](a @ w.T + b)
+
+    deltas = []
+    delta = _activation_derivative(net.activations[-1], a)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        deltas.append(delta)
+        if layer > 0:
+            delta = (delta @ net.weights[layer]) * _activation_derivative(
+                net.activations[layer - 1], inputs[layer]
+            )
+    deltas.reverse()
+    return a[:, 0], inputs, deltas
+
+
+def factor_gram(inputs: list[np.ndarray], deltas: list[np.ndarray]) -> np.ndarray:
+    """J Jᵀ from the factors: Σ_l (Δ_l Δ_lᵀ) ∘ (A_l A_lᵀ + 1), shape (n, n)."""
+    return sum((d @ d.T) * (a @ a.T + 1.0) for a, d in zip(inputs, deltas))
+
+
+def factor_jt_vector(
+    inputs: list[np.ndarray], deltas: list[np.ndarray], v: np.ndarray
+) -> np.ndarray:
+    """Jᵀ v from the factors, in :func:`get_params` order."""
+    parts = []
+    for a, d in zip(inputs, deltas):
+        parts.append(((d * v[:, None]).T @ a).ravel())
+        parts.append(v @ d)
+    return np.concatenate(parts)
+
+
 def network_jacobian(net: Mlp, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample derivatives of the output w.r.t. every parameter.
 
     Reverse-mode accumulation over the batch.  Returns (predictions,
     jacobian) with shapes (n,) and (n, n_params); the column order
-    matches :func:`get_params`.
+    matches :func:`get_params`.  Training never builds this matrix (it
+    works from :func:`backprop_factors`); it is kept as the independent
+    oracle the factor route is tested against.
     """
     a = np.atleast_2d(scaled)
     outputs = [a]

@@ -1,12 +1,17 @@
 """Damped Gauss-Newton (Levenberg-Marquardt) training with restarts.
 
-Each epoch builds the per-sample Jacobian of the network output, solves
-the damped normal equations for a step, and accepts it only if the
-training MSE drops; rejected steps raise the damping and retry with the
-same Jacobian.  Validation MSE is watched for early stopping.  A restart
-search trains several independently seeded networks and keeps the one
-with the lowest test MSE.  Every run is deterministic in its seed: the
-network seed drives both the weight draw and the train/val/test shuffle.
+Each epoch runs one forward and one backward pass over the training
+rows and keeps, per weight layer l, its input activations A_l and output
+deltas Δ_l.  The Jacobian J of the outputs is never built: the n×n
+matrix JJᵀ = Σ_l (Δ_lΔ_lᵀ)∘(A_lA_lᵀ + 1) gives the damped system
+(JJᵀ + μI)·v = e, and Jᵀv (the gradient, and the step) is taken layer by
+layer from the same factors (``docs/decisions.md`` section 3).  A step
+is accepted only if the training MSE drops; rejected steps raise the
+damping and retry with the same factors.  Validation MSE is watched for
+early stopping.  A restart search trains several independently seeded
+networks and keeps the one with the lowest test MSE.  Every run is
+deterministic in its seed: the network seed drives both the weight draw
+and the train/val/test shuffle.
 """
 
 from __future__ import annotations
@@ -19,10 +24,12 @@ from .dataset import Dataset
 from .exceptions import TrainingFailure
 from .mlp import (
     Mlp,
+    backprop_factors,
+    factor_gram,
+    factor_jt_vector,
     forward_scaled,
     get_params,
     init_mlp,
-    network_jacobian,
     scale_inputs,
     set_input_scaling,
     set_params,
@@ -110,23 +117,23 @@ def lm_train(net: Mlp, data: Dataset, config: TrainConfig | None = None) -> Trai
 
     eye = np.eye(n)
     while epochs < cfg.max_epochs:
-        pred, jac = network_jacobian(net, x_train)
+        pred, inputs, deltas = backprop_factors(net, x_train)
         err = y_train - pred
-        grad = 2.0 / n * (jac.T @ err)
+        grad = 2.0 / n * factor_jt_vector(inputs, deltas, err)
         if np.abs(grad).max() < cfg.grad_tol:
             stop_reason = "gradient"
             break
 
         theta = get_params(net)
-        jjt = jac @ jac.T
+        jjt = factor_gram(inputs, deltas)
         accepted = False
         while mu <= _MU_MAX:
             try:
-                step = jac.T @ np.linalg.solve(jjt + mu * eye, err)
+                v = np.linalg.solve(jjt + mu * eye, err)
             except np.linalg.LinAlgError:
                 mu *= _MU_FACTOR
                 continue
-            set_params(net, theta + step)
+            set_params(net, theta + factor_jt_vector(inputs, deltas, v))
             candidate = _mse(net, x_train, y_train)
             if np.isfinite(candidate) and candidate < mse:
                 mse = candidate

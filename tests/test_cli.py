@@ -3,7 +3,8 @@ import json
 import pytest
 
 from qcorrkit.cli import main
-from qcorrkit.dataset import CSV_HEADER
+from qcorrkit.dataset import CSV_HEADER, build_dataset, write_dataset_csv
+from qcorrkit.states import StateFamily
 
 
 class TestSweepCommand:
@@ -210,3 +211,22 @@ class TestExitCodeContract:
         code = cli.main(["optimize", "--family", "bell", "--p", "0.5", "--q", "0.1"])
         assert code == 2
         assert "contract" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_training_failure_exits_4(self, tmp_path, capsys):
+        # 1e300 is finite, so the reader accepts it, but its square is not:
+        # every restart's loss is non-finite and restart_search gives up
+        data = build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=60)
+        data.targets[:] = 1e300
+        path = tmp_path / "big.csv"
+        write_dataset_csv(path, data)
+        model = tmp_path / "model.json"
+        code = main(
+            ["train", "--data", str(path), "--restarts", "1", "--max-epochs", "2",
+             "--model-out", str(model)]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert "Traceback" not in err
+        assert not model.exists()

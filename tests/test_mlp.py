@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from qcorrkit.mlp import (
+    backprop_factors,
+    factor_gram,
+    factor_jt_vector,
     forward,
     forward_scaled,
     get_params,
@@ -125,6 +128,40 @@ class TestJacobian:
         x = rng.uniform(-1, 1, (4, 5))
         pred, _ = network_jacobian(net, x)
         np.testing.assert_allclose(pred, forward_scaled(net, x), atol=1e-15)
+
+
+class TestFactorRoute:
+    """JJᵀ and Jᵀv from per-layer factors against the materialised Jacobian."""
+
+    @pytest.mark.parametrize(
+        "sizes,acts,n",
+        [
+            ((5, 40, 24, 16, 1), ("logsig", "tansig", "linear", "linear"), 70),
+            ((5, 40, 24, 16, 1), ("logsig", "tansig", "linear", "linear"), 350),
+            ((2, 2, 1), ("logsig", "tansig"), 70),
+            ((2, 3, 2, 1), ("logsig", "tansig", "linear"), 70),
+            ((5, 4, 3, 2, 1), ("logsig", "tansig", "linear", "linear"), 70),
+            ((3, 1), ("linear",), 70),
+        ],
+    )
+    def test_matches_network_jacobian(self, sizes, acts, n, rng):
+        net = init_mlp(layer_sizes=sizes, activations=acts, seed=17)
+        x = rng.uniform(-1.0, 1.0, size=(n, sizes[0]))
+        v = rng.normal(size=n)
+        pred_ref, jac = network_jacobian(net, x)
+        pred, inputs, deltas = backprop_factors(net, x)
+        np.testing.assert_array_equal(pred, pred_ref)
+        np.testing.assert_array_equal(pred, forward_scaled(net, x))
+
+        gram_ref = jac @ jac.T
+        gram = factor_gram(inputs, deltas)
+        assert gram.shape == (n, n)
+        assert np.abs(gram - gram_ref).max() <= 1e-12 * np.abs(gram_ref).max()
+
+        jtv_ref = jac.T @ v
+        jtv = factor_jt_vector(inputs, deltas, v)
+        assert jtv.shape == (net.n_params(),)
+        assert np.abs(jtv - jtv_ref).max() <= 1e-12 * np.abs(jtv_ref).max()
 
 
 class TestParamsAndSummary:

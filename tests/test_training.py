@@ -3,9 +3,17 @@ import pytest
 
 from qcorrkit.dataset import Dataset, build_dataset
 from qcorrkit.exceptions import TrainingFailure
-from qcorrkit.mlp import forward, get_params, init_mlp
+from qcorrkit.mlp import (
+    forward,
+    get_params,
+    init_mlp,
+    network_jacobian,
+    scale_inputs,
+    set_input_scaling,
+)
 from qcorrkit.states import StateFamily
 from qcorrkit.training import (
+    _MU_FACTOR,
     TrainConfig,
     lm_train,
     restart_search,
@@ -50,6 +58,24 @@ class TestLmTrain:
         report = lm_train(net, data, TrainConfig(grad_tol=0.0, max_epochs=40))
         assert report.mse_history[3] < 1e-20
         assert report.mse_train < 1e-20
+
+    def test_one_epoch_is_the_jacobian_step(self):
+        # the step lm_train takes from per-layer factors equals
+        # theta + Jᵀ (JJᵀ + μI)⁻¹ e with J materialised by network_jacobian
+        data = build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=100)
+        net = init_mlp(seed=0)
+        report = lm_train(net, data, TrainConfig(max_epochs=1))
+        assert report.epochs == 1
+
+        ref = init_mlp(seed=0)
+        train, _, _ = split_indices(len(data), ref.seed)
+        set_input_scaling(ref, data.features[train])
+        x = scale_inputs(ref, data.features[train])
+        pred, jac = network_jacobian(ref, x)
+        err = data.targets[train] - pred
+        mu = report.mu_final * _MU_FACTOR  # the damping of the accepted attempt
+        step = jac.T @ np.linalg.solve(jac @ jac.T + mu * np.eye(len(x)), err)
+        np.testing.assert_allclose(get_params(net), get_params(ref) + step, rtol=0, atol=1e-12)
 
     def test_constant_target_learned_by_bias(self, rng):
         data = synthetic_dataset(rng, n=100, fn=lambda x: np.full(len(x), 0.37))
