@@ -24,6 +24,20 @@ from .exceptions import DegenerateMeasurementError
 _DEGENERATE_TRACE = 1e-14
 
 
+def _unit_interval(name: str, value, closed: bool) -> np.ndarray:
+    """``value`` as floats, every entry checked to lie in [0, 1] (closed) or [0, 1).
+
+    A scalar comes back as a numpy scalar, which takes the same array
+    operations as a 0-d array at a fraction of their cost.
+    """
+    value = np.asarray(value, dtype=float)[()]
+    inside = (0.0 <= value) & ((value <= 1.0) if closed else (value < 1.0))
+    if np.count_nonzero(inside) != value.size:  # a NaN is never inside
+        bad = np.extract(~inside, value)[0]
+        raise ValueError(f"{name}={bad} outside [0, 1{']' if closed else ')'}")
+    return value
+
+
 class WmrMode(str, Enum):
     """Where the measurement/reversal pair acts."""
 
@@ -34,16 +48,17 @@ class WmrMode(str, Enum):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Damping strength p and memory parameter eta, both in [0, 1]."""
+    """Damping strength p and memory parameter eta, both in [0, 1].
 
-    p: float
-    eta: float = 0.0
+    Either may be an array; every entry is checked.
+    """
+
+    p: float | np.ndarray
+    eta: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p={self.p} outside [0, 1]")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta={self.eta} outside [0, 1]")
+        _unit_interval("p", self.p, closed=True)
+        _unit_interval("eta", self.eta, closed=True)
 
 
 @dataclass(frozen=True)
@@ -52,17 +67,16 @@ class WmrParams:
 
     Strengths live in [0, 1): strength 1 annihilates the post-measurement
     state.  In two-qubit mode the same strength acts on both qubits.
+    Either strength may be an array; every entry is checked.
     """
 
-    q: float
-    r: float
+    q: float | np.ndarray
+    r: float | np.ndarray
     mode: WmrMode = WmrMode.TWO_QUBIT
 
     def __post_init__(self):
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError(f"q={self.q} outside [0, 1)")
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError(f"r={self.r} outside [0, 1)")
+        _unit_interval("q", self.q, closed=False)
+        _unit_interval("r", self.r, closed=False)
 
 
 @dataclass(frozen=True)
@@ -70,102 +84,115 @@ class PipelineOutput:
     """Renormalized evolved state plus the trace discarded on the way."""
 
     state: np.ndarray
-    success_probability: float
+    success_probability: float | np.ndarray
 
 
-def _damp_qubit(rho: np.ndarray, p: float, first: bool) -> np.ndarray:
-    """Amplitude damping of one qubit, as an entry map on (..., 4, 4) stacks.
+def _outer(factors: np.ndarray) -> np.ndarray:
+    return factors[..., :, None] * factors[..., None, :]
 
-    Entry (i, j) scales by sqrt(1 - p) once per excitation of the damped
-    qubit in i and in j; p times the excited block lands on the ground block.
+
+def apply_ad_uncorrelated(rho: np.ndarray, p: float | np.ndarray) -> np.ndarray:
+    """Memoryless two-qubit amplitude damping: each qubit damped on its own.
+
+    Damping one qubit is an entry map: entry (i, j) scales by sqrt(1 - p)
+    once per excitation of that qubit in i and in j, and p times its
+    excited block lands on its ground block.  The first qubit is damped,
+    then the second.  An array ``p`` broadcasts against the leading dims
+    of ``rho``.
     """
-    s = np.sqrt(1.0 - p)
-    factors = np.array([1.0, 1.0, s, s] if first else [1.0, s, 1.0, s])
-    out = rho * np.outer(factors, factors)
-    if first:
-        out[..., :2, :2] += p * rho[..., 2:, 2:]
-    else:
-        out[..., ::2, ::2] += p * rho[..., 1::2, 1::2]
-    return out
-
-
-def apply_ad_uncorrelated(rho: np.ndarray, p: float) -> np.ndarray:
-    """Memoryless two-qubit amplitude damping: each qubit damped on its own."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    return _damp_qubit(_damp_qubit(rho, p, first=True), p, first=False)
+    p = _unit_interval("p", p, closed=True)
+    factors = np.ones((2,) + p.shape + (4,))
+    s = np.sqrt(1.0 - p)[..., None]
+    factors[0, ..., 2:] = s    # |1x>: first qubit excited
+    factors[1, ..., 1::2] = s  # |x1>: second qubit excited
+    first, second = _outer(factors)
+    p = p[..., None, None]
+    out = rho * first
+    ground = out[..., :2, :2]  # a view: += writes through, with no copy back
+    ground += p * rho[..., 2:, 2:]
+    damped = out * second
+    ground = damped[..., ::2, ::2]
+    ground += p * out[..., 1::2, 1::2]
+    return damped
 
 
 def apply_cad(rho: np.ndarray, ch: ChannelParams) -> np.ndarray:
     """Partially correlated damping: (1-eta) * uncorrelated + eta * correlated.
 
     The correlated branch damps only the doubly excited amplitude and
-    sends the weight p of |11><11| to |00><00|.  Accepts (..., 4, 4) stacks.
+    sends the weight p of |11><11| to |00><00|.  Accepts (..., 4, 4)
+    stacks; array p and eta broadcast against their leading dims.  Where
+    eta = 0 the result is exactly the uncorrelated map.
     """
-    uncorr = apply_ad_uncorrelated(rho, ch.p)
-    if ch.eta == 0.0:
-        return uncorr
-    factors = np.array([1.0, 1.0, 1.0, np.sqrt(1.0 - ch.p)])
-    corr = rho * np.outer(factors, factors)
-    corr[..., 0, 0] += ch.p * rho[..., 3, 3]
-    return (1.0 - ch.eta) * uncorr + ch.eta * corr
+    p, eta = np.asarray(ch.p, dtype=float)[()], np.asarray(ch.eta, dtype=float)[..., None, None]
+    out = (1.0 - eta) * apply_ad_uncorrelated(rho, p)
+    if np.count_nonzero(eta):  # the correlated branch only matters where there is memory
+        factors = np.ones(p.shape + (4,))
+        factors[..., 3] = np.sqrt(1.0 - p)
+        corr = rho * _outer(factors)
+        ground = corr[..., :1, :1]
+        ground += p[..., None, None] * rho[..., 3:, 3:]
+        out += eta * corr
+    return out
 
 
-def wm_diagonal(q: float, mode: WmrMode) -> np.ndarray:
-    """Diagonal of the weak-measurement operator for the given placement."""
+def wm_diagonal(q: float | np.ndarray, mode: WmrMode) -> np.ndarray:
+    """Diagonal of the weak-measurement operator; an array q stacks one per entry."""
     sq = np.sqrt(1.0 - q)
+    diag = np.ones(np.shape(q) + (4,))
     if mode is WmrMode.TWO_QUBIT:
-        return np.array([1.0, sq, sq, 1.0 - q])
-    return np.array([1.0, sq, 1.0, sq])
+        diag[..., 1] = sq
+        diag[..., 2] = sq
+        diag[..., 3] = 1.0 - q
+    else:
+        diag[..., 1::2] = sq[..., None]
+    return diag
 
 
 def qmr_diagonal(r: float | np.ndarray, mode: WmrMode) -> np.ndarray:
-    """Reversal diagonal (1 and sqrt(1-r) swapped vs. WM); an array r stacks one per entry."""
-    sr = np.sqrt(1.0 - r)
-    one = np.ones_like(sr)
-    if mode is WmrMode.TWO_QUBIT:
-        return np.stack([1.0 - r, sr, sr, one], axis=-1)
-    return np.stack([sr, one, sr, one], axis=-1)
+    """Reversal diagonal: the WM diagonal with |0> and |1> swapped on each measured qubit."""
+    return wm_diagonal(r, mode)[..., ::-1]
 
 
-def _sandwich_normalized(rho: np.ndarray, diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # M rho M^dag for diagonal real M is an entrywise rescale; diag may stack (..., 4)
-    out = rho * (diag[..., :, None] * diag[..., None, :])
-    t = out.trace(axis1=-2, axis2=-1).real
-    if (t < _DEGENERATE_TRACE).any():
+def _sandwich_normalized(
+    rho: np.ndarray, strength: np.ndarray, diag: np.ndarray
+) -> tuple[np.ndarray, float | np.ndarray]:
+    # M rho M^dag for diagonal real M is an entrywise rescale; diag may stack (..., 4).
+    # Where the strength is 0, M is the identity (diag all 1), and weight 1 keeps it so.
+    out = rho * _outer(diag)
+    t = np.where(strength == 0.0, 1.0, out.trace(axis1=-2, axis2=-1).real)
+    if np.count_nonzero(t < _DEGENERATE_TRACE):
         raise DegenerateMeasurementError(f"post-measurement trace {t.min():.3e}")
-    return out / t[..., None, None], t
+    return out / t[..., None, None], t[()]
 
 
-def apply_wm(rho: np.ndarray, q: float, mode: WmrMode) -> tuple[np.ndarray, float]:
+def apply_wm(
+    rho: np.ndarray, q: float | np.ndarray, mode: WmrMode
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Weak measurement of strength q; returns (renormalized state, trace).
 
     The returned trace is the probability weight of the kept outcome.
-    Strength 0 (or mode NONE) is the identity and returns the input
-    unchanged with weight 1.
+    ``q`` may be an array that broadcasts against the leading dims of
+    ``rho``: the result then stacks one measured state and one trace per
+    entry, and every entry must lie in [0, 1) and keep a nondegenerate
+    trace.  Strength 0 is the identity: such an entry passes exactly,
+    with weight exactly 1, and when no entry measures (all strengths 0,
+    or mode NONE) the input itself returns with weight 1.
     """
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q={q} outside [0, 1)")
-    if mode is WmrMode.NONE or q == 0.0:
+    q = _unit_interval("q", q, closed=False)
+    if mode is WmrMode.NONE or not np.count_nonzero(q):
         return rho, 1.0
-    return _sandwich_normalized(rho, wm_diagonal(q, mode))
+    return _sandwich_normalized(rho, q, wm_diagonal(q, mode))
 
 
 def apply_qmr(
     rho: np.ndarray, r: float | np.ndarray, mode: WmrMode
 ) -> tuple[np.ndarray, float | np.ndarray]:
-    """Measurement reversal of strength r; mirrors :func:`apply_wm`.
-
-    ``r`` may be an array of strengths: the result then stacks one
-    reversed state and one trace per entry, and every entry must lie in
-    [0, 1) and keep a nondegenerate trace.
-    """
-    r = np.asarray(r, dtype=float)
-    if not ((0.0 <= r) & (r < 1.0)).all():
-        raise ValueError(f"r={r} outside [0, 1)")
-    if mode is WmrMode.NONE or (r.ndim == 0 and r == 0.0):
+    """Measurement reversal of strength r; mirrors :func:`apply_wm`."""
+    r = _unit_interval("r", r, closed=False)
+    if mode is WmrMode.NONE or not np.count_nonzero(r):
         return rho, 1.0
-    return _sandwich_normalized(rho, qmr_diagonal(r, mode))
+    return _sandwich_normalized(rho, r, qmr_diagonal(r, mode))
 
 
 def wmr_pipeline(rho: np.ndarray, ch: ChannelParams, wmr: WmrParams) -> PipelineOutput:
@@ -174,6 +201,8 @@ def wmr_pipeline(rho: np.ndarray, ch: ChannelParams, wmr: WmrParams) -> Pipeline
     With mode NONE this is the bare channel and the success probability
     is exactly 1.  Otherwise the success probability is the product of
     the two measurement traces (the channel itself is trace preserving).
+    All strengths may be arrays; they broadcast together with the
+    leading dims of ``rho``.
     """
     if wmr.mode is WmrMode.NONE:
         return PipelineOutput(apply_cad(rho, ch), 1.0)

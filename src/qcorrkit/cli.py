@@ -110,6 +110,8 @@ def _parse_slices(text: str | None) -> dict[str, float] | None:
         key = key.strip()
         if key not in ("p", "q", "r", "eta") or not value:
             raise ValueError(f"bad slice component {part!r} (expected e.g. q=0,r=0)")
+        if key in slices:
+            raise ValueError(f"slice axis {key!r} pinned twice")
         slices[key] = float(value)
     return slices
 
@@ -169,6 +171,10 @@ def cmd_predict(args) -> int:
     net = load_mlp(args.model)
     data = read_dataset_csv(args.data)
     predictions = forward(net, data.features)
+    with np.errstate(over="ignore"):
+        mse = float(np.mean((predictions - data.targets) ** 2))
+    if not np.isfinite(mse):
+        raise NumericalContractError(f"prediction MSE is not finite ({mse})")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["sweep_var", "sweep_value", "tdd", "tdd_predicted"])
@@ -182,7 +188,6 @@ def cmd_predict(args) -> int:
             ]
         )
     _write_text(args.output, buf.getvalue())
-    mse = float(np.mean((predictions - data.targets) ** 2))
     print(json.dumps({"rows": len(data), "mse": mse}, sort_keys=True))
     return 0
 

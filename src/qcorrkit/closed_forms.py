@@ -8,6 +8,12 @@ for the numeric pipeline: `verify_closed_forms` sweeps a grid and
 reports the worst disagreement.  For the mixed-state families no
 closed form is transcribed; the numeric pipeline is instead checked
 against an independently coded straight-line reference composition.
+
+Everything here works elementwise on parameter arrays and state stacks,
+so each grid is evaluated as one stack per placement.  Squares are taken
+with np.square, not ``**``: Python's float power goes through a pow that
+is not correctly rounded, so a float and an array entry would differ in
+the last bit.
 """
 
 from __future__ import annotations
@@ -21,45 +27,54 @@ from .measures import concurrence
 from .states import StateFamily, make_state
 
 
-def bell_concurrence_one_qubit(p: float, q: float, r: float, eta: float) -> float:
-    """Closed-form pipeline concurrence, Bell input, WM/QMR on the second qubit."""
+def bell_concurrence_one_qubit(p, q, r, eta):
+    """Closed-form pipeline concurrence, Bell input, WM/QMR on the second qubit.
+
+    Takes floats or broadcastable arrays and works elementwise.
+    """
     pb, qb, rb = 1.0 - p, 1.0 - q, 1.0 - r
-    s2 = eta * p - eta * p**2 - p**2 * q + p**2 + eta * p**2 * q - eta * q * p + 1.0
+    s2 = (
+        eta * p - eta * np.square(p) - np.square(p) * q + np.square(p)
+        + eta * np.square(p) * q - eta * q * p + 1.0
+    )
     inner = (
         (r - 1.0) * s2
-        - (eta - 1.0) * (p - 1.0) ** 2 * (q - 1.0)
+        - (eta - 1.0) * np.square(p - 1.0) * (q - 1.0)
         - eta * (p - 1.0) * (q - 1.0)
         + p * (eta - 1.0) * (p - 1.0) * (q - 1.0)
         - p * (eta - 1.0) * (p - 1.0) * (q - 1.0) * (r - 1.0)
     ) / (q - 2.0)
-    s1 = abs(inner) * (q - 2.0)
+    s1 = np.abs(inner) * (q - 2.0)
     coherence_gap = -np.sqrt(rb) * (
         eta * p
         - p
-        + p**2
+        + np.square(p)
         + q * p
-        + abs(eta * p - p - eta + eta * np.sqrt(pb) + 1.0) * np.sqrt(qb)
-        - eta * p**2
+        + np.abs(eta * p - p - eta + eta * np.sqrt(pb) + 1.0) * np.sqrt(qb)
+        - eta * np.square(p)
         - eta * q * p
-        - p**2 * q
-        + eta * p**2 * q
+        - np.square(p) * q
+        + eta * np.square(p) * q
     ) / s1
     population_gap = np.sqrt((pb + eta * p) * s2) * np.sqrt(pb * qb * rb) / s1
-    return 2.0 * max(0.0, coherence_gap, population_gap)
+    return 2.0 * np.maximum(np.maximum(coherence_gap, population_gap), 0.0)
 
 
-def bell_concurrence_two_qubit(p: float, q: float, r: float, eta: float) -> float:
-    """Closed-form pipeline concurrence, Bell input, WM/QMR on both qubits."""
+def bell_concurrence_two_qubit(p, q, r, eta):
+    """Closed-form pipeline concurrence, Bell input, WM/QMR on both qubits.
+
+    Takes floats or broadcastable arrays and works elementwise.
+    """
     pb, qb, rb = 1.0 - p, 1.0 - q, 1.0 - r
-    s4 = 2.0 - 2.0 * q + q**2
+    s4 = 2.0 - 2.0 * q + np.square(q)
     s3 = -0.5 + q / 2.0
     s2 = (
-        (eta - 1.0) * (1.0 + p**2 - 2.0 * p**2 * q + p**2 * q**2)
-        - eta * (p + q**2 * p - 2.0 * q * p + 1.0)
+        (eta - 1.0) * (1.0 + np.square(p) - 2.0 * np.square(p) * q + np.square(p) * np.square(q))
+        - eta * (p + np.square(q) * p - 2.0 * q * p + 1.0)
     ) / s4
-    s1 = abs(
-        -s2 * (r - 1.0) ** 2
-        - 2.0 * s3 * (eta - 1.0) * (p - 1.0) ** 2 * (q - 1.0) / s4
+    s1 = np.abs(
+        -s2 * np.square(r - 1.0)
+        - 2.0 * s3 * (eta - 1.0) * np.square(p - 1.0) * (q - 1.0) / s4
         - 2.0 * eta * s3 * (p - 1.0) * (q - 1.0) / s4
         - 4.0 * p * s3 * (eta - 1.0) * (p - 1.0) * (q - 1.0) * (r - 1.0) / s4
     )
@@ -67,25 +82,25 @@ def bell_concurrence_two_qubit(p: float, q: float, r: float, eta: float) -> floa
         (q - 1.0)
         * (r - 1.0)
         * (
-            abs(eta * p - p - eta + eta * np.sqrt(pb) + 1.0)
+            np.abs(eta * p - p - eta + eta * np.sqrt(pb) + 1.0)
             - p
             + eta * p
-            + p**2
+            + np.square(p)
             + q * p
-            - eta * p**2
+            - eta * np.square(p)
             - eta * q * p
-            - p**2 * q
-            + eta * p**2 * q
+            - np.square(p) * q
+            + eta * np.square(p) * q
         )
         / (s1 * s4)
     )
     population_gap = (
         -np.sqrt(-s2 * (pb + eta * p)) * np.sqrt(pb) * (q - 1.0) * (r - 1.0) / (s1 * np.sqrt(s4))
     )
-    return 2.0 * max(0.0, coherence_gap, population_gap)
+    return 2.0 * np.maximum(np.maximum(coherence_gap, population_gap), 0.0)
 
 
-def bell_wmr_concurrence(p: float, q: float, r: float, eta: float, mode: WmrMode) -> float:
+def bell_wmr_concurrence(p, q, r, eta, mode: WmrMode):
     """Dispatch to the closed form matching the measurement placement."""
     if mode is WmrMode.ONE_QUBIT:
         return bell_concurrence_one_qubit(p, q, r, eta)
@@ -97,54 +112,74 @@ def bell_wmr_concurrence(p: float, q: float, r: float, eta: float, mode: WmrMode
 # --------------------------------------------------------------------------
 # Straight-line reference composition, kept independent of channels.py on
 # purpose: every operator is rebuilt locally and applied by full matrix
-# products, and the concurrence is recomputed from its definition.
+# products, and the concurrence is recomputed from its definition.  Both
+# work on stacks: parameter arrays broadcast against the leading dims of
+# the states, and every operator is a stack of matrices.
 # --------------------------------------------------------------------------
 
+def _matrix2(a, b, c, d) -> np.ndarray:
+    """Stack of complex 2x2 matrices [[a, b], [c, d]] from broadcastable entries."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2).astype(complex)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two stacks of 2x2 matrices: entry (2i+k, 2j+l) is a_ij b_kl."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
+def _sandwich(k: np.ndarray, state: np.ndarray) -> np.ndarray:
+    return k @ state @ k.conj().swapaxes(-1, -2)
+
+
+def _normalized(state: np.ndarray) -> np.ndarray:
+    return state / state.trace(axis1=-2, axis2=-1)[..., None, None]
+
+
 def _reference_pipeline_state(
-    rho0: np.ndarray, p: float, eta: float, q: float, r: float, mode: WmrMode
+    rho0: np.ndarray, p, eta, q, r, mode: WmrMode
 ) -> np.ndarray:
-    eye2 = np.eye(2, dtype=complex)
-    m_wm2 = np.diag([1.0, np.sqrt(1.0 - q)]).astype(complex)
-    m_qmr2 = np.diag([np.sqrt(1.0 - r), 1.0]).astype(complex)
+    p, eta, q, r = (np.asarray(x, dtype=float) for x in (p, eta, q, r))
+    eye2 = _matrix2(1.0, 0.0, 0.0, 1.0)
+    m_wm2 = _matrix2(1.0, 0.0, 0.0, np.sqrt(1.0 - q))
+    m_qmr2 = _matrix2(np.sqrt(1.0 - r), 0.0, 0.0, 1.0)
     if mode is WmrMode.TWO_QUBIT:
-        m_wm = np.kron(m_wm2, m_wm2)
-        m_qmr = np.kron(m_qmr2, m_qmr2)
+        m_wm = _kron(m_wm2, m_wm2)
+        m_qmr = _kron(m_qmr2, m_qmr2)
     else:
-        m_wm = np.kron(eye2, m_wm2)
-        m_qmr = np.kron(eye2, m_qmr2)
+        m_wm = _kron(eye2, m_wm2)
+        m_qmr = _kron(eye2, m_qmr2)
 
-    state = m_wm @ rho0 @ m_wm.conj().T
-    state = state / state.trace()
+    state = _normalized(_sandwich(m_wm, rho0))
 
-    e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
-    e1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    uncorr = np.zeros((4, 4), dtype=complex)
-    for ei in (e0, e1):
-        for ej in (e0, e1):
-            k = np.kron(ei, ej)
-            uncorr += k @ state @ k.conj().T
-    a0 = np.diag([1.0, 1.0, 1.0, np.sqrt(1.0 - p)]).astype(complex)
-    a1 = np.zeros((4, 4), dtype=complex)
-    a1[0, 3] = np.sqrt(p)
-    corr = a0 @ state @ a0.conj().T + a1 @ state @ a1.conj().T
+    e0 = _matrix2(1.0, 0.0, 0.0, np.sqrt(1.0 - p))
+    e1 = _matrix2(0.0, np.sqrt(p), 0.0, 0.0)
+    uncorr = sum(_sandwich(_kron(ei, ej), state) for ei in (e0, e1) for ej in (e0, e1))
+    a0 = np.tile(np.eye(4, dtype=complex), p.shape + (1, 1))
+    a0[..., 3, 3] = np.sqrt(1.0 - p)
+    a1 = np.zeros_like(a0)
+    a1[..., 0, 3] = np.sqrt(p)
+    corr = _sandwich(a0, state) + _sandwich(a1, state)
+    eta = eta[..., None, None]
     state = (1.0 - eta) * uncorr + eta * corr
 
-    state = m_qmr @ state @ m_qmr.conj().T
-    return state / state.trace()
+    return _normalized(_sandwich(m_qmr, state))
 
 
-def wootters_concurrence_oracle(state: np.ndarray) -> float:
+def wootters_concurrence_oracle(state: np.ndarray) -> float | np.ndarray:
     """Concurrence straight from its definition via a general eigensolve.
 
     Accurate only to about sqrt(machine eps) at defective zero
     eigenvalues of the non-normal product, so comparisons against it use
-    a correspondingly loose tolerance.
+    a correspondingly loose tolerance.  Accepts a stack of states.
     """
     sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     flip = np.kron(sy, sy)
-    lam = np.sort(np.linalg.eigvals(state @ flip @ state.conj() @ flip).real)[::-1]
-    lam = np.clip(lam, 0.0, None)
-    return max(0.0, np.sqrt(lam[0]) - np.sqrt(lam[1]) - np.sqrt(lam[2]) - np.sqrt(lam[3]))
+    lam = np.sort(np.linalg.eigvals(state @ flip @ state.conj() @ flip).real, axis=-1)
+    root = np.sqrt(np.clip(lam, 0.0, None))
+    gap = root[..., 3] - root[..., 2] - root[..., 1] - root[..., 0]
+    return np.maximum(gap, 0.0)[()]
 
 
 @dataclass
@@ -186,6 +221,17 @@ def _axis(grid_points: int, upper: float, fixed: float | None) -> np.ndarray:
     return np.linspace(0.0, upper, grid_points)
 
 
+def _worst(dev: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
+    """Largest deviation on a grid and the index of the first entry (C order) reaching it.
+
+    A NaN counts as the largest, so it fails any tolerance; the index is
+    None when every deviation is 0.
+    """
+    k = int(np.argmax(dev))  # the first NaN if there is one, else the first maximum
+    worst = float(dev.flat[k])
+    return worst, (None if worst <= 0.0 else np.unravel_index(k, dev.shape))
+
+
 def verify_closed_forms(
     grid_points: int = 5,
     upper: float = 0.95,
@@ -198,74 +244,54 @@ def verify_closed_forms(
     (axes pinned by ``slices`` collapse to a single value).  The Bell
     closed forms are checked for both measurement placements; the Werner
     and MEMS families are checked for pipeline/reference self-consistency.
+    Each grid is one stacked evaluation per placement; the reported worst
+    case is the first maximal point in (placement, p, q, r, eta) order.
     """
     if grid_points < 1:
         raise ValueError(f"grid_points={grid_points}: need at least 1 point per axis")
+    if not 0.0 <= upper < 1.0:
+        raise ValueError(f"upper={upper} outside [0, 1)")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol={tol}: need a finite tolerance >= 0")
     slices = slices or {}
-    ps = _axis(grid_points, upper, slices.get("p"))
-    qs = _axis(grid_points, upper, slices.get("q"))
-    rs = _axis(grid_points, upper, slices.get("r"))
-    etas = _axis(grid_points, upper, slices.get("eta"))
+    names = ("p", "q", "r", "eta")
+    axes = [_axis(grid_points, upper, slices.get(name)) for name in names]
+
+    def case(values, index) -> dict:
+        return {} if index is None else {n: float(v[i]) for n, v, i in zip(names, values, index)}
 
     checks = []
     bell = make_state(StateFamily("bell"))
+    p, q, r, eta = np.ix_(*axes)
+    ch = ChannelParams(p, eta)
     for mode, fn, name in (
         (WmrMode.ONE_QUBIT, bell_concurrence_one_qubit, "bell closed form, one-qubit WMR"),
         (WmrMode.TWO_QUBIT, bell_concurrence_two_qubit, "bell closed form, two-qubit WMR"),
     ):
-        worst, worst_case = 0.0, {}
-        for p in ps:
-            ch_cache = {eta: ChannelParams(float(p), float(eta)) for eta in etas}
-            for q in qs:
-                for r in rs:
-                    for eta in etas:
-                        numeric = concurrence(
-                            wmr_pipeline(bell, ch_cache[eta], WmrParams(float(q), float(r), mode)).state
-                        )
-                        dev = abs(fn(float(p), float(q), float(r), float(eta)) - numeric)
-                        if dev > worst:
-                            worst = dev
-                            worst_case = {"p": float(p), "q": float(q), "r": float(r), "eta": float(eta)}
-        checks.append(EquivalenceCheck(name, worst, tol, worst_case))
+        numeric = concurrence(wmr_pipeline(bell, ch, WmrParams(q, r, mode)).state)
+        worst, index = _worst(np.abs(fn(p, q, r, eta) - numeric))
+        checks.append(EquivalenceCheck(name, worst, tol, case(axes, index)))
 
+    # coarser grid: the reference route costs full matrix products per point
+    sub = slice(None, None, 2) if grid_points >= 4 else slice(None)
+    sub_axes = [axis[sub] for axis in axes]
+    p, q, r, eta = np.ix_(*sub_axes)
+    ch = ChannelParams(p, eta)
+    modes = (WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT)
     for family in (StateFamily("werner", 0.8), StateFamily("mems", 0.8), StateFamily("mems", 0.5)):
         rho0 = make_state(family)
-        worst_state, worst_conc = 0.0, 0.0
-        state_case, conc_case = {}, {}
-        # coarser grid: the reference route costs full matrix products per point
-        sub = slice(None, None, 2) if grid_points >= 4 else slice(None)
-        for mode in (WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT):
-            for p in ps[sub]:
-                for q in qs[sub]:
-                    for r in rs[sub]:
-                        for eta in etas[sub]:
-                            case = {
-                                "p": float(p), "q": float(q), "r": float(r),
-                                "eta": float(eta), "mode": mode.value,
-                            }
-                            evolved = wmr_pipeline(
-                                rho0, ChannelParams(float(p), float(eta)), WmrParams(float(q), float(r), mode)
-                            ).state
-                            ref = _reference_pipeline_state(
-                                rho0, float(p), float(eta), float(q), float(r), mode
-                            )
-                            dev = float(np.abs(evolved - ref).max())
-                            if dev > worst_state:
-                                worst_state, state_case = dev, case
-                            dev = abs(wootters_concurrence_oracle(ref) - concurrence(evolved))
-                            if dev > worst_conc:
-                                worst_conc, conc_case = dev, case
+        state_dev, conc_dev = [], []
+        for mode in modes:
+            evolved = wmr_pipeline(rho0, ch, WmrParams(q, r, mode)).state
+            ref = _reference_pipeline_state(rho0, p, eta, q, r, mode)
+            state_dev.append(np.abs(evolved - ref).max(axis=(-2, -1)))
+            conc_dev.append(np.abs(wootters_concurrence_oracle(ref) - concurrence(evolved)))
         label = f"{family.kind}({family.param})"
-        checks.append(
-            EquivalenceCheck(
-                f"{label} pipeline vs reference composition (state entries)",
-                worst_state, tol, state_case,
-            )
-        )
-        checks.append(
-            EquivalenceCheck(
-                f"{label} concurrence dual route (spin-flip eigensolve oracle)",
-                worst_conc, max(tol, 1e-7), conc_case,
-            )
-        )
+        for what, dev, tolerance in (
+            ("pipeline vs reference composition (state entries)", state_dev, tol),
+            ("concurrence dual route (spin-flip eigensolve oracle)", conc_dev, max(tol, 1e-7)),
+        ):
+            worst, index = _worst(np.stack(dev))
+            where = {} if index is None else {**case(sub_axes, index[1:]), "mode": modes[index[0]].value}
+            checks.append(EquivalenceCheck(f"{label} {what}", worst, tolerance, where))
     return VerificationReport(checks)

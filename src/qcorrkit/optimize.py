@@ -53,8 +53,6 @@ def optimal_qmr(
     """
     if mode is WmrMode.NONE:
         raise ValueError("reversal optimization needs a measurement mode")
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q={q} outside [0, 1)")
 
     measured, t_wm = apply_wm(make_state(family), q, mode)
     sigma = apply_cad(measured, ch)

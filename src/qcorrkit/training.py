@@ -79,8 +79,10 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _mse(net: Mlp, scaled: np.ndarray, targets: np.ndarray) -> float:
+    # an overflow shows up as an infinite loss, which the callers handle
     err = targets - forward_scaled(net, scaled)
-    return float(np.mean(err**2))
+    with np.errstate(over="ignore"):
+        return float(np.mean(err**2))
 
 
 def lm_train(net: Mlp, data: Dataset, config: TrainConfig | None = None) -> TrainReport:

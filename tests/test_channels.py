@@ -286,3 +286,92 @@ class TestPipeline:
             )
             validate_density_matrix(out.state)
             assert 0.0 < out.success_probability <= 1.0 + 1e-12
+
+
+class TestParameterArrays:
+    """Array strengths broadcast against the stack and equal per-point scalar calls."""
+
+    PS = np.array([0.0, 0.3, 0.77, 1.0])
+    ETAS = np.array([0.0, 0.4, 1.0])
+    QS = np.array([0.0, 0.2, 0.9])
+
+    @pytest.fixture
+    def states(self, rng):
+        return [random_x_state(rng), random_density_matrix(rng)]
+
+    def test_uncorrelated_damping(self, states):
+        for rho in states:
+            out = apply_ad_uncorrelated(rho, self.PS)
+            assert out.shape == (4, 4, 4)
+            for p, state in zip(self.PS, out):
+                assert np.array_equal(state, apply_ad_uncorrelated(rho, float(p)))
+
+    def test_correlated_damping_grid(self, states):
+        p, eta = np.ix_(self.PS, self.ETAS)
+        for rho in states:
+            out = apply_cad(rho, ChannelParams(p, eta))
+            assert out.shape == (4, 3, 4, 4)
+            for i, j in np.ndindex(4, 3):
+                expected = apply_cad(rho, ChannelParams(float(self.PS[i]), float(self.ETAS[j])))
+                assert np.array_equal(out[i, j], expected)
+
+    def test_eta_zero_is_exactly_uncorrelated(self, states):
+        for rho in states:
+            out = apply_cad(rho, ChannelParams(self.PS, np.zeros(4)))
+            assert np.array_equal(out, apply_ad_uncorrelated(rho, self.PS))
+            # an all-zero memory array still broadcasts into the result
+            assert apply_cad(rho, ChannelParams(0.3, np.zeros((2, 1)))).shape == (2, 1, 4, 4)
+
+    def test_stack_with_one_parameter_per_state(self, rng):
+        rhos = np.stack([random_density_matrix(rng) for _ in range(5)])
+        ps, etas = rng.random(5), np.array([0.0, 1.0, 0.3, 0.0, 0.8])
+        out = apply_cad(rhos, ChannelParams(ps, etas))
+        for rho, p, eta, state in zip(rhos, ps, etas, out):
+            assert np.array_equal(state, apply_cad(rho, ChannelParams(float(p), float(eta))))
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    def test_measurement_strengths(self, states, mode):
+        for rho in states:
+            for apply in (apply_wm, apply_qmr):
+                out, traces = apply(rho, self.QS, mode)
+                for q, state, t in zip(self.QS, out, traces):
+                    expected, expected_t = apply(rho, float(q), mode)
+                    assert np.array_equal(state, expected)
+                    assert t == expected_t
+                # strength 0 passes the state exactly, with weight exactly 1
+                assert np.array_equal(out[0], rho) and traces[0] == 1.0
+
+    def test_pipeline_grid(self, rng):
+        rho = random_x_state(rng)
+        p, eta, q, r = np.ix_(self.PS[:3], self.ETAS, self.QS, self.QS[::-1])
+        for mode in (WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT):
+            out = wmr_pipeline(rho, ChannelParams(p, eta), WmrParams(q, r, mode))
+            assert out.state.shape == (3, 3, 3, 3, 4, 4)
+            for index in np.ndindex(3, 3, 3, 3):
+                values = [float(axis[k]) for axis, k in zip((self.PS, self.ETAS, self.QS, self.QS[::-1]), index)]
+                expected = wmr_pipeline(rho, ChannelParams(*values[:2]), WmrParams(*values[2:], mode))
+                assert np.array_equal(out.state[index], expected.state)
+                assert out.success_probability[index] == expected.success_probability
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 1e-12, np.inf])
+    def test_every_damping_entry_is_validated(self, bad):
+        ps = np.array([0.2, bad, 0.5])
+        with pytest.raises(ValueError):
+            apply_ad_uncorrelated(bell_state(), ps)
+        with pytest.raises(ValueError):
+            ChannelParams(ps, 0.5)
+        with pytest.raises(ValueError):
+            ChannelParams(0.5, ps)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0, np.inf])
+    def test_every_measurement_entry_is_validated(self, bad):
+        qs = np.array([[0.2, 0.0], [bad, 0.5]])
+        for mode in WmrMode:
+            with pytest.raises(ValueError):
+                apply_wm(bell_state(), qs, mode)
+            with pytest.raises(ValueError):
+                apply_qmr(bell_state(), qs, mode)
+        with pytest.raises(ValueError):
+            WmrParams(qs, 0.1)
+        with pytest.raises(ValueError):
+            WmrParams(0.1, qs)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -77,6 +78,31 @@ class TestVerifyCommand:
 
     def test_bad_slice_is_usage_error(self):
         assert main(["verify", "--slice", "bogus"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--slice", "q=0.5,q=0"], "'q' pinned twice"),
+            (["--slice", "eta=1,p=0.2,eta=1"], "'eta' pinned twice"),
+            (["--tol", "nan"], "tol=nan"),
+            (["--tol", "inf"], "tol=inf"),
+            (["--tol=-1e-9"], "tol=-1e-09"),
+            (["--upper", "1.0"], "upper=1.0 outside [0, 1)"),
+            (["--upper", "-0.1"], "upper=-0.1 outside [0, 1)"),
+            (["--upper", "nan"], "upper=nan outside [0, 1)"),
+        ],
+    )
+    def test_bad_flags_fail_before_any_work(self, monkeypatch, capsys, flags, message):
+        from qcorrkit import closed_forms
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the grid ran before the flags were checked")
+
+        monkeypatch.setattr(closed_forms, "wmr_pipeline", no_work)
+        assert main(["verify", *flags]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -212,21 +238,42 @@ class TestExitCodeContract:
         assert code == 2
         assert "contract" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_training_failure_exits_4(self, tmp_path, capsys):
-        # 1e300 is finite, so the reader accepts it, but its square is not:
-        # every restart's loss is non-finite and restart_search gives up
+    @staticmethod
+    def _overflowing_dataset(tmp_path):
+        # 1e300 is finite, so the reader accepts it, but its square is not
         data = build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=60)
         data.targets[:] = 1e300
         path = tmp_path / "big.csv"
         write_dataset_csv(path, data)
+        return path
+
+    def test_training_failure_exits_4(self, tmp_path, capsys):
+        # every restart's loss is non-finite and restart_search gives up,
+        # quietly: an overflow warning would be an error here
+        path = self._overflowing_dataset(tmp_path)
         model = tmp_path / "model.json"
-        code = main(
-            ["train", "--data", str(path), "--restarts", "1", "--max-epochs", "2",
-             "--model-out", str(model)]
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(
+                ["train", "--data", str(path), "--restarts", "1", "--max-epochs", "2",
+                 "--model-out", str(model)]
+            )
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite" in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         assert not model.exists()
+
+    def test_overflowing_prediction_mse_exits_2(self, trained, tmp_path, capsys):
+        path = self._overflowing_dataset(tmp_path)
+        out = tmp_path / "pred.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(
+                ["predict", "--model", str(trained / "model.json"), "--data", str(path),
+                 "--output", str(out)]
+            )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "MSE is not finite" in captured.err
+        assert captured.out == "" and not out.exists()

@@ -115,6 +115,11 @@ class TestOptimalQmr:
         with pytest.raises(ValueError):
             optimal_qmr(StateFamily("bell"), ChannelParams(0.5, 0.0), 0.5, WmrMode.NONE)
 
+    @pytest.mark.parametrize("q", [1.0, -0.1, float("nan")])
+    def test_measurement_strength_outside_domain_rejected(self, q):
+        with pytest.raises(ValueError, match="outside"):
+            optimal_qmr(StateFamily("bell"), ChannelParams(0.5, 0.0), q, WmrMode.TWO_QUBIT)
+
     def test_deterministic(self):
         fam = StateFamily("bell")
         a = optimal_qmr(fam, ChannelParams(0.3, 1.0), 0.7, WmrMode.TWO_QUBIT)

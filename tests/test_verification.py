@@ -1,4 +1,10 @@
+import hashlib
+
+import numpy as np
+import pytest
+
 from qcorrkit import channels, verification
+from qcorrkit.cli import main
 from qcorrkit.verification import full_verification
 
 REDUCTION = "eta=0 reduces to uncorrelated damping"
@@ -19,3 +25,53 @@ def test_wrong_uncorrelated_channel_fails_the_reduction_check(monkeypatch):
     (check,) = [c for c in report.checks if c.name == REDUCTION]
     assert not check.passed
 
+
+def test_nan_channel_output_fails(monkeypatch):
+    # a NaN coherence in the channel output: every check that looks at it
+    # must fail, not pass silently; trace preservation reads only the diagonal
+    original = channels.apply_cad
+
+    def nan_coherence(rho, ch):
+        out = original(rho, ch)
+        out[..., 0, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(verification, "apply_cad", nan_coherence)
+    report = full_verification(grid_points=1, samples=5, oracle_samples=1)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed == {
+        "channel positivity",
+        REDUCTION,
+        "pipeline with q=r=0 equals bare channel",
+        "full decay lands on the ground state",
+        "memory never hurts Bell concurrence",
+    }
+    assert all(np.isnan(c.max_deviation) for c in report.checks if c.name in failed)
+
+
+def test_all_nan_channel_output_fails_instead_of_crashing(monkeypatch, capsys):
+    # NaN entries below the diagonal stop the positivity eigensolve; the
+    # checks must still report them as failures (exit 3), not crash (exit 1)
+    original = channels.apply_ad_uncorrelated
+    monkeypatch.setattr(verification, "apply_ad_uncorrelated", lambda rho, p: original(rho, p) * np.nan)
+    report = full_verification(grid_points=1, samples=5, oracle_samples=1)
+    failed = {c.name for c in report.checks if not c.passed}
+    assert failed == {"channel trace preservation", "channel positivity"}
+    assert main(["verify", "--grid-points", "1", "--samples", "5"]) == 3
+    assert "Eigenvalues did not converge" not in capsys.readouterr().err
+
+
+#: full_verification keyword arguments -> SHA-256 of the report summary text
+SUMMARY_SHA256 = [
+    ({"slices": {"q": 0.0, "r": 0.0}},
+     "e138c217f4fadc8a42338ef13c64bfda1c72f676c2452b4a33ad75ac3459d813"),
+    ({"grid_points": 4, "upper": 0.9},
+     "0a644d0af0b70e5f628acb1dd03cfd56fb6ead5f0317f5bef07ab381309628b8"),
+]
+
+
+@pytest.mark.parametrize("kwargs, digest", SUMMARY_SHA256)
+def test_summary_bytes_are_pinned(kwargs, digest):
+    """The report text, deviations and worst cases included, to the byte."""
+    summary = full_verification(**kwargs).summary()
+    assert hashlib.sha256(summary.encode()).hexdigest() == digest
