@@ -12,7 +12,6 @@ five measures.
 
 from .channels import (
     ChannelParams,
-    PipelineOutput,
     WmrMode,
     WmrParams,
     apply_ad_uncorrelated,
@@ -37,7 +36,6 @@ from .exceptions import (
 from .measures import (
     DEFAULT_NORMALIZATION,
     CorrelationVector,
-    NormalizationTable,
     concurrence,
     correlation_vector,
     dense_coding_capacity,
@@ -61,19 +59,15 @@ from .optimize import OptimizationResult, optimal_qmr
 from .states import (
     StateFamily,
     bell_state,
-    hermitian_eigenvalues,
     is_x_state,
     make_state,
     mems_state,
     nme_state,
-    purity_and_linear_entropy,
     random_density_matrix,
     random_x_state,
-    validate_density_matrix,
-    von_neumann_entropy,
     werner_state,
 )
-from .sweep import SweepConfig, SweepResult, find_zero_crossing, run_sweep
+from .sweep import SweepConfig, find_zero_crossing, run_sweep
 from .training import TrainConfig, TrainReport, lm_train, restart_search
 
 __version__ = "0.1.0"

@@ -148,22 +148,9 @@ def cmd_train(args) -> int:
         save_mlp(net, args.model_out)
     if args.summary_out:
         _write_text(args.summary_out, weight_summary_csv(net))
-    print(
-        json.dumps(
-            {
-                "mse_train": report.mse_train,
-                "mse_val": report.mse_val,
-                "mse_test": report.mse_test,
-                "epochs": report.epochs,
-                "restarts_run": report.restarts_run,
-                "best_restart": report.best_restart,
-                "mu_final": report.mu_final,
-                "stop_reason": report.stop_reason,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    summary = report.as_dict()
+    del summary["mse_history"]
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 

@@ -7,7 +7,8 @@ they read as plain real operations) and serve as verification oracles
 for the numeric pipeline: `verify_closed_forms` sweeps a grid and
 reports the worst disagreement.  For the mixed-state families no
 closed form is transcribed; the numeric pipeline is instead checked
-against an independently coded straight-line reference composition.
+against the Kraus-sum reference composition and the spin-flip
+eigensolve concurrence of ``oracles.py``.
 
 Everything here works elementwise on parameter arrays and state stacks,
 so each grid is evaluated as one stack per placement.  Squares are taken
@@ -24,6 +25,7 @@ import numpy as np
 
 from .channels import ChannelParams, WmrMode, WmrParams, wmr_pipeline
 from .measures import concurrence
+from .oracles import _reference_pipeline_state, wootters_concurrence_oracle
 from .states import StateFamily, make_state
 
 
@@ -107,79 +109,6 @@ def bell_wmr_concurrence(p, q, r, eta, mode: WmrMode):
     if mode is WmrMode.TWO_QUBIT:
         return bell_concurrence_two_qubit(p, q, r, eta)
     raise ValueError("closed forms cover the two measurement placements only")
-
-
-# --------------------------------------------------------------------------
-# Straight-line reference composition, kept independent of channels.py on
-# purpose: every operator is rebuilt locally and applied by full matrix
-# products, and the concurrence is recomputed from its definition.  Both
-# work on stacks: parameter arrays broadcast against the leading dims of
-# the states, and every operator is a stack of matrices.
-# --------------------------------------------------------------------------
-
-def _matrix2(a, b, c, d) -> np.ndarray:
-    """Stack of complex 2x2 matrices [[a, b], [c, d]] from broadcastable entries."""
-    a, b, c, d = np.broadcast_arrays(a, b, c, d)
-    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2).astype(complex)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two stacks of 2x2 matrices: entry (2i+k, 2j+l) is a_ij b_kl."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (4, 4))
-
-
-def _sandwich(k: np.ndarray, state: np.ndarray) -> np.ndarray:
-    return k @ state @ k.conj().swapaxes(-1, -2)
-
-
-def _normalized(state: np.ndarray) -> np.ndarray:
-    return state / state.trace(axis1=-2, axis2=-1)[..., None, None]
-
-
-def _reference_pipeline_state(
-    rho0: np.ndarray, p, eta, q, r, mode: WmrMode
-) -> np.ndarray:
-    p, eta, q, r = (np.asarray(x, dtype=float) for x in (p, eta, q, r))
-    eye2 = _matrix2(1.0, 0.0, 0.0, 1.0)
-    m_wm2 = _matrix2(1.0, 0.0, 0.0, np.sqrt(1.0 - q))
-    m_qmr2 = _matrix2(np.sqrt(1.0 - r), 0.0, 0.0, 1.0)
-    if mode is WmrMode.TWO_QUBIT:
-        m_wm = _kron(m_wm2, m_wm2)
-        m_qmr = _kron(m_qmr2, m_qmr2)
-    else:
-        m_wm = _kron(eye2, m_wm2)
-        m_qmr = _kron(eye2, m_qmr2)
-
-    state = _normalized(_sandwich(m_wm, rho0))
-
-    e0 = _matrix2(1.0, 0.0, 0.0, np.sqrt(1.0 - p))
-    e1 = _matrix2(0.0, np.sqrt(p), 0.0, 0.0)
-    uncorr = sum(_sandwich(_kron(ei, ej), state) for ei in (e0, e1) for ej in (e0, e1))
-    a0 = np.tile(np.eye(4, dtype=complex), p.shape + (1, 1))
-    a0[..., 3, 3] = np.sqrt(1.0 - p)
-    a1 = np.zeros_like(a0)
-    a1[..., 0, 3] = np.sqrt(p)
-    corr = _sandwich(a0, state) + _sandwich(a1, state)
-    eta = eta[..., None, None]
-    state = (1.0 - eta) * uncorr + eta * corr
-
-    return _normalized(_sandwich(m_qmr, state))
-
-
-def wootters_concurrence_oracle(state: np.ndarray) -> float | np.ndarray:
-    """Concurrence straight from its definition via a general eigensolve.
-
-    Accurate only to about sqrt(machine eps) at defective zero
-    eigenvalues of the non-normal product, so comparisons against it use
-    a correspondingly loose tolerance.  Accepts a stack of states.
-    """
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    flip = np.kron(sy, sy)
-    lam = np.sort(np.linalg.eigvals(state @ flip @ state.conj() @ flip).real, axis=-1)
-    root = np.sqrt(np.clip(lam, 0.0, None))
-    gap = root[..., 3] - root[..., 2] - root[..., 1] - root[..., 0]
-    return np.maximum(gap, 0.0)[()]
 
 
 @dataclass

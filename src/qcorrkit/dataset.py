@@ -21,17 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import WmrMode
+from .mlp import FEATURE_NAMES
 from .states import StateFamily
 from .sweep import SweepConfig, run_sweep
 
 SCENARIOS = ("no_wmr", "wmr2")
-CSV_HEADER = [
-    "scenario", "eta", "sweep_var", "sweep_value",
-    "jsd", "concurrence", "fidelity", "qs", "chi", "tdd",
-]
-
-#: feature column order, matching the CSV layout
-FEATURE_COLUMNS = ("jsd", "concurrence", "fidelity", "qs", "chi")
+CSV_HEADER = ["scenario", "eta", "sweep_var", "sweep_value", *FEATURE_NAMES, "tdd"]
 
 
 @dataclass
@@ -67,7 +62,7 @@ def build_dataset(
             normalized=False,
         )
     result = run_sweep(config)
-    features = np.column_stack([result.column(name) for name in FEATURE_COLUMNS])
+    features = np.column_stack([result.column(name) for name in FEATURE_NAMES])
     targets = result.column("tdd")
     if not (np.isfinite(features).all() and np.isfinite(targets).all()):
         raise ValueError("non-finite measure values in generated dataset")

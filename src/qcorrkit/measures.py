@@ -7,8 +7,7 @@ a closed form in those six numbers (``docs/decisions.md`` section 2
 derives them); :func:`x_entries` extracts and validates them, and input
 off the real X pattern is refused rather than approximated.  Every
 measure takes one state or a ``(..., 4, 4)`` stack.  The dense 4x4
-routes live on as independent oracles in ``oracles.py`` and
-``closed_forms.py``.
+routes live on as independent oracles in ``oracles.py``.
 
 All logarithms are base 2, so entropic quantities are in bits and the
 dense-coding capacity peaks at 2.
@@ -115,8 +114,8 @@ def _entropy(probs) -> np.ndarray:
 
 def _x_spectrum(a, b, c, d, z, w) -> tuple[np.ndarray, ...]:
     """The four eigenvalues: those of the (a, z, d) and the (b, w, c) blocks."""
-    m14, r14 = (a + d) / 2.0, np.sqrt(((a - d) / 2.0) ** 2 + z**2)
-    m23, r23 = (b + c) / 2.0, np.sqrt(((b - c) / 2.0) ** 2 + w**2)
+    m14, r14 = (a + d) / 2.0, np.sqrt(np.square((a - d) / 2.0) + np.square(z))
+    m23, r23 = (b + c) / 2.0, np.sqrt(np.square((b - c) / 2.0) + np.square(w))
     return m14 + r14, m14 - r14, m23 + r23, m23 - r23
 
 
@@ -150,11 +149,11 @@ def _jsd(a, b, c, d, z, w):
 def _discord(a, b, c, d, z, w):
     # only the squares of the transverse correlations 2(w + z), 2(w - z)
     # enter, ordered so that the larger is gamma1
-    sq_plus, sq_minus = (2.0 * (w + z)) ** 2, (2.0 * (w - z)) ** 2
+    sq_plus, sq_minus = np.square(2.0 * (w + z)), np.square(2.0 * (w - z))
     g1sq, g2sq = np.maximum(sq_plus, sq_minus), np.minimum(sq_plus, sq_minus)
-    g3sq = (1.0 - 2.0 * (b + c)) ** 2
+    g3sq = np.square(1.0 - 2.0 * (b + c))
     x_a3 = 2.0 * (a + b) - 1.0
-    big = np.maximum(g3sq, g2sq + x_a3**2)
+    big = np.maximum(g3sq, g2sq + np.square(x_a3))
     small = np.minimum(g3sq, g1sq)
     denom = big - small + g1sq - g2sq
     degenerate = np.abs(denom) < 1e-12
@@ -266,21 +265,3 @@ def normalize(v: CorrelationVector) -> CorrelationVector:
     return CorrelationVector(
         *((x - classical) / (maximum - classical) for x, (maximum, classical) in zip(v.as_tuple(), anchors))
     )
-
-
-__all__ = [
-    "X_STATE_TOL",
-    "CorrelationVector",
-    "NormalizationTable",
-    "DEFAULT_NORMALIZATION",
-    "x_entries",
-    "concurrence",
-    "dense_coding_capacity",
-    "fully_entangled_fraction",
-    "teleportation_fidelity",
-    "jsd_coherence",
-    "trace_distance_discord",
-    "epr_steering",
-    "correlation_vector",
-    "normalize",
-]

@@ -21,6 +21,7 @@ from scipy.special import expit
 DEFAULT_LAYER_SIZES = (5, 40, 24, 16, 1)
 DEFAULT_ACTIVATIONS = ("logsig", "tansig", "linear", "linear")
 
+#: the predictor's inputs, in column order; also the dataset CSV's feature columns
 FEATURE_NAMES = ("jsd", "concurrence", "fidelity", "qs", "chi")
 
 

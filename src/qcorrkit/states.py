@@ -1,9 +1,11 @@
-"""Two-qubit state constructors and 4x4 Hermitian matrix utilities.
+"""Two-qubit state constructors, random draws and the X-form test.
 
 Density matrices are plain complex ``numpy`` arrays in the computational
 basis ordered |00>, |01>, |10>, |11>, so that entry (i, j) with 1-based
 indices matches the usual rho_ij convention (rho_41 is the |11><00|
 coherence).  All functions are pure; arrays are never mutated in place.
+The dense matrix utilities (eigenvalues, entropy, density-matrix
+validation) live with the other reference routes in ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -11,13 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .exceptions import NumericalContractError
-
-HERMITICITY_TOL = 1e-12
-EIGEN_HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-9
 
 #: entries allowed to be nonzero in an X-form state: diagonal + anti-diagonal
 _X_MASK = np.array(
@@ -102,55 +97,6 @@ def make_state(family: StateFamily) -> np.ndarray:
     if family.kind == "mems":
         return mems_state(family.param)
     return nme_state(family.param)
-
-
-def validate_density_matrix(rho: np.ndarray) -> None:
-    """Raise :class:`NumericalContractError` unless rho is a valid state.
-
-    Checks entrywise Hermiticity, unit trace, positive semidefiniteness
-    (up to ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``PSD_TOL``) and that
-    every entry is finite.
-    """
-    rho = np.asarray(rho)
-    if rho.shape != (4, 4):
-        raise NumericalContractError(f"expected a 4x4 matrix, got {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise NumericalContractError("non-finite entries in density matrix")
-    herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > HERMITICITY_TOL:
-        raise NumericalContractError(f"Hermiticity violated by {herm_dev:.3e}")
-    trace_dev = abs(rho.trace().real - 1.0) + abs(rho.trace().imag)
-    if trace_dev > TRACE_TOL:
-        raise NumericalContractError(f"trace deviates from 1 by {trace_dev:.3e}")
-    min_eig = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min()
-    if min_eig < -PSD_TOL:
-        raise NumericalContractError(f"negative eigenvalue {min_eig:.3e}")
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian 4x4 matrix, sorted descending."""
-    m = np.asarray(m, dtype=complex)
-    dev = np.abs(m - m.conj().T).max()
-    if dev > EIGEN_HERMITICITY_TOL:
-        raise NumericalContractError(f"matrix not Hermitian (deviation {dev:.3e})")
-    return np.linalg.eigvalsh(m)[::-1]
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -sum(lam * log2 lam) in bits, with 0 log 0 := 0.
-
-    Eigenvalues are clamped to [0, 1] first; channel endpoints produce
-    round-off of order 1e-16 that would otherwise yield NaN.
-    """
-    lam = np.clip(hermitian_eigenvalues(rho), 0.0, 1.0)
-    nz = lam[lam > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def purity_and_linear_entropy(rho: np.ndarray) -> tuple[float, float]:
-    """Return (Tr rho^2, 4/3 (1 - Tr rho^2))."""
-    p = float(np.einsum("ij,ji->", rho, rho).real)
-    return p, 4.0 / 3.0 * (1.0 - p)
 
 
 def is_x_state(rho: np.ndarray, tol: float = 1e-10) -> bool | np.ndarray:

@@ -19,14 +19,9 @@ from .channels import (
     apply_cad,
     wmr_pipeline,
 )
-from .closed_forms import (
-    EquivalenceCheck,
-    VerificationReport,
-    _reference_pipeline_state,
-    verify_closed_forms,
-)
+from .closed_forms import EquivalenceCheck, VerificationReport, verify_closed_forms
 from .measures import concurrence, trace_distance_discord
-from .oracles import tdd_measurement_oracle
+from .oracles import _reference_pipeline_state, tdd_measurement_oracle
 from .states import bell_state, is_x_state, random_density_matrix, random_x_state
 
 

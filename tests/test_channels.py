@@ -11,15 +11,9 @@ from qcorrkit.channels import (
     apply_wm,
     wmr_pipeline,
 )
-from qcorrkit.closed_forms import _reference_pipeline_state
 from qcorrkit.exceptions import DegenerateMeasurementError
-from qcorrkit.states import (
-    bell_state,
-    is_x_state,
-    random_density_matrix,
-    random_x_state,
-    validate_density_matrix,
-)
+from qcorrkit.oracles import _reference_pipeline_state, validate_density_matrix
+from qcorrkit.states import bell_state, is_x_state, random_density_matrix, random_x_state
 
 
 def kraus_sum_oracle(rho, p, eta=0.0):

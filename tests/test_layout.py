@@ -1,0 +1,68 @@
+"""Source-layout rules, checked on the syntax tree of ``src/qcorrkit``.
+
+The X-state path works on six numbers per state and its entry maps, so
+dense linear algebra there would be a regression: eigensolves and
+Kronecker products belong to the reference routes in ``oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcorrkit"
+
+#: modules on the X-state path: none may diagonalize or build a kron
+X_STATE_PATH = ("states", "channels", "measures", "optimize", "sweep", "dataset", "closed_forms")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _dotted(node: ast.AST) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _dense(name: str) -> bool:
+    last = name.rsplit(".", 1)[-1]
+    return last == "kron" or (last.startswith("eig") and "linalg" in name)
+
+
+@pytest.mark.parametrize("module", X_STATE_PATH)
+def test_x_state_path_has_no_eigensolve_or_kron(module):
+    found = []
+    for node in ast.walk(_tree(PACKAGE / f"{module}.py")):
+        if isinstance(node, ast.Attribute) and _dense(_dotted(node)):
+            found.append(f"line {node.lineno}: {_dotted(node)}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names
+                      if _dense(f"{node.module}.{a.name}")]
+    assert not found, f"{module}.py uses dense linear algebra: {found}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem
+)
+def test_no_unused_imports(path):
+    unused = _unused_imports(_tree(path))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

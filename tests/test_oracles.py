@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcorrkit.channels import ChannelParams, WmrMode, WmrParams, apply_cad, wmr_pipeline
-from qcorrkit.closed_forms import wootters_concurrence_oracle
+from qcorrkit.exceptions import NumericalContractError
 from qcorrkit.measures import (
     concurrence,
     dense_coding_capacity,
@@ -16,9 +16,12 @@ from qcorrkit.measures import (
 from qcorrkit.oracles import (
     dense_coding_oracle,
     fully_entangled_fraction_oracle,
+    hermitian_eigenvalues,
     jsd_coherence_oracle,
     steering_entropy_oracle,
     tdd_measurement_oracle,
+    von_neumann_entropy,
+    wootters_concurrence_oracle,
 )
 from qcorrkit.states import (
     StateFamily,
@@ -178,3 +181,68 @@ class TestLocalUnitaryInvariance:
             u = local_rotation(rng)
             rotated = tdd_measurement_oracle(u @ rho @ u.conj().T, 61, 48)
             assert rotated == pytest.approx(base, abs=1e-8)
+
+
+class TestEigenvalues:
+    def test_maximally_mixed(self):
+        np.testing.assert_allclose(
+            hermitian_eigenvalues(np.eye(4, dtype=complex) / 4), [0.25] * 4
+        )
+
+    def test_bell_is_pure(self):
+        np.testing.assert_allclose(
+            hermitian_eigenvalues(bell_state()), [1, 0, 0, 0], atol=1e-12
+        )
+
+    def test_werner_spectrum(self):
+        # direct diagonalization of the mixture: 0.05 + 0.8 on the Bell ray
+        np.testing.assert_allclose(
+            hermitian_eigenvalues(werner_state(0.8)), [0.85, 0.05, 0.05, 0.05], atol=1e-12
+        )
+
+    def test_non_hermitian_rejected(self):
+        m = np.eye(4, dtype=complex)
+        m[0, 1] = 1e-3
+        with pytest.raises(NumericalContractError):
+            hermitian_eigenvalues(m)
+
+    def test_backward_error_and_trace(self, rng):
+        for _ in range(200):
+            h = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+            h = (h + h.conj().T) / 2
+            lam = hermitian_eigenvalues(h)
+            assert abs(lam.sum() - h.trace().real) <= 1e-9
+            assert np.all(np.diff(lam) <= 1e-14)
+            # recompute eigenvectors and check the residual
+            w, v = np.linalg.eigh(h)
+            res = np.abs(h @ v - v @ np.diag(w)).max()
+            assert res <= 1e-10 * max(np.abs(lam).max(), 1e-300)
+
+    def test_density_spectrum_bounds(self, rng):
+        for _ in range(100):
+            lam = hermitian_eigenvalues(random_x_state(rng))
+            assert lam.min() >= -1e-9 and lam.max() <= 1 + 1e-9
+            assert abs(lam.sum() - 1.0) <= 1e-9
+
+
+class TestEntropy:
+    def test_pure_state_zero(self):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+        assert von_neumann_entropy(rho) == 0.0
+
+    def test_maximally_mixed_two_bits(self):
+        assert von_neumann_entropy(np.eye(4, dtype=complex) / 4) == pytest.approx(2.0)
+
+    def test_werner_entropy(self):
+        # direct evaluation over the spectrum {0.85, 0.05, 0.05, 0.05}
+        expected = -(0.85 * np.log2(0.85) + 3 * 0.05 * np.log2(0.05))
+        assert expected == pytest.approx(0.847584679824574, abs=1e-12)
+        assert von_neumann_entropy(werner_state(0.8)) == pytest.approx(expected, abs=1e-12)
+
+    def test_basis_invariance(self, rng):
+        rho = werner_state(0.37)
+        base = von_neumann_entropy(rho)
+        for _ in range(100):
+            u = random_unitary(rng, dim=4)
+            assert von_neumann_entropy(u @ rho @ u.conj().T) == pytest.approx(base, abs=1e-9)
