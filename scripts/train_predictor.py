@@ -2,27 +2,41 @@
 """Train the discord predictor on the four Bell scenarios.
 
 For each of no-protection (eta = 0, 1) and two-qubit protection
-(eta = 0, 1) this builds a 500-row dataset, runs the 20-restart search,
-and writes the dataset CSV, model JSON, first-layer weight summary, and
-per-row predictions.  The summary table printed at the end lists the
-selected restart and its train/test MSE per scenario.
+(eta = 0, 1) this runs ``qcorrkit train`` (a 500-row dataset and the
+20-restart search) and then ``qcorrkit predict`` on that dataset.  Each
+scenario ``<tag>`` writes ``<tag>_data.csv``, ``<tag>_model.json``,
+``<tag>_weights.csv`` (first-layer weight summary) and
+``<tag>_predictions.csv`` (``sweep_var,sweep_value,tdd,tdd_predicted``).
+Each command prints its JSON: ``train`` the selected restart with its
+train and test MSE, ``predict`` the MSE over all rows.  The script
+stops at the first command that fails and exits with its code.
 """
 
 import argparse
-import csv
 import pathlib
+import sys
 
-import numpy as np
-
-from qcorrkit.dataset import build_dataset, write_dataset_csv
-from qcorrkit.mlp import forward, save_mlp, weight_summary_csv
-from qcorrkit.states import StateFamily
-from qcorrkit.training import restart_search
+from qcorrkit import cli
 
 SCENARIOS = (("no_wmr", 0.0), ("no_wmr", 1.0), ("wmr2", 0.0), ("wmr2", 1.0))
 
 
-def main() -> None:
+def commands(out: pathlib.Path, rows: int, restarts: int, seed: int) -> list[list[str]]:
+    """The ``qcorrkit`` argv lists of every scenario, in run order."""
+    table = []
+    for scenario, eta in SCENARIOS:
+        stem = out / f"{scenario}_eta{int(eta)}"
+        model, data = f"{stem}_model.json", f"{stem}_data.csv"
+        table.append([
+            "train", "--family", "bell", "--scenario", scenario, "--eta", str(eta),
+            "--rows", str(rows), "--restarts", str(restarts), "--seed", str(seed),
+            "--model-out", model, "--summary-out", f"{stem}_weights.csv", "--dataset-out", data,
+        ])
+        table.append(["predict", "--model", model, "--data", data, "-o", f"{stem}_predictions.csv"])
+    return table
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("predictor"))
     parser.add_argument("--rows", type=int, default=500)
@@ -31,32 +45,13 @@ def main() -> None:
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    summary_rows = []
-    for scenario, eta in SCENARIOS:
-        tag = f"{scenario}_eta{int(eta)}"
-        data = build_dataset(StateFamily("bell"), scenario, eta, points=args.rows)
-        write_dataset_csv(args.out / f"{tag}_data.csv", data)
-        net, report = restart_search(data, restarts=args.restarts, seed=args.seed)
-        save_mlp(net, args.out / f"{tag}_model.json")
-
-        with open(args.out / f"{tag}_weights.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write(weight_summary_csv(net))
-
-        predictions = forward(net, data.features)
-        with open(args.out / f"{tag}_predictions.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([data.sweep_var, "tdd", "tdd_predicted"])
-            for value, target, pred in zip(data.sweep_values, data.targets, predictions):
-                writer.writerow([repr(float(value)), repr(float(target)), repr(float(pred))])
-
-        full_mse = float(np.mean((predictions - data.targets) ** 2))
-        summary_rows.append((tag, report.best_restart, report.mse_train, report.mse_test, full_mse))
-        print(f"{tag}: restart {report.best_restart}, test MSE {report.mse_test:.3e}")
-
-    print("\nscenario, best_restart, mse_train, mse_test, mse_all_rows")
-    for row in summary_rows:
-        print(f"{row[0]}, {row[1]}, {row[2]:.3e}, {row[3]:.3e}, {row[4]:.3e}")
+    for argv in commands(args.out, args.rows, args.restarts, args.seed):
+        print(f"$ qcorrkit {' '.join(argv)}")
+        code = cli.main(argv)
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -108,8 +108,8 @@ def _normalized(state: np.ndarray) -> np.ndarray:
 
 
 def _projector(n) -> np.ndarray:
-    """Projector (I + n.sigma)/2 onto the Bloch direction n."""
-    return (_I2 + sum(c * s for c, s in zip(n, _PAULIS))) / 2.0
+    """Projector (I + n.sigma)/2 onto the Bloch direction n; components may be arrays."""
+    return (_I2 + sum(np.multiply.outer(c, s) for c, s in zip(n, _PAULIS))) / 2.0
 
 
 # --------------------------------------------------------------------------
@@ -170,67 +170,39 @@ def reduced_state(rho: np.ndarray, keep: int) -> np.ndarray:
     return np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
 
 
-def _dephasing_distance(rho: np.ndarray, theta: float, phi: float) -> float:
-    """Trace norm of rho minus its first-qubit dephasing along (theta, phi)."""
+def _dephasing_distance(rho: np.ndarray, theta, phi) -> float | np.ndarray:
+    """Trace norm of rho minus its first-qubit dephasing along (theta, phi).
+
+    The angles may be arrays; the result has their broadcast shape.
+    """
     p = _projector((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
     kp = _kron(p, _I2)
     kq = _kron(_I2 - p, _I2)
     delta = rho - kp @ rho @ kp - kq @ rho @ kq
-    return float(np.abs(np.linalg.eigvalsh(delta)).sum())
+    return np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)[()]
 
 
-def tdd_measurement_oracle(
-    rho: np.ndarray,
-    n_theta: int = 720,
-    n_phi: int = 360,
-    refine: bool = True,
-) -> float:
+def tdd_measurement_oracle(rho: np.ndarray, n_theta: int = 61, n_phi: int = 48) -> float:
     """Discord as the minimal disturbance by a first-qubit projective measurement.
 
     Minimizes ||rho - Pi(rho)||_1 over all Bloch-sphere measurement
     directions with a two-angle grid followed by local simplex refinement.
-    The grid is evaluated in chunks with batched eigensolves.
     """
     rho = np.asarray(rho, dtype=complex)
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    angles = np.stack([tt.ravel(), pp.ravel()], axis=1)
-
-    best_val = np.inf
-    best_angle = angles[0]
-    for start in range(0, len(angles), 32768):
-        chunk = angles[start : start + 32768]
-        st, ct = np.sin(chunk[:, 0]), np.cos(chunk[:, 0])
-        nx = st * np.cos(chunk[:, 1])
-        ny = st * np.sin(chunk[:, 1])
-        nz = ct
-        # P = (I + n.sigma)/2 batched, then Pi(rho) = (P x I) rho (P x I) + (Q x I) rho (Q x I)
-        p = 0.5 * (
-            _I2[None, :, :]
-            + nx[:, None, None] * _PAULIS[0]
-            + ny[:, None, None] * _PAULIS[1]
-            + nz[:, None, None] * _PAULIS[2]
-        )
-        kp = _kron(p, _I2)
-        kq = _kron(_I2 - p, _I2)
-        delta = rho[None] - kp @ rho @ kp - kq @ rho @ kq
-        vals = np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)
-        i = int(vals.argmin())
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_angle = chunk[i]
-
-    if refine:
-        res = minimize(
-            lambda a: _dephasing_distance(rho, a[0], a[1]),
-            best_angle,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600},
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-    return best_val
+    tt, pp = np.meshgrid(
+        np.linspace(0.0, np.pi, n_theta),
+        np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False),
+        indexing="ij",
+    )
+    vals = _dephasing_distance(rho, tt.ravel(), pp.ravel())
+    i = int(vals.argmin())
+    res = minimize(
+        lambda a: _dephasing_distance(rho, a[0], a[1]),
+        (tt.flat[i], pp.flat[i]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600},
+    )
+    return float(min(vals[i], res.fun))
 
 
 def dense_coding_oracle(rho: np.ndarray) -> float:

@@ -93,7 +93,7 @@ def _discord_oracle_check(rng: np.random.Generator, samples: int) -> Equivalence
         closed = trace_distance_discord(rho)
         if closed < 0.02:
             continue
-        ratios.append(tdd_measurement_oracle(rho, n_theta=61, n_phi=48) / closed)
+        ratios.append(tdd_measurement_oracle(rho) / closed)
     spread = max(ratios) - min(ratios) if ratios else np.inf
     return EquivalenceCheck(
         f"discord oracle/closed-form ratio spread (mean {np.mean(ratios):.6f})"
@@ -115,6 +115,8 @@ def full_verification(
 ) -> VerificationReport:
     if samples < 1:
         raise ValueError(f"samples={samples}: need at least 1 random state")
+    if oracle_samples < 1:
+        raise ValueError(f"oracle_samples={oracle_samples}: need at least 1 oracle state")
     report = verify_closed_forms(grid_points=grid_points, upper=upper, tol=tol, slices=slices)
     rng = np.random.default_rng(seed)
     report.checks.extend(_channel_checks(rng, samples))

@@ -298,7 +298,7 @@ def test_criterion_8_discord_oracle_equivalence():
         closed = trace_distance_discord(rho)
         if closed < 0.02:
             continue
-        ratios.append(tdd_measurement_oracle(rho, n_theta=61, n_phi=48) / closed)
+        ratios.append(tdd_measurement_oracle(rho) / closed)
     spread = max(ratios) - min(ratios)
 
     # degenerate-branch continuity: eps-perturbations of Bell-diagonal

@@ -1,4 +1,4 @@
-"""Source-layout rules, checked on the syntax tree of ``src/qcorrkit``.
+"""Source-layout rules, checked on the syntax tree of ``src/qcorrkit`` and ``scripts``.
 
 The X-state path works on six numbers per state and its entry maps, so
 dense linear algebra there would be a regression: eigensolves and
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qcorrkit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qcorrkit"
 
 #: modules on the X-state path: none may diagonalize or build a kron
 X_STATE_PATH = ("states", "channels", "measures", "optimize", "sweep", "dataset", "closed_forms")
@@ -61,7 +62,10 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.stem
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.stem if p.parent == PACKAGE else f"scripts/{p.stem}",
 )
 def test_no_unused_imports(path):
     unused = _unused_imports(_tree(path))

@@ -14,6 +14,7 @@ from qcorrkit.measures import (
     trace_distance_discord,
 )
 from qcorrkit.oracles import (
+    _dephasing_distance,
     dense_coding_oracle,
     fully_entangled_fraction_oracle,
     hermitian_eigenvalues,
@@ -28,6 +29,7 @@ from qcorrkit.states import (
     bell_state,
     make_state,
     mems_state,
+    random_density_matrix,
     random_x_state,
     werner_state,
 )
@@ -42,9 +44,9 @@ def local_rotation(rng):
 class TestTddOracle:
     def test_bell_and_mems_reference_points(self):
         # the measurement-minimization oracle is twice the closed form
-        assert tdd_measurement_oracle(bell_state(), 61, 48) == pytest.approx(1.0, abs=1e-9)
-        assert tdd_measurement_oracle(mems_state(0.8), 61, 48) == pytest.approx(0.8, abs=1e-9)
-        assert tdd_measurement_oracle(werner_state(0.8), 61, 48) == pytest.approx(0.8, abs=1e-9)
+        assert tdd_measurement_oracle(bell_state()) == pytest.approx(1.0, abs=1e-9)
+        assert tdd_measurement_oracle(mems_state(0.8)) == pytest.approx(0.8, abs=1e-9)
+        assert tdd_measurement_oracle(werner_state(0.8)) == pytest.approx(0.8, abs=1e-9)
 
     def test_proportionality_sample(self, rng):
         ratios = []
@@ -53,7 +55,7 @@ class TestTddOracle:
             closed = trace_distance_discord(rho)
             if closed < 0.02:
                 continue
-            ratios.append(tdd_measurement_oracle(rho, 61, 48) / closed)
+            ratios.append(tdd_measurement_oracle(rho) / closed)
         assert len(ratios) >= 6
         assert max(ratios) - min(ratios) <= 1e-6
         assert np.mean(ratios) == pytest.approx(2.0, abs=1e-8)
@@ -66,9 +68,25 @@ class TestTddOracle:
         rho[1, 2] = rho[2, 1] = 0.05
         swap = np.eye(4)[[0, 2, 1, 3]]
         closed = trace_distance_discord(rho)
-        assert tdd_measurement_oracle(rho, 61, 48) == pytest.approx(2 * closed, abs=1e-8)
-        swapped = tdd_measurement_oracle(swap @ rho @ swap, 61, 48)
+        assert tdd_measurement_oracle(rho) == pytest.approx(2 * closed, abs=1e-8)
+        swapped = tdd_measurement_oracle(swap @ rho @ swap)
         assert abs(swapped - 2 * closed) > 1e-3
+
+    def test_angle_arrays_match_scalar_calls(self, rng):
+        # the grid and the simplex refinement share one route; batching
+        # the angles must not change a single bit
+        thetas = np.concatenate([np.linspace(0.0, np.pi, 7), rng.uniform(0.0, np.pi, 5)])
+        phis = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 6), rng.uniform(0.0, 2.0 * np.pi, 3)])
+        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+        for rho in (random_x_state(rng), random_density_matrix(rng)):
+            batched = _dephasing_distance(rho, tt, pp)
+            assert batched.shape == tt.shape
+            scalar = [[_dephasing_distance(rho, t, p) for p in phis] for t in thetas]
+            np.testing.assert_array_equal(batched, scalar)
+
+    def test_default_grid_is_61_by_48(self, rng):
+        for rho in (random_x_state(rng), random_density_matrix(rng), mems_state(0.8)):
+            assert tdd_measurement_oracle(rho) == tdd_measurement_oracle(rho, 61, 48)
 
 
 def edge_states(rng):
@@ -176,10 +194,10 @@ class TestLocalUnitaryInvariance:
 
     def test_tdd_oracle(self, rng):
         rho = random_x_state(rng)
-        base = tdd_measurement_oracle(rho, 61, 48)
+        base = tdd_measurement_oracle(rho)
         for _ in range(10):
             u = local_rotation(rng)
-            rotated = tdd_measurement_oracle(u @ rho @ u.conj().T, 61, 48)
+            rotated = tdd_measurement_oracle(u @ rho @ u.conj().T)
             assert rotated == pytest.approx(base, abs=1e-8)
 
 

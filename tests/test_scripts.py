@@ -26,20 +26,31 @@ def run_script(name, *args):
 
 
 def test_train_predictor_weights_match_weights_command(tmp_path):
+    # every file the script writes equals the CLI's own train/predict output at the same flags
     out = tmp_path / "predictor"
     run_script("train_predictor.py", "--out", str(out), "--rows", "50", "--restarts", "1")
-    weights = sorted(out.glob("*_weights.csv"))
-    assert [w.name for w in weights] == [
-        "no_wmr_eta0_weights.csv",
-        "no_wmr_eta1_weights.csv",
-        "wmr2_eta0_weights.csv",
-        "wmr2_eta1_weights.csv",
-    ]
-    for path in weights:
-        model = path.with_name(path.name.replace("_weights.csv", "_model.json"))
-        expected = tmp_path / f"cmd_{path.name}"
-        assert main(["weights", "--model", str(model), "-o", str(expected)]) == 0
-        assert path.read_bytes() == expected.read_bytes(), path.name
+    scenarios = [("no_wmr", "0"), ("no_wmr", "1"), ("wmr2", "0"), ("wmr2", "1")]
+    suffixes = ("_data.csv", "_model.json", "_weights.csv", "_predictions.csv")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{scenario}_eta{eta}{suffix}" for scenario, eta in scenarios for suffix in suffixes
+    )
+    cmd = tmp_path / "cmd"
+    cmd.mkdir()
+    for scenario, eta in scenarios:
+        tag = f"{scenario}_eta{eta}"
+        data, model = cmd / f"{tag}_data.csv", cmd / f"{tag}_model.json"
+        assert main([
+            "train", "--scenario", scenario, "--eta", eta, "--rows", "50", "--restarts", "1",
+            "--dataset-out", str(data), "--model-out", str(model),
+        ]) == 0
+        assert main(["weights", "--model", str(model), "-o", str(cmd / f"{tag}_weights.csv")]) == 0
+        assert main([
+            "predict", "--model", str(model), "--data", str(data),
+            "-o", str(cmd / f"{tag}_predictions.csv"),
+        ]) == 0
+        for suffix in suffixes:
+            name = tag + suffix
+            assert (out / name).read_bytes() == (cmd / name).read_bytes(), name
 
 
 def test_sweep_figures_headers(tmp_path):

@@ -75,3 +75,10 @@ def test_summary_bytes_are_pinned(kwargs, digest):
     """The report text, deviations and worst cases included, to the byte."""
     summary = full_verification(**kwargs).summary()
     assert hashlib.sha256(summary.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("oracle_samples", [0, -1])
+def test_no_oracle_samples_is_rejected(oracle_samples):
+    # an empty oracle sample is a bad argument, not a failed discord check
+    with pytest.raises(ValueError, match=f"oracle_samples={oracle_samples}"):
+        full_verification(grid_points=1, samples=5, oracle_samples=oracle_samples)
