@@ -29,14 +29,14 @@ _TINY = 2.2250738585072014e-308  # smallest normal double; stands in for x = 0 u
 
 @dataclass(frozen=True)
 class CorrelationVector:
-    """The six measures of one state."""
+    """The six measures of one state (floats) or of a stack (arrays)."""
 
-    chi: float
-    fidelity: float
-    concurrence: float
-    qs: float
-    tdd: float
-    jsd: float
+    chi: float | np.ndarray
+    fidelity: float | np.ndarray
+    concurrence: float | np.ndarray
+    qs: float | np.ndarray
+    tdd: float | np.ndarray
+    jsd: float | np.ndarray
 
     def as_tuple(self):
         return (self.chi, self.fidelity, self.concurrence, self.qs, self.tdd, self.jsd)
@@ -247,21 +247,29 @@ def epr_steering(rho: np.ndarray) -> float | np.ndarray:
 
 
 def correlation_vector(rho: np.ndarray) -> CorrelationVector:
-    """All six measures of one X state, validated once."""
+    """All six measures of one X state or of a ``(..., 4, 4)`` stack, validated once.
+
+    Fields are floats for one state and arrays for a stack; each array
+    entry equals the field of that state taken on its own.
+    """
     x = x_entries(rho)
     return CorrelationVector(
-        chi=float(_dense_coding(*x)),
-        fidelity=float((1.0 + 2.0 * _fef(*x)) / 3.0),
-        concurrence=float(_concurrence(*x)),
-        qs=float(_steering(*x)),
-        tdd=float(_discord(*x)),
-        jsd=float(_jsd(*x)),
+        chi=_scalar(_dense_coding(*x)),
+        fidelity=_scalar((1.0 + 2.0 * _fef(*x)) / 3.0),
+        concurrence=_scalar(_concurrence(*x)),
+        qs=_scalar(_steering(*x)),
+        tdd=_scalar(_discord(*x)),
+        jsd=_scalar(_jsd(*x)),
     )
 
 
 def normalize(v: CorrelationVector) -> CorrelationVector:
-    """Map each measure to (raw - classical)/(max - classical), by DEFAULT_NORMALIZATION."""
+    """Map each measure to (raw - classical)/(max - classical), by DEFAULT_NORMALIZATION.
+
+    Takes the float fields of one state or the array fields of a stack.
+    """
     anchors = DEFAULT_NORMALIZATION.as_tuple()
     return CorrelationVector(
-        *((x - classical) / (maximum - classical) for x, (maximum, classical) in zip(v.as_tuple(), anchors))
+        *(_scalar((x - classical) / (maximum - classical))
+          for x, (maximum, classical) in zip(v.as_tuple(), anchors))
     )

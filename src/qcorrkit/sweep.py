@@ -7,6 +7,16 @@ the six raw measures, optionally their normalized forms, and the
 optimal reversal strength and success probability when protection is
 active.  The CSV column layout is stable:
 ``sweep_var,value,chi,fidelity,concurrence,qs,tdd,jsd[,n_*...][,r_star,success_prob]``.
+
+An unprotected sweep (mode NONE) is evaluated as one stack: the p axis
+is one channel call with an array p, the alpha^2 axis one channel call
+on a stack of initial states, and all six measures (and their
+normalized forms) come from one :func:`correlation_vector` call on the
+resulting ``(points, 4, 4)`` stack.  Each stacked row equals the row of
+that point evaluated on its own, bit for bit.  A protected sweep runs
+point by point, because :func:`optimal_qmr` takes one post-channel state
+per call: it scores that state's reversal on its own 1001-point guard
+grid, which is itself a stack.
 """
 
 from __future__ import annotations
@@ -18,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelParams, WmrMode, apply_cad
-from .measures import correlation_vector, normalize
+from .measures import CorrelationVector, correlation_vector, normalize
 from .optimize import optimal_qmr
-from .states import StateFamily, make_state
+from .states import StateFamily, make_state, nme_state
 
 MEASURE_COLUMNS = ("chi", "fidelity", "concurrence", "qs", "tdd", "jsd")
 
@@ -71,47 +81,54 @@ def _sweep_values(config: SweepConfig) -> np.ndarray:
     return np.linspace(0.0, upper, config.points)
 
 
+def _measure_fields(vector: CorrelationVector, normalized: bool) -> list:
+    fields = list(vector.as_tuple())
+    if normalized:
+        fields += normalize(vector).as_tuple()
+    return fields
+
+
+def _unprotected_states(config: SweepConfig, values: np.ndarray) -> np.ndarray:
+    """The ``(points, 4, 4)`` stack of channel outputs, from one channel call."""
+    if config.var == "p":
+        return apply_cad(make_state(config.family), ChannelParams(values, config.eta))
+    initial = np.stack([nme_state(v) for v in values.tolist()])
+    return apply_cad(initial, ChannelParams(config.p_fixed, config.eta))
+
+
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every sweep point; rows are fully computed before return."""
     header = ["sweep_var", "value", *MEASURE_COLUMNS]
     if config.normalized:
         header += [f"n_{m}" for m in MEASURE_COLUMNS]
-    protected = config.mode is not WmrMode.NONE
-    if protected:
-        header += ["r_star", "success_prob"]
+    values = _sweep_values(config)
+
+    if config.mode is WmrMode.NONE:
+        vector = correlation_vector(_unprotected_states(config, values))
+        columns = np.column_stack([values, *_measure_fields(vector, config.normalized)])
+        return SweepResult(config, header, [[config.var, *row] for row in columns.tolist()])
 
     rows = []
-    for value in _sweep_values(config):
-        family = config.family
-        p = config.p_fixed
-        q = config.q_fixed
+    for value in values.tolist():
+        family, p, q = config.family, config.p_fixed, config.q_fixed
         if config.var == "p":
-            p = float(value)
+            p = value
         elif config.var == "q":
-            q = float(value)
+            q = value
         else:
-            family = StateFamily("nme", float(value))
-        ch = ChannelParams(p, config.eta)
-
-        if protected:
-            result = optimal_qmr(family, ch, q, config.mode)
-            state, extras = result.state, [result.r_star, result.success_probability]
-        else:
-            state, extras = apply_cad(make_state(family), ch), []
-
-        vector = correlation_vector(state)
-        row = [config.var, float(value), *vector.as_tuple()]
-        if config.normalized:
-            row += list(normalize(vector).as_tuple())
-        rows.append(row + extras)
-    return SweepResult(config, header, rows)
+            family = StateFamily("nme", value)
+        result = optimal_qmr(family, ChannelParams(p, config.eta), q, config.mode)
+        vector = correlation_vector(result.state)
+        rows.append([config.var, value, *_measure_fields(vector, config.normalized),
+                     result.r_star, result.success_probability])
+    return SweepResult(config, header + ["r_star", "success_prob"], rows)
 
 
 def write_sweep_csv(result: SweepResult, fh) -> None:
     writer = csv.writer(fh)
     writer.writerow(result.header)
-    for row in result.rows:
-        writer.writerow([x if isinstance(x, str) else repr(float(x)) for x in row])
+    # the first cell is the sweep variable's name, every later one a number
+    writer.writerows([[row[0], *map(repr, map(float, row[1:]))] for row in result.rows])
 
 
 def sweep_csv_text(result: SweepResult) -> str:

@@ -238,6 +238,25 @@ class TestExitCodeContract:
         assert code == 2
         assert "contract" in capsys.readouterr().err
 
+    def test_contract_failure_on_a_stacked_sweep_exits_2(self, monkeypatch, tmp_path, capsys):
+        # one point of the channel's output stack turns non-Hermitian, so the
+        # stack's single validation in correlation_vector refuses the sweep
+        from qcorrkit import sweep
+
+        apply_cad = sweep.apply_cad
+
+        def skewed(rho, ch):
+            out = apply_cad(rho, ch)
+            out[3, 0, 1] += 1e-6
+            return out
+
+        monkeypatch.setattr(sweep, "apply_cad", skewed)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--family", "bell", "--var", "p", "--points", "9", "-o", str(out)])
+        assert code == 2
+        assert "non-Hermitian" in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
     def _overflowing_dataset(tmp_path):
         # 1e300 is finite, so the reader accepts it, but its square is not

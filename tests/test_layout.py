@@ -48,6 +48,20 @@ def test_x_state_path_has_no_eigensolve_or_kron(module):
     assert not found, f"{module}.py uses dense linear algebra: {found}"
 
 
+@pytest.mark.parametrize("module", ["sweep", "dataset"])
+def test_no_private_measure_names_outside_measures(module):
+    # the sweep and the dataset reach the measures through the public
+    # stack-taking correlation_vector and normalize, never their private kernels
+    found = []
+    for node in ast.walk(_tree(PACKAGE / f"{module}.py")):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "measures":
+            found += [f"line {node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and _dotted(node).split(".")[-2:-1] == ["measures"]:
+            if node.attr.startswith("_"):
+                found.append(f"line {node.lineno}: {_dotted(node)}")
+    assert not found, f"{module}.py uses private names of measures: {found}"
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     imported = {}
     for node in tree.body:

@@ -122,15 +122,29 @@ class TestConcurrence:
             assert batched[i] == pytest.approx(float(concurrence(stack[i])), abs=1e-13)
 
 
+def _vector_field(name, normalized):
+    """One field of correlation_vector, or of its normalized form, as a measure."""
+    def field(rho):
+        vector = correlation_vector(rho)
+        return getattr(normalize(vector) if normalized else vector, name)
+    field.__name__ = f"{'normalized_' if normalized else ''}vector_{name}"
+    return field
+
+
 @pytest.mark.parametrize(
     "measure",
     [dense_coding_capacity, fully_entangled_fraction, teleportation_fidelity,
-     jsd_coherence, trace_distance_discord, epr_steering],
+     jsd_coherence, trace_distance_discord, epr_steering]
+    + [_vector_field(name, normalized) for normalized in (False, True)
+       for name in ("chi", "fidelity", "concurrence", "qs", "tdd", "jsd")],
+    ids=lambda measure: measure.__name__,
 )
 def test_every_measure_takes_a_stack(rng, measure):
     # concurrence: TestConcurrence::test_batched_matches_scalar.  Bit for bit
     # over many draws: a square taken with ** on a single state's numpy
-    # scalars goes through pow and misses the last bit on a few states
+    # scalars goes through pow and misses the last bit on a few states.
+    # correlation_vector's fields, raw and normalized, are arrays on the
+    # stack and floats on each state, and must agree entry by entry
     stack = np.stack([random_x_state(rng) for _ in range(3000)] + [bell_state(), werner_state(0.8)])
     batched = measure(stack.reshape(2, 1501, 4, 4))
     assert batched.shape == (2, 1501)

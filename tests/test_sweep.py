@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from qcorrkit import sweep
 from qcorrkit.channels import ChannelParams, WmrMode, WmrParams, apply_cad, apply_wm, wmr_pipeline
 from qcorrkit.cli import _family, build_parser, main
 from qcorrkit.measures import correlation_vector, normalize
@@ -94,6 +95,62 @@ class TestRunSweep:
         assert sweep_csv_text(run_sweep(config)) == sweep_csv_text(run_sweep(config))
 
 
+#: families of the stacked-row checks; mems 0.5 sits below the
+#: 2/3 kink of g(gamma), mems 0.8 above it
+STACKED_FAMILIES = [
+    StateFamily("bell"), StateFamily("werner", 0.8), StateFamily("mems", 0.5),
+    StateFamily("mems", 0.8), StateFamily("nme", 0.3),
+]
+
+
+class TestStackedUnprotectedSweep:
+    """An unprotected sweep is one channel call and one measure call on a
+    stack; each of its rows must equal, with ==, the row of that point
+    evaluated on its own through the single-state route."""
+
+    @staticmethod
+    def _point_row(family, p, eta, value, var):
+        vector = correlation_vector(apply_cad(make_state(family), ChannelParams(p, eta)))
+        return [var, value, *vector.as_tuple(), *normalize(vector).as_tuple()]
+
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("family", STACKED_FAMILIES, ids=lambda f: f"{f.kind}{f.param}")
+    def test_p_rows_equal_per_point_rows(self, family, eta):
+        result = run_sweep(SweepConfig(family, eta, var="p", points=41))
+        values = [row[1] for row in result.rows]
+        assert values[0] == 0.0 and values[-1] == 1.0
+        assert result.rows == [self._point_row(family, p, eta, p, "p") for p in values]
+
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("p_fixed", [0.0, 0.37, 1.0])
+    def test_alpha2_rows_equal_per_point_rows(self, p_fixed, eta):
+        config = SweepConfig(StateFamily("nme", 0.5), eta, var="alpha2", points=41, p_fixed=p_fixed)
+        result = run_sweep(config)
+        values = [row[1] for row in result.rows]
+        assert values[0] == 0.0 and values[-1] == 1.0   # the separable endpoints
+        assert result.rows == [
+            self._point_row(StateFamily("nme", a2), p_fixed, eta, a2, "alpha2") for a2 in values
+        ]
+
+    @pytest.mark.parametrize("var, family", [("p", StateFamily("werner", 0.8)),
+                                             ("alpha2", StateFamily("nme", 0.5))],
+                             ids=["p", "alpha2"])
+    def test_one_channel_and_one_measure_call_per_sweep(self, monkeypatch, var, family):
+        calls = {"apply_cad": 0, "correlation_vector": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
+        result = run_sweep(SweepConfig(family, 0.4, var=var, points=37))
+        assert len(result.rows) == 37
+        assert calls == {"apply_cad": 1, "correlation_vector": 1}
+
+
 #: CLI ``sweep`` flags -> SHA-256 of the written file
 SWEEP_PINS = {
     "mems08-wm1-q": (
@@ -111,12 +168,34 @@ SWEEP_PINS = {
 }
 
 
-class TestBytePins:
-    """SHA-256 of CLI ``sweep -o`` files under protection: one-qubit rows
-    and dead-plateau rows (r* = 0, C = 0), values and formatting alike.
-    A round-off change may re-pin them only while the gate below holds."""
+#: CLI ``sweep`` flags -> SHA-256 of the written file, for sweeps evaluated
+#: as one stack; recorded from the per-point loop that preceded the stack
+UNPROTECTED_SWEEP_PINS = {
+    "werner08-eta04-p": (
+        "--family werner --param 0.8 --eta 0.4 --var p --points 21",
+        "b5e47b6883b0672447d8aa3242e50ec2a3833556501de2a9aab006fe1b589fc4",
+    ),
+    "mems08-eta1-p-raw": (
+        "--family mems --param 0.8 --eta 1 --var p --points 21 --no-normalized",
+        "5bc8aedcdb9680e8e084b0ffdbf951cc7ac058795b323fd9ff0e6e10bd486d21",
+    ),
+    "nme-eta0-alpha2": (
+        "--family nme --var alpha2 --eta 0 --p 0.37 --points 11",
+        "e03e2fab46b97f4c2346e63b28826cd3453a8b368151bab59f85482cb1943dd5",
+    ),
+}
+ALL_SWEEP_PINS = {**SWEEP_PINS, **UNPROTECTED_SWEEP_PINS}
 
-    @pytest.mark.parametrize("argv, digest", SWEEP_PINS.values(), ids=SWEEP_PINS.keys())
+
+class TestBytePins:
+    """SHA-256 of CLI ``sweep -o`` files, values and formatting alike.
+    The protected pins hold one-qubit rows and dead-plateau rows (r* = 0,
+    C = 0); a round-off change may re-pin them only while the gate below
+    holds.  The unprotected pins hold stacked p and alpha2 sweeps, raw and
+    normalized; the stack reproduces the per-point loop bit for bit, so
+    they do not move."""
+
+    @pytest.mark.parametrize("argv, digest", ALL_SWEEP_PINS.values(), ids=ALL_SWEEP_PINS.keys())
     def test_csv_digest(self, tmp_path, argv, digest):
         path = tmp_path / "pin.csv"
         assert main(["sweep", *argv.split(), "-o", str(path)]) == 0
