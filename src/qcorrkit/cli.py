@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -51,7 +52,8 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        # newline="": the CSV texts end their lines in "\r\n" already
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -185,6 +187,10 @@ def cmd_weights(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a new parser holding every subcommand.
+
+    :func:`main` builds one per process and reuses it.
+    """
     parser = _Parser(prog="qcorrkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,10 +253,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parsing leaves a parser unchanged, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    Every call in a process parses with the same parser, built on the
+    first call, so a call pays for its own command only.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse error paths
         return exc.code if isinstance(exc.code, int) else 1

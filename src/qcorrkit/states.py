@@ -78,14 +78,22 @@ def mems_state(gamma: float) -> np.ndarray:
     return rho
 
 
-def nme_state(alpha2: float) -> np.ndarray:
-    """Pure state alpha|00> + beta|11> with alpha = sqrt(alpha2), beta real."""
-    if not 0.0 <= alpha2 <= 1.0:
-        raise ValueError(f"alpha2={alpha2} outside [0, 1]")
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = np.sqrt(alpha2)
-    psi[3] = np.sqrt(1.0 - alpha2)
-    return np.outer(psi, psi.conj())
+def nme_state(alpha2: float | np.ndarray) -> np.ndarray:
+    """Pure state alpha|00> + beta|11> with alpha = sqrt(alpha2), beta real.
+
+    ``alpha2`` may be an array; the result is then a ``(..., 4, 4)``
+    stack, one state per entry, each equal bit for bit to the state of
+    that entry built on its own (the same ``psi ⊗ psi*`` products).
+    Every entry must lie in [0, 1]; a NaN is rejected.
+    """
+    alpha2 = np.asarray(alpha2, dtype=float)
+    bad = ~((alpha2 >= 0.0) & (alpha2 <= 1.0))
+    if bad.any():
+        raise ValueError(f"alpha2={alpha2[bad].flat[0]} outside [0, 1]")
+    psi = np.zeros((*alpha2.shape, 4), dtype=complex)
+    psi[..., 0] = np.sqrt(alpha2)
+    psi[..., 3] = np.sqrt(1.0 - alpha2)
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def make_state(family: StateFamily) -> np.ndarray:

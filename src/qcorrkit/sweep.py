@@ -12,16 +12,19 @@ An unprotected sweep (mode NONE) is evaluated as one stack: the p axis
 is one channel call with an array p, the alpha^2 axis one channel call
 on a stack of initial states, and all six measures (and their
 normalized forms) come from one :func:`correlation_vector` call on the
-resulting ``(points, 4, 4)`` stack.  Each stacked row equals the row of
-that point evaluated on its own, bit for bit.  A protected sweep runs
-point by point, because :func:`optimal_qmr` takes one post-channel state
-per call: it scores that state's reversal on its own 1001-point guard
-grid, which is itself a stack.
+resulting ``(points, 4, 4)`` stack.  The alpha^2 axis builds its
+initial states with one broadcast :func:`nme_state` call.  Each stacked
+row equals the row of that point evaluated on its own, bit for bit.  A
+protected sweep runs point by point, because :func:`optimal_qmr` takes
+one post-channel state per call: it scores that state's reversal on its
+own 1001-point guard grid, which is itself a stack.
+
+:func:`write_sweep_csv` joins the cells itself and writes the whole
+text at once; the bytes are those of the excel-dialect ``csv.writer``.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 
@@ -92,8 +95,7 @@ def _unprotected_states(config: SweepConfig, values: np.ndarray) -> np.ndarray:
     """The ``(points, 4, 4)`` stack of channel outputs, from one channel call."""
     if config.var == "p":
         return apply_cad(make_state(config.family), ChannelParams(values, config.eta))
-    initial = np.stack([nme_state(v) for v in values.tolist()])
-    return apply_cad(initial, ChannelParams(config.p_fixed, config.eta))
+    return apply_cad(nme_state(values), ChannelParams(config.p_fixed, config.eta))
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -125,10 +127,17 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 
 def write_sweep_csv(result: SweepResult, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(result.header)
-    # the first cell is the sweep variable's name, every later one a number
-    writer.writerows([[row[0], *map(repr, map(float, row[1:]))] for row in result.rows])
+    """Write the header and rows to ``fh`` as CSV text, in one ``fh.write``.
+
+    The text is what the excel-dialect :func:`csv.writer` writes for
+    these rows, built without it: comma-separated cells, lines ending in
+    ``"\\r\\n"``, and no quoting, because no cell (a header name, the
+    sweep variable's name or a float ``repr``) holds a comma, quote, CR
+    or LF.
+    """
+    lines = [",".join(result.header)]
+    lines += [row[0] + "," + ",".join(map(repr, map(float, row[1:]))) for row in result.rows]
+    fh.write("\r\n".join(lines) + "\r\n")
 
 
 def sweep_csv_text(result: SweepResult) -> str:

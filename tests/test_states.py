@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,28 @@ class TestConstructors:
             StateFamily("nme", 2.0)
         with pytest.raises(ValueError):
             StateFamily("ghz")
+
+    def test_nme_stack_equals_scalar_states_bit_for_bit(self):
+        values = np.linspace(0.0, 1.0, 151)   # holds the separable ends 0 and 1
+        stack = nme_state(values)
+        assert stack.shape == (151, 4, 4)
+        scalar = np.stack([nme_state(a) for a in values.tolist()])
+        assert stack.tobytes() == scalar.tobytes()
+        psi = np.zeros((151, 4), dtype=complex)
+        psi[:, 0], psi[:, 3] = np.sqrt(values), np.sqrt(1.0 - values)
+        outer = np.stack([np.outer(v, v.conj()) for v in psi])
+        assert stack.tobytes() == outer.tobytes()
+        grid = nme_state(values[:150].reshape(10, 15))
+        assert grid.tobytes() == stack[:150].tobytes() and grid.shape == (10, 15, 4, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    def test_nme_stack_rejects_and_names_a_bad_entry(self, bad):
+        values = np.linspace(0.0, 1.0, 151)
+        values[70] = bad
+        with pytest.raises(ValueError, match=re.escape(f"alpha2={bad} outside")):
+            nme_state(values)
+        with pytest.raises(ValueError, match=re.escape(f"alpha2={bad} outside")):
+            nme_state(bad)
 
     @given(kind=st.sampled_from(["werner", "mems", "nme"]), param=unit)
     @settings(max_examples=60)

@@ -1,10 +1,12 @@
 import csv
 import hashlib
+import io
+import math
 
 import numpy as np
 import pytest
 
-from qcorrkit import sweep
+from qcorrkit import cli, sweep
 from qcorrkit.channels import ChannelParams, WmrMode, WmrParams, apply_cad, apply_wm, wmr_pipeline
 from qcorrkit.cli import _family, build_parser, main
 from qcorrkit.measures import correlation_vector, normalize
@@ -14,6 +16,7 @@ from qcorrkit.sweep import (
     find_zero_crossing,
     run_sweep,
     sweep_csv_text,
+    write_sweep_csv,
 )
 
 from conftest import closed_form_optimum
@@ -151,6 +154,36 @@ class TestStackedUnprotectedSweep:
         assert calls == {"apply_cad": 1, "correlation_vector": 1}
 
 
+class TestCsvText:
+    """``write_sweep_csv`` joins the cells itself; its text must be the
+    excel-dialect ``csv.writer`` text, for each sweep variable and for the
+    floats whose repr is unusual."""
+
+    SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 1.0)
+    CONFIGS = {
+        "p": SweepConfig(StateFamily("werner", 0.8), points=5),
+        "q": SweepConfig(StateFamily("bell"), mode=WmrMode.TWO_QUBIT, var="q", points=3),
+        "alpha2": SweepConfig(StateFamily("nme", 0.5), var="alpha2", points=5),
+    }
+
+    @pytest.mark.parametrize("var", CONFIGS)
+    def test_text_equals_csv_writer(self, var):
+        result = run_sweep(self.CONFIGS[var])
+        width = len(result.header) - 1
+        result.rows += [[var, *(self.SPECIAL[(k + i) % len(self.SPECIAL)] for i in range(width))]
+                        for k in range(len(self.SPECIAL))]
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(result.header)
+        writer.writerows([[row[0], *map(repr, map(float, row[1:]))] for row in result.rows])
+
+        fh = io.StringIO()
+        write_sweep_csv(result, fh)
+        assert fh.getvalue() == expected.getvalue()
+        assert fh.tell() == len(expected.getvalue())
+        assert sweep_csv_text(result) == expected.getvalue()
+
+
 #: CLI ``sweep`` flags -> SHA-256 of the written file
 SWEEP_PINS = {
     "mems08-wm1-q": (
@@ -200,6 +233,21 @@ class TestBytePins:
         path = tmp_path / "pin.csv"
         assert main(["sweep", *argv.split(), "-o", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_one_parser_serves_errors_help_and_a_pinned_sweep(self, tmp_path, capsys):
+        # main reuses one parser per process: an argparse error or --help
+        # on it must leave the later parses, and so the files, unchanged
+        cli._shared_parser.cache_clear()
+        assert main(["sweep", "--no-such-flag"]) == 1
+        assert main(["optimize", "--q", "0.5"]) == 1
+        assert "the following arguments are required: --p" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: qcorrkit")
+        argv, digest = UNPROTECTED_SWEEP_PINS["nme-eta0-alpha2"]
+        path = tmp_path / "pin.csv"
+        assert main(["sweep", *argv.split(), "-o", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert cli._shared_parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("argv", [a for a, _ in SWEEP_PINS.values()], ids=SWEEP_PINS.keys())
     def test_rows_match_closed_form_and_own_r_star(self, tmp_path, argv):
