@@ -57,6 +57,17 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy's generators take no negative seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=sorted(_FAMILY_DEFAULT_PARAM), default="bell")
     p.add_argument(
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", type=float, default=0.95)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--slice", default=None, help="pin grid axes, e.g. q=0,r=0")
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=_seed, default=2024)
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=cmd_verify)
 
@@ -233,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="load this dataset CSV instead of generating")
     p.add_argument("--dataset-out", default=None, help="also write the generated dataset CSV")
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--max-epochs", type=int, default=1000)
     p.add_argument("--model-out", default="model.json")
     p.add_argument("--summary-out", default=None)

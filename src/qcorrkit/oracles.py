@@ -2,9 +2,10 @@
 
 Each oracle recomputes a quantity from its operational definition
 (Kraus sandwich sums, explicit measurements, minimizations, partial
-traces, general eigensolves) without touching the route it is checked
-against.  They are slower by design and are used by the verification
-command, the test suite and the benchmark checks.  The X-state path
+traces, dense eigensolves, the trace norm of a measurement disturbance
+for any state) without touching the route it is checked against.  They
+are slower by design and are used by the verification command, the
+test suite and the benchmark checks.  The X-state path
 (states, channels, measures, optimizer, sweeps, datasets, closed forms)
 never diagonalizes or builds a Kronecker product; ``tests/test_layout.py``
 keeps it that way.
@@ -108,8 +109,8 @@ def _normalized(state: np.ndarray) -> np.ndarray:
 
 
 def _projector(n) -> np.ndarray:
-    """Projector (I + n.sigma)/2 onto the Bloch direction n; components may be arrays."""
-    return (_I2 + sum(np.multiply.outer(c, s) for c, s in zip(n, _PAULIS))) / 2.0
+    """Projector (I + n.sigma)/2 onto the Bloch direction n."""
+    return (_I2 + sum(c * s for c, s in zip(n, _PAULIS))) / 2.0
 
 
 # --------------------------------------------------------------------------
@@ -170,16 +171,43 @@ def reduced_state(rho: np.ndarray, keep: int) -> np.ndarray:
     return np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
 
 
-def _dephasing_distance(rho: np.ndarray, theta, phi) -> float | np.ndarray:
+def _first_qubit_blocks(rho: np.ndarray) -> list[list[complex]]:
+    """Rows (D_j, B_j, C_j) over the four entries j of the 2x2 blocks of rho.
+
+    With rho_ac = (<a| x I) rho (|c> x I) for first-qubit basis states a
+    and c: D = rho_11 - rho_00, B = rho_01, C = rho_10, each raveled.
+    """
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    blocks = np.stack((r[1, :, 1] - r[0, :, 0], r[0, :, 1], r[1, :, 0]), axis=-1)
+    return blocks.reshape(4, 3).tolist()
+
+
+def _dephasing_distance(blocks: list[list[complex]], theta, phi) -> float | np.ndarray:
     """Trace norm of rho minus its first-qubit dephasing along (theta, phi).
 
-    The angles may be arrays; the result has their broadcast shape.
+    Takes rho as its :func:`_first_qubit_blocks` and works for any
+    two-qubit state.  The norm is 2 sqrt(||X||_F^2 + 2|det X|) for the
+    2x2 block X = (<u| x I) rho (|v> x I) in the measured basis {u, v},
+    and 2 e^{i phi} X = sin(theta) D + (1 + cos theta) e^{i phi} B
+    - (1 - cos theta) e^{-i phi} C (docs/decisions.md §4).  Only real
+    elementwise products and sums run, so an angle array gives the same
+    bits as per-angle scalar calls; the result has the angles' shape.
     """
-    p = _projector((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
-    kp = _kron(p, _I2)
-    kq = _kron(_I2 - p, _I2)
-    delta = rho - kp @ rho @ kp - kq @ rho @ kq
-    return np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1)[()]
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    hp, hm = 1.0 + ct, 1.0 - ct
+    k1, k2, k3, k4 = hp * cp, hp * sp, hm * cp, hm * sp
+    parts = []
+    for d, b, c in blocks:
+        parts.append(d.real * st + b.real * k1 - b.imag * k2 - c.real * k3 - c.imag * k4)
+        parts.append(d.imag * st + b.imag * k1 + b.real * k2 - c.imag * k3 + c.real * k4)
+    x00r, x00i, x01r, x01i, x10r, x10i, x11r, x11i = parts
+    frob = (x00r * x00r + x00i * x00i + x01r * x01r + x01i * x01i
+            + x10r * x10r + x10i * x10i + x11r * x11r + x11i * x11i)
+    det_r = x00r * x11r - x00i * x11i - x01r * x10r + x01i * x10i
+    det_i = x00r * x11i + x00i * x11r - x01r * x10i - x01i * x10r
+    # ||2X||_F^2 + 2|det 2X| is four times the radicand, so its root is 2(s1 + s2)
+    return np.sqrt(frob + 2.0 * np.sqrt(det_r * det_r + det_i * det_i))[()]
 
 
 def tdd_measurement_oracle(rho: np.ndarray, n_theta: int = 61, n_phi: int = 48) -> float:
@@ -187,17 +215,18 @@ def tdd_measurement_oracle(rho: np.ndarray, n_theta: int = 61, n_phi: int = 48) 
 
     Minimizes ||rho - Pi(rho)||_1 over all Bloch-sphere measurement
     directions with a two-angle grid followed by local simplex refinement.
+    Grid and simplex evaluate the same route on rho's blocks.
     """
-    rho = np.asarray(rho, dtype=complex)
+    blocks = _first_qubit_blocks(rho)
     tt, pp = np.meshgrid(
         np.linspace(0.0, np.pi, n_theta),
         np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False),
         indexing="ij",
     )
-    vals = _dephasing_distance(rho, tt.ravel(), pp.ravel())
+    vals = _dephasing_distance(blocks, tt.ravel(), pp.ravel())
     i = int(vals.argmin())
     res = minimize(
-        lambda a: _dephasing_distance(rho, a[0], a[1]),
+        lambda a: _dephasing_distance(blocks, a[0], a[1]),
         (tt.flat[i], pp.flat[i]),
         method="Nelder-Mead",
         options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600},

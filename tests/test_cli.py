@@ -121,6 +121,28 @@ class TestVerifyCommand:
         assert "PASS" not in captured.out
 
 
+class TestSeedFlag:
+    @pytest.mark.parametrize("seed", ["-1", "-7", "x"])
+    def test_bad_seed_is_a_usage_error_naming_the_flag(self, monkeypatch, tmp_path, capsys, seed):
+        from qcorrkit import cli, closed_forms
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before --seed was checked")
+
+        monkeypatch.setattr(closed_forms, "wmr_pipeline", no_work)
+        monkeypatch.setattr(cli, "build_dataset", no_work)
+        model = tmp_path / "model.json"
+        for argv in (["verify", "--seed", seed], ["train", "--seed", seed, "--model-out", str(model)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert "argument --seed: expected a non-negative integer" in captured.err
+            assert captured.out == ""
+        assert not model.exists()
+
+    def test_zero_seed_is_accepted(self, capsys):
+        assert main(["verify", "--seed", "0", "--grid-points", "1", "--samples", "5"]) == 0
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("train")

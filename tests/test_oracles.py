@@ -15,6 +15,7 @@ from qcorrkit.measures import (
 )
 from qcorrkit.oracles import (
     _dephasing_distance,
+    _first_qubit_blocks,
     dense_coding_oracle,
     fully_entangled_fraction_oracle,
     hermitian_eigenvalues,
@@ -74,19 +75,53 @@ class TestTddOracle:
 
     def test_angle_arrays_match_scalar_calls(self, rng):
         # the grid and the simplex refinement share one route; batching
-        # the angles must not change a single bit
+        # the angles must not change a single bit.  The second input is the
+        # oracle's full 61 x 48 grid as contiguous arrays, where numpy's
+        # vector loops run and a complex product would round differently
+        # than in a scalar call.
         thetas = np.concatenate([np.linspace(0.0, np.pi, 7), rng.uniform(0.0, np.pi, 5)])
         phis = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 6), rng.uniform(0.0, 2.0 * np.pi, 3)])
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-        for rho in (random_x_state(rng), random_density_matrix(rng)):
-            batched = _dephasing_distance(rho, tt, pp)
-            assert batched.shape == tt.shape
-            scalar = [[_dephasing_distance(rho, t, p) for p in phis] for t in thetas]
-            np.testing.assert_array_equal(batched, scalar)
+        full_grid = np.meshgrid(
+            np.linspace(0.0, np.pi, 61),
+            np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False),
+            indexing="ij",
+        )
+        for tt, pp in (np.meshgrid(thetas, phis, indexing="ij"), [a.ravel() for a in full_grid]):
+            for rho in (random_x_state(rng), random_density_matrix(rng)):
+                blocks = _first_qubit_blocks(rho)
+                batched = _dephasing_distance(blocks, tt, pp)
+                assert batched.shape == tt.shape
+                scalar = [_dephasing_distance(blocks, t, p) for t, p in zip(tt.flat, pp.flat)]
+                np.testing.assert_array_equal(batched.ravel(), scalar)
 
     def test_default_grid_is_61_by_48(self, rng):
         for rho in (random_x_state(rng), random_density_matrix(rng), mems_state(0.8)):
             assert tdd_measurement_oracle(rho) == tdd_measurement_oracle(rho, 61, 48)
+
+
+def kron_eigensolve_distance(rho, theta, phi):
+    """||rho - Pi(rho)||_1 by definition: Kronecker projectors, sandwiches, eigvalsh."""
+    n = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+    sigma = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    proj = (np.eye(2) + sum(c * s for c, s in zip(n, sigma))) / 2.0
+    kp = np.kron(proj, np.eye(2))
+    kq = np.kron(np.eye(2) - proj, np.eye(2))
+    delta = rho - kp @ rho @ kp - kq @ rho @ kq
+    return np.abs(np.linalg.eigvalsh(delta)).sum()
+
+
+class TestDisturbanceBlockIdentity:
+    def test_block_norm_matches_kron_eigensolve(self, rng):
+        # ||rho - Pi(rho)||_1 = 2 sqrt(||X||_F^2 + 2|det X|) for any state,
+        # at random angles and at the poles, the equator and phi in {0, pi}
+        poles = [(t, p) for t in (0.0, np.pi / 2, np.pi) for p in (0.0, np.pi)]
+        for i in range(240):
+            rho = random_density_matrix(rng) if i % 2 else random_x_state(rng)
+            angles = poles + list(zip(rng.uniform(0.0, np.pi, 4), rng.uniform(0.0, 2.0 * np.pi, 4)))
+            thetas, phis = np.array(angles).T
+            expected = [kron_eigensolve_distance(rho, t, p) for t, p in angles]
+            got = _dephasing_distance(_first_qubit_blocks(rho), thetas, phis)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
 def edge_states(rng):
