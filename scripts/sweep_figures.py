@@ -6,74 +6,62 @@ six CSVs: damping sweeps without protection (eta = 0 and 1) and
 measurement-strength sweeps with one- and two-qubit protection at fixed
 p = 0.5 (again eta = 0 and 1).  A final pair of tables scans the
 initial-state parameter alpha^2 of the partially entangled pure family
-under every protection mode.  All outputs carry raw and normalized
-columns and are deterministic.
+under every protection mode.  Each table is one ``qcorrkit sweep``
+command, printed before it runs; all outputs carry raw and normalized
+columns and are deterministic.  The script stops at the first command
+that fails and exits with its code.
 """
 
 import argparse
 import pathlib
+import sys
 
-from qcorrkit.channels import WmrMode
-from qcorrkit.states import StateFamily
-from qcorrkit.sweep import SweepConfig, run_sweep, write_sweep_csv
+from qcorrkit import cli
 
-FAMILIES = {
-    "bell": StateFamily("bell"),
-    "werner08": StateFamily("werner", 0.8),
-    "mems08": StateFamily("mems", 0.8),
-}
+FAMILIES = (("bell", "bell", "1.0"), ("werner08", "werner", "0.8"), ("mems08", "mems", "0.8"))
+MODES = ("wm1", "wm2")
 
 
-def write(config: SweepConfig, path: pathlib.Path) -> None:
-    result = run_sweep(config)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        write_sweep_csv(result, fh)
-    print(f"wrote {path} ({len(result.rows)} rows)")
+def commands(out: pathlib.Path, points: int) -> list[list[str]]:
+    """The ``qcorrkit sweep`` argv lists of every table, in run order."""
+    table = []
+
+    def sweep(path: str, family: str, param: str, eta: float, *flags: str) -> None:
+        table.append([
+            "sweep", "--family", family, "--param", param, "--eta", str(eta), *flags,
+            "--points", str(points), "-o", str(out / path),
+        ])
+
+    for label, family, param in FAMILIES:
+        for eta in (0.0, 1.0):
+            tag = f"eta{int(eta)}"
+            sweep(f"{label}_p_{tag}.csv", family, param, eta, "--mode", "none", "--var", "p")
+            for mode in MODES:
+                sweep(f"{label}_q_{mode}_{tag}.csv", family, param, eta, "--mode", mode, "--var", "q")
+
+    for eta in (0.0, 1.0):
+        tag = f"eta{int(eta)}"
+        sweep(f"nme_alpha2_none_{tag}.csv", "nme", "0.5", eta, "--mode", "none", "--var", "alpha2")
+        for mode in MODES:
+            sweep(f"nme_alpha2_{mode}_{tag}.csv", "nme", "0.5", eta,
+                  "--mode", mode, "--var", "alpha2", "--q", "0.5")
+    return table
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("sweeps"))
     parser.add_argument("--points", type=int, default=201)
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    for label, family in FAMILIES.items():
-        for eta in (0.0, 1.0):
-            tag = f"eta{int(eta)}"
-            write(
-                SweepConfig(family=family, eta=eta, points=args.points),
-                args.out / f"{label}_p_{tag}.csv",
-            )
-            for mode, mode_tag in ((WmrMode.ONE_QUBIT, "wm1"), (WmrMode.TWO_QUBIT, "wm2")):
-                write(
-                    SweepConfig(
-                        family=family, eta=eta, mode=mode, var="q", points=args.points
-                    ),
-                    args.out / f"{label}_q_{mode_tag}_{tag}.csv",
-                )
-
-    for eta in (0.0, 1.0):
-        tag = f"eta{int(eta)}"
-        write(
-            SweepConfig(
-                family=StateFamily("nme", 0.5), var="alpha2", eta=eta, points=args.points
-            ),
-            args.out / f"nme_alpha2_none_{tag}.csv",
-        )
-        for mode, mode_tag in ((WmrMode.ONE_QUBIT, "wm1"), (WmrMode.TWO_QUBIT, "wm2")):
-            write(
-                SweepConfig(
-                    family=StateFamily("nme", 0.5),
-                    var="alpha2",
-                    eta=eta,
-                    mode=mode,
-                    q_fixed=0.5,
-                    points=args.points,
-                ),
-                args.out / f"nme_alpha2_{mode_tag}_{tag}.csv",
-            )
+    for argv in commands(args.out, args.points):
+        print(f"$ qcorrkit {' '.join(argv)}")
+        code = cli.main(argv)
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -38,12 +38,7 @@ from .measures import (
     CorrelationVector,
     concurrence,
     correlation_vector,
-    dense_coding_capacity,
-    epr_steering,
-    fully_entangled_fraction,
-    jsd_coherence,
     normalize,
-    teleportation_fidelity,
     trace_distance_discord,
 )
 from .mlp import (

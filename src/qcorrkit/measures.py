@@ -9,6 +9,10 @@ off the real X pattern is refused rather than approximated.  Every
 measure takes one state or a ``(..., 4, 4)`` stack.  The dense 4x4
 routes live on as independent oracles in ``oracles.py``.
 
+:func:`correlation_vector` is the entry point: all six measures, validated
+once.  Only :func:`concurrence` (the optimizer's grid) and
+:func:`trace_distance_discord` (``verify``'s oracle check) stand alone.
+
 All logarithms are base 2, so entropic quantities are in bits and the
 dense-coding capacity peaks at 2.
 """
@@ -126,14 +130,19 @@ def _concurrence(a, b, c, d, z, w):
 
 
 def _dense_coding(a, b, c, d, z, w):
+    """Holevo quantity 1 + H(a + c) - S(rho) of the four equal-weight Pauli
+    encodings of the first qubit, whose mixture is I/2 x diag(a + c, b + d)."""
     return 1.0 + _entropy((a + c, b + d)) - _entropy(_x_spectrum(a, b, c, d, z, w))
 
 
 def _fef(a, b, c, d, z, w):
+    """Fully entangled fraction: for a real X state, the largest Bell-state overlap."""
     return np.maximum((a + d) / 2.0 + np.abs(z), (b + c) / 2.0 + np.abs(w))
 
 
 def _jsd(a, b, c, d, z, w):
+    """Root of the entropic divergence of rho and its diagonal rho_d, whose mean is
+    the X state with coherences z/2, w/2: exactly 0 if incoherent, ~0.56 on Bell."""
     # S(rho_d) = H(a, b, c, d), taken through the same spectrum formula so
     # that an incoherent state (z = w = 0) gets an exact 0
     radicand = (
@@ -166,6 +175,7 @@ def _discord(a, b, c, d, z, w):
 
 
 def _steering(a, b, c, d, z, w):
+    """Entropic steering inequality's left-hand side: above 2 certifies steering, 6 on Bell."""
     c1, c2 = 2.0 * (w + z), 2.0 * (w - z)
     c3 = a + d - b - c
     r_marg = a + b - d - c
@@ -190,40 +200,6 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     return _scalar(_concurrence(*x_entries(rho)))
 
 
-def dense_coding_capacity(rho: np.ndarray) -> float | np.ndarray:
-    """Holevo quantity of the four-encoding ensemble, 1 + H(a + c) - S(rho).
-
-    The sender's qubit (the first one) is encoded with each of the four
-    Pauli unitaries with equal weight; the mixture is I/2 x rho_B, and
-    rho_B = diag(a + c, b + d) for an X state.
-    """
-    return _scalar(_dense_coding(*x_entries(rho)))
-
-
-def fully_entangled_fraction(rho: np.ndarray) -> float | np.ndarray:
-    """Largest overlap with any maximally entangled pure state.
-
-    For a real X state this is the largest Bell-state overlap,
-    max((a + d)/2 + |z|, (b + c)/2 + |w|).
-    """
-    return _scalar(_fef(*x_entries(rho)))
-
-
-def teleportation_fidelity(rho: np.ndarray) -> float | np.ndarray:
-    """Optimal teleportation fidelity (1 + 2 FEF)/3."""
-    return (1.0 + 2.0 * fully_entangled_fraction(rho)) / 3.0
-
-
-def jsd_coherence(rho: np.ndarray) -> float | np.ndarray:
-    """Square root of the entropic divergence between rho and its diagonal.
-
-    (rho + rho_d)/2 is the X state with coherences z/2 and w/2.  Vanishes
-    exactly for incoherent (diagonal) states and reaches about 0.56 on a
-    Bell state.
-    """
-    return _scalar(_jsd(*x_entries(rho)))
-
-
 def trace_distance_discord(rho: np.ndarray) -> float | np.ndarray:
     """Analytic trace-norm discord of an X state.
 
@@ -235,15 +211,6 @@ def trace_distance_discord(rho: np.ndarray) -> float | np.ndarray:
     Bell-diagonal states) is |gamma1|/2 and is returned instead.
     """
     return _scalar(_discord(*x_entries(rho)))
-
-
-def epr_steering(rho: np.ndarray) -> float | np.ndarray:
-    """Left-hand side of the entropic steering inequality for X states.
-
-    Values above the classical limit 2 certify steering; the maximum is 6
-    on a Bell state.
-    """
-    return _scalar(_steering(*x_entries(rho)))
 
 
 def correlation_vector(rho: np.ndarray) -> CorrelationVector:

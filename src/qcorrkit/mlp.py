@@ -52,6 +52,8 @@ def _activation_derivative(name: str, out: np.ndarray) -> np.ndarray:
 def _check_architecture(layer_sizes, activations) -> None:
     if len(activations) != len(layer_sizes) - 1:
         raise ValueError("need one activation per weight layer")
+    if layer_sizes[-1] != 1:
+        raise ValueError(f"the network predicts one value, got {layer_sizes[-1]} outputs")
     unknown = set(activations) - set(_ACTIVATIONS)
     if unknown:
         raise ValueError(f"unknown activations {sorted(unknown)}")
@@ -132,6 +134,10 @@ def forward_scaled(net: Mlp, scaled: np.ndarray) -> np.ndarray:
 def forward(net: Mlp, features: np.ndarray) -> float | np.ndarray:
     """Scale one feature vector (or a stack of rows) and propagate it."""
     features = np.asarray(features, dtype=float)
+    if features.shape[-1] != net.layer_sizes[0]:
+        raise ValueError(
+            f"the model takes {net.layer_sizes[0]} features per row, got {features.shape[-1]}"
+        )
     single = features.ndim == 1
     out = forward_scaled(net, scale_inputs(net, np.atleast_2d(features)))
     return float(out[0]) if single else out

@@ -24,6 +24,9 @@ from .measures import concurrence, trace_distance_discord
 from .oracles import _reference_pipeline_state, tdd_measurement_oracle
 from .states import bell_state, is_x_state, random_density_matrix, random_x_state
 
+#: random X states drawn for the discord oracle check
+_ORACLE_SAMPLES = 12
+
 
 def _largest(*parts) -> float:
     """Largest entry over all parts, and at least 0; a NaN anywhere wins, so it fails any tolerance."""
@@ -86,9 +89,9 @@ def _channel_checks(rng: np.random.Generator, samples: int) -> list[EquivalenceC
     return checks
 
 
-def _discord_oracle_check(rng: np.random.Generator, samples: int) -> EquivalenceCheck:
+def _discord_oracle_check(rng: np.random.Generator) -> EquivalenceCheck:
     ratios = []
-    for _ in range(samples):
+    for _ in range(_ORACLE_SAMPLES):
         rho = random_x_state(rng)
         closed = trace_distance_discord(rho)
         if closed < 0.02:
@@ -111,14 +114,11 @@ def full_verification(
     slices: dict[str, float] | None = None,
     seed: int = 2024,
     samples: int = 200,
-    oracle_samples: int = 12,
 ) -> VerificationReport:
     if samples < 1:
         raise ValueError(f"samples={samples}: need at least 1 random state")
-    if oracle_samples < 1:
-        raise ValueError(f"oracle_samples={oracle_samples}: need at least 1 oracle state")
     report = verify_closed_forms(grid_points=grid_points, upper=upper, tol=tol, slices=slices)
     rng = np.random.default_rng(seed)
     report.checks.extend(_channel_checks(rng, samples))
-    report.checks.append(_discord_oracle_check(rng, oracle_samples))
+    report.checks.append(_discord_oracle_check(rng))
     return report

@@ -1,10 +1,12 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from qcorrkit.cli import main
 from qcorrkit.dataset import CSV_HEADER, build_dataset, write_dataset_csv
+from qcorrkit.mlp import init_mlp, save_mlp
 from qcorrkit.states import StateFamily
 
 
@@ -234,6 +236,29 @@ class TestTrainPredictWeights:
         assert main(predict) == 1
         assert main(["weights", "--model", str(model), "--output", str(tmp_path / "w.csv")]) == 1
         assert capsys.readouterr().err.count("error:") == 2
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [((5, 3, 2), "predicts one value, got 2 outputs"),
+         ((3, 4, 1), "takes 3 features per row, got 5")],
+        ids=["two_outputs", "three_inputs"],
+    )
+    def test_model_of_another_shape_is_usage_error(self, tmp_path, capsys, sizes, message):
+        # a model that is well formed in itself but does not fit the five
+        # features and one discord target of a dataset is refused, not read
+        # through its first output column or numpy's broadcasting error
+        net = init_mlp(layer_sizes=(*sizes[:-1], 1), activations=("logsig", "linear"), seed=3)
+        net.layer_sizes = sizes
+        net.weights[-1] = np.repeat(net.weights[-1], sizes[-1], axis=0)
+        net.biases[-1] = np.repeat(net.biases[-1], sizes[-1])
+        model, data = tmp_path / "model.json", tmp_path / "data.csv"
+        save_mlp(net, model)
+        write_dataset_csv(data, build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=50))
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model), "--data", str(data), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("epochs", ["0", "-3"])
     def test_no_epochs_is_usage_error(self, tmp_path, capsys, epochs):

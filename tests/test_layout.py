@@ -3,9 +3,12 @@
 The X-state path works on six numbers per state and its entry maps, so
 dense linear algebra there would be a regression: eigensolves and
 Kronecker products belong to the reference routes in ``oracles.py``.
+Every public name of the package needs a caller in ``src``, ``scripts``
+or ``bench``; tests alone do not keep a name alive.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,70 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     unused = _unused_imports(_tree(path))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+#: public names kept without a caller in src/, scripts/ or bench/, each with its reason
+UNCALLED_ALLOWLIST = {
+    # acceptance criteria 2 and 6 locate their thresholds with it, until an
+    # exact root finder on the closed forms replaces it
+    "sweep.find_zero_crossing",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, node) of each public top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in targets if not name.startswith("_"))
+
+
+@functools.cache
+def _references() -> dict[str, list[tuple[Path, int]]]:
+    """Every name, attribute, imported name and exact string in the program, by where it occurs.
+
+    The package's ``__init__`` is left out: re-exporting a name does not
+    call it.  A string counts because the benchmark's tracer names the
+    functions it wraps as strings.
+    """
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += list((ROOT / "scripts").glob("*.py")) + list((ROOT / "bench").glob("*.py"))
+    found = {}
+    for path in files:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name, []).append((path, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "oracles")),
+)
+def test_every_public_name_has_a_caller(module):
+    # oracles.py is exempt: its names are the references the tests compare against
+    path = PACKAGE / f"{module}.py"
+    references = _references()
+    uncalled = []
+    for name, node in _public_definitions(_tree(path)):
+        own = range(node.lineno, node.end_lineno + 1)
+        called = any(not (p == path and line in own) for p, line in references.get(name, []))
+        if not called and f"{module}.{name}" not in UNCALLED_ALLOWLIST:
+            uncalled.append(name)
+    assert not uncalled, f"{module}.py names with no caller in src/, scripts/ or bench/: {uncalled}"

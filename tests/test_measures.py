@@ -9,12 +9,7 @@ from qcorrkit.measures import (
     CorrelationVector,
     concurrence,
     correlation_vector,
-    dense_coding_capacity,
-    epr_steering,
-    fully_entangled_fraction,
-    jsd_coherence,
     normalize,
-    teleportation_fidelity,
     trace_distance_discord,
     x_entries,
 )
@@ -68,17 +63,17 @@ class TestXEntries:
 class TestJsd:
     def test_diagonal_states_have_no_coherence(self, rng):
         rho = np.diag(rng.dirichlet(np.ones(4))).astype(complex)
-        assert jsd_coherence(rho) == 0.0
+        assert correlation_vector(rho).jsd == 0.0
 
     def test_ground_state(self):
-        assert jsd_coherence(GROUND) == 0.0
+        assert correlation_vector(GROUND).jsd == 0.0
 
     def test_bell_value(self):
         # frozen: (rho + rho_d)/2 has spectrum {3/4, 1/4, 0, 0}, so the
         # radicand is h-like: -0.75 log2 0.75 - 0.25 log2 0.25 - 1/2
         expected = np.sqrt(-(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25)) - 0.5)
         assert expected == pytest.approx(0.557923045284144, abs=1e-12)
-        assert jsd_coherence(bell_state()) == pytest.approx(expected, abs=1e-12)
+        assert correlation_vector(bell_state()).jsd == pytest.approx(expected, abs=1e-12)
 
 
 def wootters_eigenvalue_oracle(rho):
@@ -133,8 +128,7 @@ def _vector_field(name, normalized):
 
 @pytest.mark.parametrize(
     "measure",
-    [dense_coding_capacity, fully_entangled_fraction, teleportation_fidelity,
-     jsd_coherence, trace_distance_discord, epr_steering]
+    [trace_distance_discord]
     + [_vector_field(name, normalized) for normalized in (False, True)
        for name in ("chi", "fidelity", "concurrence", "qs", "tdd", "jsd")],
     ids=lambda measure: measure.__name__,
@@ -153,29 +147,29 @@ def test_every_measure_takes_a_stack(rng, measure):
 
 class TestDenseCoding:
     def test_bell_two_bits(self):
-        assert dense_coding_capacity(bell_state()) == pytest.approx(2.0, abs=1e-9)
+        assert correlation_vector(bell_state()).chi == pytest.approx(2.0, abs=1e-9)
 
     def test_ground_state_classical_limit(self):
         # mixing the four encodings of |00> gives (|00><00| + |10><10|)/2
-        assert dense_coding_capacity(GROUND) == pytest.approx(1.0, abs=1e-12)
+        assert correlation_vector(GROUND).chi == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_zero(self):
-        assert dense_coding_capacity(MIXED) == pytest.approx(0.0, abs=1e-12)
+        assert correlation_vector(MIXED).chi == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTeleportation:
+    # the fidelity is (1 + 2 FEF)/3, with FEF the largest overlap with a
+    # maximally entangled state
     def test_bell_perfect(self):
-        assert fully_entangled_fraction(bell_state()) == pytest.approx(1.0)
-        assert teleportation_fidelity(bell_state()) == pytest.approx(1.0)
+        assert correlation_vector(bell_state()).fidelity == pytest.approx(1.0)
 
     def test_ground_state_classical_limit(self):
         # overlap with any maximally entangled state is 1/2 for |00>
-        assert fully_entangled_fraction(GROUND) == pytest.approx(0.5, abs=1e-12)
-        assert teleportation_fidelity(GROUND) == pytest.approx(2 / 3, abs=1e-12)
+        assert correlation_vector(GROUND).fidelity == pytest.approx(2 / 3, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert fully_entangled_fraction(MIXED) == pytest.approx(0.25)
-        assert teleportation_fidelity(MIXED) == pytest.approx(0.5)
+        # FEF 1/4
+        assert correlation_vector(MIXED).fidelity == pytest.approx(0.5)
 
 
 class TestTraceDistanceDiscord:
@@ -212,18 +206,19 @@ class TestSteering:
         # term-by-term: (a, b, c, d, z, w) = (1/2, 0, 0, 1/2, 1/2, 0), so
         # c1 = 2(w + z) = 1, c2 = 2(w - z) = -1, c3 = 1, local imbalances 0
         assert x_entries(bell_state()) == pytest.approx((0.5, 0.0, 0.0, 0.5, 0.5, 0.0))
-        assert epr_steering(bell_state()) == pytest.approx(6.0, abs=1e-9)
+        assert correlation_vector(bell_state()).qs == pytest.approx(6.0, abs=1e-9)
 
     def test_ground_state_classical_limit(self):
         # c1 = c2 = 0, c3 = r = s = 1: the terms sum to -2 + 4 = 2
-        assert epr_steering(GROUND) == pytest.approx(2.0, abs=1e-12)
+        assert correlation_vector(GROUND).qs == pytest.approx(2.0, abs=1e-12)
 
     def test_maximally_mixed_zero(self):
-        assert epr_steering(MIXED) == pytest.approx(0.0, abs=1e-12)
+        assert correlation_vector(MIXED).qs == pytest.approx(0.0, abs=1e-12)
 
     def test_non_x_rejected(self):
+        # one non-X state refuses the whole stack: no partial vector of the valid states
         with pytest.raises(UnsupportedStateError):
-            epr_steering(PLUS_ZERO)
+            correlation_vector(np.stack([bell_state(), PLUS_ZERO]))
 
 
 class TestCorrelationVector:

@@ -5,14 +5,7 @@ import pytest
 
 from qcorrkit.channels import ChannelParams, WmrMode, WmrParams, apply_cad, wmr_pipeline
 from qcorrkit.exceptions import NumericalContractError
-from qcorrkit.measures import (
-    concurrence,
-    dense_coding_capacity,
-    epr_steering,
-    fully_entangled_fraction,
-    jsd_coherence,
-    trace_distance_discord,
-)
+from qcorrkit.measures import concurrence, correlation_vector, trace_distance_discord
 from qcorrkit.oracles import (
     _dephasing_distance,
     _first_qubit_blocks,
@@ -156,16 +149,18 @@ class TestClosedFormsAgainstDenseOracles:
 
     def test_dense_coding(self, rng):
         for rho in edge_states(rng):
-            assert abs(dense_coding_capacity(rho) - dense_coding_oracle(rho)) <= 1e-12
+            assert abs(correlation_vector(rho).chi - dense_coding_oracle(rho)) <= 1e-12
 
     def test_fully_entangled_fraction(self, rng):
+        # the fidelity is (1 + 2 FEF)/3, so 1e-12 on the FEF is 2e-12/3 on the fidelity
         for rho in edge_states(rng):
-            assert abs(fully_entangled_fraction(rho) - fully_entangled_fraction_oracle(rho)) <= 1e-12
+            fidelity = correlation_vector(rho).fidelity
+            assert abs(fidelity - (1.0 + 2.0 * fully_entangled_fraction_oracle(rho)) / 3.0) <= 2e-12 / 3
 
     def test_jsd_radicand(self, rng):
         # the square root amplifies round-off near 0, so the squares are compared
         for rho in edge_states(rng):
-            assert abs(jsd_coherence(rho) ** 2 - jsd_coherence_oracle(rho) ** 2) <= 1e-12
+            assert abs(correlation_vector(rho).jsd ** 2 - jsd_coherence_oracle(rho) ** 2) <= 1e-12
 
     def test_concurrence(self, rng):
         # the general eigensolve is good to about sqrt(machine eps) only
@@ -176,7 +171,7 @@ class TestClosedFormsAgainstDenseOracles:
 class TestDenseCodingOracle:
     def test_partial_trace_identity(self, rng):
         for rho in (bell_state(), werner_state(0.6), mems_state(0.7), random_x_state(rng)):
-            assert dense_coding_capacity(rho) == pytest.approx(
+            assert correlation_vector(rho).chi == pytest.approx(
                 dense_coding_oracle(rho), abs=1e-10
             )
 
@@ -187,7 +182,7 @@ class TestSteeringOracle:
         for r_b in (1.0, 0.8, 0.5, 0.2):
             rho = werner_state(r_b)
             assert steering_entropy_oracle(rho) == pytest.approx(
-                epr_steering(rho), abs=1e-9
+                correlation_vector(rho).qs, abs=1e-9
             )
 
     def test_differs_by_marginal_term_in_general(self, rng):
@@ -199,7 +194,7 @@ class TestSteeringOracle:
             r_marg = d[0] + d[1] - d[2] - d[3]
             gap = 1.0 - r_marg
             expected_delta = 2.0 * gap * np.log2(gap) if gap > 0 else 0.0
-            delta = epr_steering(rho) - steering_entropy_oracle(rho)
+            delta = correlation_vector(rho).qs - steering_entropy_oracle(rho)
             assert delta == pytest.approx(expected_delta, abs=1e-9)
 
 

@@ -21,7 +21,7 @@ def test_wrong_uncorrelated_channel_fails_the_reduction_check(monkeypatch):
 
     monkeypatch.setattr(channels, "apply_ad_uncorrelated", half_damping)
     monkeypatch.setattr(verification, "apply_ad_uncorrelated", half_damping)
-    report = full_verification(grid_points=1, samples=5, oracle_samples=1)
+    report = full_verification(grid_points=1, samples=5)
     (check,) = [c for c in report.checks if c.name == REDUCTION]
     assert not check.passed
 
@@ -37,7 +37,7 @@ def test_nan_channel_output_fails(monkeypatch):
         return out
 
     monkeypatch.setattr(verification, "apply_cad", nan_coherence)
-    report = full_verification(grid_points=1, samples=5, oracle_samples=1)
+    report = full_verification(grid_points=1, samples=5)
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {
         "channel positivity",
@@ -54,7 +54,7 @@ def test_all_nan_channel_output_fails_instead_of_crashing(monkeypatch, capsys):
     # checks must still report them as failures (exit 3), not crash (exit 1)
     original = channels.apply_ad_uncorrelated
     monkeypatch.setattr(verification, "apply_ad_uncorrelated", lambda rho, p: original(rho, p) * np.nan)
-    report = full_verification(grid_points=1, samples=5, oracle_samples=1)
+    report = full_verification(grid_points=1, samples=5)
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"channel trace preservation", "channel positivity"}
     assert main(["verify", "--grid-points", "1", "--samples", "5"]) == 3
@@ -75,10 +75,3 @@ def test_summary_bytes_are_pinned(kwargs, digest):
     """The report text, deviations and worst cases included, to the byte."""
     summary = full_verification(**kwargs).summary()
     assert hashlib.sha256(summary.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("oracle_samples", [0, -1])
-def test_no_oracle_samples_is_rejected(oracle_samples):
-    # an empty oracle sample is a bad argument, not a failed discord check
-    with pytest.raises(ValueError, match=f"oracle_samples={oracle_samples}"):
-        full_verification(grid_points=1, samples=5, oracle_samples=oracle_samples)
