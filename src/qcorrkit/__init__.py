@@ -63,6 +63,6 @@ from .states import (
     werner_state,
 )
 from .sweep import SweepConfig, find_zero_crossing, run_sweep
-from .training import TrainConfig, TrainReport, lm_train, restart_search
+from .training import TrainReport, lm_train, restart_search
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .mlp import forward, load_mlp, save_mlp, weight_summary_csv
 from .optimize import optimal_qmr
 from .states import StateFamily
 from .sweep import SweepConfig, run_sweep, sweep_csv_text
-from .training import TrainConfig, restart_search
+from .training import restart_search
 from .verification import full_verification
 
 _FAMILY_DEFAULT_PARAM = {"bell": 1.0, "werner": 1.0, "mems": 1.0, "nme": 0.5}
@@ -147,16 +147,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = TrainConfig(max_epochs=args.max_epochs)
     if args.data:
         data = read_dataset_csv(args.data)
     else:
         data = build_dataset(
             _family(args), args.scenario, args.eta, points=args.rows, p_fixed=args.p
         )
-        if args.dataset_out:
-            write_dataset_csv(args.dataset_out, data)
-    net, report = restart_search(data, restarts=args.restarts, seed=args.seed, config=config)
+    net, report = restart_search(
+        data, restarts=args.restarts, seed=args.seed, max_epochs=args.max_epochs
+    )
+    # written with the other outputs, so a run that fails writes none of them
+    if args.dataset_out:
+        write_dataset_csv(args.dataset_out, data)
     if args.model_out:
         save_mlp(net, args.model_out)
     if args.summary_out:
@@ -241,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--rows", type=int, default=500)
     p.add_argument("--p", type=float, default=0.5, help="fixed damping for wmr2 datasets")
-    p.add_argument("--data", default=None, help="load this dataset CSV instead of generating")
-    p.add_argument("--dataset-out", default=None, help="also write the generated dataset CSV")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--data", default=None, help="load this dataset CSV instead of generating")
+    source.add_argument("--dataset-out", default=None, help="also write the generated dataset CSV")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--max-epochs", type=int, default=1000)

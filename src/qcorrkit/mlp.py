@@ -25,28 +25,12 @@ DEFAULT_ACTIVATIONS = ("logsig", "tansig", "linear", "linear")
 FEATURE_NAMES = ("jsd", "concurrence", "fidelity", "qs", "chi")
 
 
-def _logsig(z):
-    return expit(z)
-
-
-def _tansig(z):
-    return np.tanh(z)
-
-
-def _linear(z):
-    return z
-
-
-_ACTIVATIONS = {"logsig": _logsig, "tansig": _tansig, "linear": _linear}
-
-
-def _activation_derivative(name: str, out: np.ndarray) -> np.ndarray:
-    """Derivative expressed through the activation output."""
-    if name == "logsig":
-        return out * (1.0 - out)
-    if name == "tansig":
-        return 1.0 - out**2
-    return np.ones_like(out)
+#: name -> (activation, its derivative expressed through the activation output)
+_ACTIVATIONS = {
+    "logsig": (expit, lambda a: a * (1.0 - a)),
+    "tansig": (np.tanh, lambda a: 1.0 - a**2),
+    "linear": (lambda z: z, np.ones_like),
+}
 
 
 def _check_architecture(layer_sizes, activations) -> None:
@@ -127,7 +111,7 @@ def forward_scaled(net: Mlp, scaled: np.ndarray) -> np.ndarray:
     """Propagate already-scaled rows; returns shape (n,) outputs."""
     a = np.atleast_2d(scaled)
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        a = _ACTIVATIONS[act](a @ w.T + b)
+        a = _ACTIVATIONS[act][0](a @ w.T + b)
     return a[:, 0]
 
 
@@ -177,16 +161,15 @@ def backprop_factors(
     inputs = []
     for w, b, act in zip(net.weights, net.biases, net.activations):
         inputs.append(a)
-        a = _ACTIVATIONS[act](a @ w.T + b)
+        a = _ACTIVATIONS[act][0](a @ w.T + b)
+    derivative = [_ACTIVATIONS[act][1] for act in net.activations]
 
     deltas = []
-    delta = _activation_derivative(net.activations[-1], a)
+    delta = derivative[-1](a)
     for layer in range(len(net.weights) - 1, -1, -1):
         deltas.append(delta)
         if layer > 0:
-            delta = (delta @ net.weights[layer]) * _activation_derivative(
-                net.activations[layer - 1], inputs[layer]
-            )
+            delta = (delta @ net.weights[layer]) * derivative[layer - 1](inputs[layer])
     deltas.reverse()
     return a[:, 0], inputs, deltas
 
@@ -219,21 +202,20 @@ def network_jacobian(net: Mlp, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarr
     a = np.atleast_2d(scaled)
     outputs = [a]
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        a = _ACTIVATIONS[act](a @ w.T + b)
+        a = _ACTIVATIONS[act][0](a @ w.T + b)
         outputs.append(a)
     n = a.shape[0]
+    derivative = [_ACTIVATIONS[act][1] for act in net.activations]
 
     blocks: list[np.ndarray | None] = [None] * len(net.weights)
     # d output / d (output-layer preactivation); ones for a linear head
-    delta = _activation_derivative(net.activations[-1], outputs[-1])
+    delta = derivative[-1](outputs[-1])
     for layer in range(len(net.weights) - 1, -1, -1):
         prev = outputs[layer]
         jw = (delta[:, :, None] * prev[:, None, :]).reshape(n, -1)
         blocks[layer] = np.concatenate([jw, delta], axis=1)
         if layer > 0:
-            delta = (delta @ net.weights[layer]) * _activation_derivative(
-                net.activations[layer - 1], outputs[layer]
-            )
+            delta = (delta @ net.weights[layer]) * derivative[layer - 1](outputs[layer])
     return outputs[-1][:, 0], np.concatenate(blocks, axis=1)
 
 

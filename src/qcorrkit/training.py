@@ -9,7 +9,9 @@ layer from the same factors (``docs/decisions.md`` section 3).  A step
 is accepted only if the training MSE drops; rejected steps raise the
 damping and retry with the same factors.  Validation MSE is watched for
 early stopping.  A restart search trains several independently seeded
-networks and keeps the one with the lowest test MSE.  Every run is
+default-architecture networks and keeps the one with the lowest test
+MSE.  The recipe is fixed: only the epoch cap is a parameter, and the
+gradient stop is the constant ``_GRAD_TOL``.  Every run is
 deterministic in its seed: the network seed drives both the weight draw
 and the train/val/test shuffle.
 """
@@ -41,17 +43,8 @@ _MU_FACTOR = 10.0
 _MU_MAX = 1e10
 _MU_MIN = 1e-20  # keeps the damped system solvable after long streaks
 _MAX_VAL_FAILS = 6
+_GRAD_TOL = 1e-7  # stop once the gradient's infinity norm drops below this
 _SPLIT = (0.70, 0.15, 0.15)  # train, validation, test fractions
-
-
-@dataclass
-class TrainConfig:
-    max_epochs: int = 1000
-    grad_tol: float = 1e-7
-
-    def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs={self.max_epochs}: need at least 1 epoch")
 
 
 @dataclass
@@ -85,16 +78,18 @@ def _mse(net: Mlp, scaled: np.ndarray, targets: np.ndarray) -> float:
         return float(np.mean(err**2))
 
 
-def lm_train(net: Mlp, data: Dataset, config: TrainConfig | None = None) -> TrainReport:
+def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
     """Train ``net`` in place on ``data``; returns the final report.
 
     The split and the input-scaling anchors are derived from the
     training portion of a shuffle seeded by ``net.seed``.  Stopping:
-    damping above ``_MU_MAX``, epoch limit, gradient infinity norm below
-    ``grad_tol``, or ``_MAX_VAL_FAILS`` consecutive epochs without a new
-    best validation MSE (the best-validation weights are then restored).
+    damping above ``_MU_MAX``, ``max_epochs`` accepted steps, gradient
+    infinity norm below ``_GRAD_TOL``, or ``_MAX_VAL_FAILS`` consecutive
+    epochs without a new best validation MSE (the best-validation
+    weights are then restored).
     """
-    cfg = config or TrainConfig()
+    if max_epochs < 1:
+        raise ValueError(f"max_epochs={max_epochs}: need at least 1 epoch")
     idx_train, idx_val, idx_test = split_indices(len(data), net.seed)
     if len(idx_train) == 0 or len(idx_val) == 0 or len(idx_test) == 0:
         raise ValueError("dataset too small for the requested split")
@@ -118,11 +113,11 @@ def lm_train(net: Mlp, data: Dataset, config: TrainConfig | None = None) -> Trai
     stop_reason = "epoch_limit"
 
     eye = np.eye(n)
-    while epochs < cfg.max_epochs:
+    while epochs < max_epochs:
         pred, inputs, deltas = backprop_factors(net, x_train)
         err = y_train - pred
         grad = 2.0 / n * factor_jt_vector(inputs, deltas, err)
-        if np.abs(grad).max() < cfg.grad_tol:
+        if np.abs(grad).max() < _GRAD_TOL:
             stop_reason = "gradient"
             break
 
@@ -178,33 +173,28 @@ def restart_search(
     data: Dataset,
     restarts: int = 20,
     seed: int = 0,
-    config: TrainConfig | None = None,
-    layer_sizes=None,
-    activations=None,
+    max_epochs: int = 1000,
 ) -> tuple[Mlp, TrainReport]:
     """Train ``restarts`` independently seeded networks, keep the best.
 
-    Restart k gets a deterministic child seed of ``seed``; the winner is
-    the restart with the lowest test MSE (first on ties).  Runs whose
-    loss turns non-finite are skipped; if every restart fails, a
+    Each restart is a default :func:`init_mlp` network trained by
+    :func:`lm_train` with the same ``max_epochs``.  Restart k gets a
+    deterministic child seed of ``seed``; the winner is the restart with
+    the lowest test MSE (first on ties).  Runs whose loss turns
+    non-finite are skipped; if every restart fails, a
     :class:`TrainingFailure` is raised.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    kwargs = {}
-    if layer_sizes is not None:
-        kwargs["layer_sizes"] = layer_sizes
-    if activations is not None:
-        kwargs["activations"] = activations
     child_seeds = [
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(restarts)
     ]
     best: tuple[Mlp, TrainReport] | None = None
     best_index = -1
     for k, child in enumerate(child_seeds):
-        net = init_mlp(seed=child, **kwargs)
+        net = init_mlp(seed=child)
         try:
-            report = lm_train(net, data, config)
+            report = lm_train(net, data, max_epochs=max_epochs)
         except TrainingFailure:
             continue
         if best is None or report.mse_test < best[1].mse_test:

@@ -14,6 +14,7 @@ counterexample by hand; nothing here is loosened to hide it.
 import numpy as np
 import pytest
 
+from qcorrkit import training
 from qcorrkit.channels import ChannelParams, WmrMode, apply_cad, apply_wm
 from qcorrkit.closed_forms import verify_closed_forms
 from qcorrkit.dataset import build_dataset
@@ -41,7 +42,7 @@ from qcorrkit.states import (
     werner_state,
 )
 from qcorrkit.sweep import SweepConfig, find_zero_crossing, run_sweep
-from qcorrkit.training import TrainConfig, lm_train, restart_search
+from qcorrkit.training import lm_train, restart_search
 
 from conftest import closed_form_optimum
 
@@ -325,7 +326,7 @@ def test_criterion_8_discord_oracle_equivalence():
     assert worst_jump < 1e-4
 
 
-def test_criterion_9_lm_correctness(rng):
+def test_criterion_9_lm_correctness(rng, monkeypatch):
     net = init_mlp(layer_sizes=(2, 2, 1), activations=("logsig", "tansig"), seed=17)
     x = rng.normal(size=(6, 2))
     _, jac = network_jacobian(net, x)
@@ -357,7 +358,8 @@ def test_criterion_9_lm_correctness(rng):
         sweep_values=np.linspace(0, 1, 100),
     )
     linear_net = init_mlp(layer_sizes=(3, 1), activations=("linear",), seed=4)
-    report = lm_train(linear_net, data, TrainConfig(grad_tol=0.0, max_epochs=40))
+    monkeypatch.setattr(training, "_GRAD_TOL", 0.0)
+    report = lm_train(linear_net, data, max_epochs=40)
     ok = rel <= 1e-5 and report.mse_train < 1e-20
     _report(
         9,

@@ -271,6 +271,29 @@ class TestTrainPredictWeights:
         assert f"max_epochs={epochs}" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_failed_train_writes_no_dataset(self, tmp_path, capsys):
+        model, dataset = tmp_path / "model.json", tmp_path / "data.csv"
+        code = main(
+            ["train", "--rows", "50", "--restarts", "1", "--max-epochs", "0",
+             "--model-out", str(model), "--dataset-out", str(dataset)]
+        )
+        assert code == 1
+        assert "max_epochs=0" in capsys.readouterr().err
+        assert not model.exists() and not dataset.exists()
+
+    def test_data_with_dataset_out_is_usage_error(self, trained, tmp_path, capsys):
+        # a loaded dataset is never written back, so asking for both is refused
+        # before anything is trained or written
+        model, copy = tmp_path / "model.json", tmp_path / "copy.csv"
+        code = main(
+            ["train", "--data", str(trained / "data.csv"), "--dataset-out", str(copy),
+             "--restarts", "1", "--max-epochs", "2", "--model-out", str(model)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--data" in err and "--dataset-out" in err
+        assert not model.exists() and not copy.exists()
+
 
 class TestExitCodeContract:
     def test_numerical_contract_failures_exit_2(self, monkeypatch, capsys):

@@ -4,7 +4,8 @@ The X-state path works on six numbers per state and its entry maps, so
 dense linear algebra there would be a regression: eigensolves and
 Kronecker products belong to the reference routes in ``oracles.py``.
 Every public name of the package needs a caller in ``src``, ``scripts``
-or ``bench``; tests alone do not keep a name alive.
+or ``bench``, and so does every defaulted parameter of a public
+function; tests alone do not keep a name or a setting alive.
 """
 
 import ast
@@ -89,6 +90,12 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+#: modules whose public names and settings need callers; oracles.py is exempt
+#: because its names are the references the tests compare against
+CALLED_MODULES = sorted(
+    p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "oracles")
+)
+
 #: public names kept without a caller in src/, scripts/ or bench/, each with its reason
 UNCALLED_ALLOWLIST = {
     # acceptance criteria 2 and 6 locate their thresholds with it, until an
@@ -111,18 +118,21 @@ def _public_definitions(tree: ast.Module):
         yield from ((name, node) for name in targets if not name.startswith("_"))
 
 
+def _program_files() -> list[Path]:
+    """The package without its ``__init__`` (re-exporting calls nothing), scripts and bench."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    return files + list((ROOT / "scripts").glob("*.py")) + list((ROOT / "bench").glob("*.py"))
+
+
 @functools.cache
 def _references() -> dict[str, list[tuple[Path, int]]]:
     """Every name, attribute, imported name and exact string in the program, by where it occurs.
 
-    The package's ``__init__`` is left out: re-exporting a name does not
-    call it.  A string counts because the benchmark's tracer names the
-    functions it wraps as strings.
+    A string counts because the benchmark's tracer names the functions it
+    wraps as strings.
     """
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += list((ROOT / "scripts").glob("*.py")) + list((ROOT / "bench").glob("*.py"))
     found = {}
-    for path in files:
+    for path in _program_files():
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name):
                 names = [node.id]
@@ -139,12 +149,8 @@ def _references() -> dict[str, list[tuple[Path, int]]]:
     return found
 
 
-@pytest.mark.parametrize(
-    "module",
-    sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "oracles")),
-)
+@pytest.mark.parametrize("module", CALLED_MODULES)
 def test_every_public_name_has_a_caller(module):
-    # oracles.py is exempt: its names are the references the tests compare against
     path = PACKAGE / f"{module}.py"
     references = _references()
     uncalled = []
@@ -154,3 +160,56 @@ def test_every_public_name_has_a_caller(module):
         if not called and f"{module}.{name}" not in UNCALLED_ALLOWLIST:
             uncalled.append(name)
     assert not uncalled, f"{module}.py names with no caller in src/, scripts/ or bench/: {uncalled}"
+
+
+#: defaulted parameters kept without a caller that sets them, each with its reason
+UNSET_ALLOWLIST = {
+    # the model format takes any architecture (mlp_from_json), and tests
+    # build small networks through these two
+    "mlp.init_mlp(layer_sizes)",
+    "mlp.init_mlp(activations)",
+}
+
+
+@functools.cache
+def _calls() -> dict[str, list[tuple[Path, ast.Call]]]:
+    """Every call in the program, by the last part of the called name."""
+    found = {}
+    for path in _program_files():
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                name = _dotted(node.func).rsplit(".", 1)[-1]
+                if name:
+                    found.setdefault(name, []).append((path, node))
+    return found
+
+
+def _passes(call: ast.Call, param: str, positional: list[str]) -> bool:
+    """Whether ``call`` may set ``param``: by keyword, by position or through ``*``/``**``."""
+    if any(k.arg in (None, param) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return param in positional and len(call.args) > positional.index(param)
+
+
+@pytest.mark.parametrize("module", CALLED_MODULES)
+def test_every_defaulted_parameter_is_set_by_a_caller(module):
+    # a default nothing overrides is a constant: it belongs in the body,
+    # where a test that needs another value reaches it through monkeypatch
+    path = PACKAGE / f"{module}.py"
+    unset = []
+    for node in _tree(path).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        own = range(node.lineno, node.end_lineno + 1)
+        calls = [c for p, c in _calls().get(node.name, []) if not (p == path and c.lineno in own)]
+        for param in defaulted:
+            key = f"{module}.{node.name}({param})"
+            if key not in UNSET_ALLOWLIST and not any(_passes(c, param, positional) for c in calls):
+                unset.append(key)
+    assert not unset, f"defaulted parameters no caller in src/, scripts/ or bench/ sets: {unset}"

@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from qcorrkit import training
 from qcorrkit.dataset import Dataset, build_dataset
 from qcorrkit.exceptions import TrainingFailure
 from qcorrkit.mlp import (
@@ -14,7 +17,6 @@ from qcorrkit.mlp import (
 from qcorrkit.states import StateFamily
 from qcorrkit.training import (
     _MU_FACTOR,
-    TrainConfig,
     lm_train,
     restart_search,
     split_indices,
@@ -48,14 +50,15 @@ class TestSplit:
 
 
 class TestLmTrain:
-    def test_linear_network_recovers_exact_least_squares(self, rng):
+    def test_linear_network_recovers_exact_least_squares(self, rng, monkeypatch):
         # a single linear layer has a constant Jacobian, so each accepted
         # damped step contracts the residual by ~mu; three steps reach the
         # exact solution to below 1e-20 in MSE
         w_true = np.array([0.7, -1.2, 0.4])
         data = synthetic_dataset(rng, n=100, fn=lambda x: x @ w_true + 0.25)
         net = init_mlp(layer_sizes=(3, 1), activations=("linear",), seed=4)
-        report = lm_train(net, data, TrainConfig(grad_tol=0.0, max_epochs=40))
+        monkeypatch.setattr(training, "_GRAD_TOL", 0.0)
+        report = lm_train(net, data, max_epochs=40)
         assert report.mse_history[3] < 1e-20
         assert report.mse_train < 1e-20
 
@@ -64,7 +67,7 @@ class TestLmTrain:
         # theta + Jᵀ (JJᵀ + μI)⁻¹ e with J materialised by network_jacobian
         data = build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=100)
         net = init_mlp(seed=0)
-        report = lm_train(net, data, TrainConfig(max_epochs=1))
+        report = lm_train(net, data, max_epochs=1)
         assert report.epochs == 1
 
         ref = init_mlp(seed=0)
@@ -86,7 +89,7 @@ class TestLmTrain:
     def test_accepted_steps_never_increase_training_mse(self, rng):
         data = synthetic_dataset(rng, n=150, fn=lambda x: np.sin(x[:, 0]) * x[:, 1] ** 2)
         net = init_mlp(layer_sizes=(3, 8, 4, 1), activations=("logsig", "tansig", "linear"), seed=2)
-        report = lm_train(net, data, TrainConfig(max_epochs=60))
+        report = lm_train(net, data, max_epochs=60)
         diffs = np.diff(report.mse_history)
         assert (diffs < 0).all()
 
@@ -97,13 +100,14 @@ class TestLmTrain:
         with pytest.raises(TrainingFailure):
             lm_train(net, data)
 
-    def test_validation_stop_restores_best_weights(self, rng):
+    def test_validation_stop_restores_best_weights(self, rng, monkeypatch):
         # noisy targets force validation to wobble eventually
         data = synthetic_dataset(
             rng, n=90, fn=lambda x: x[:, 0] + 0.05 * rng.normal(size=len(x))
         )
         net = init_mlp(layer_sizes=(3, 12, 1), activations=("tansig", "linear"), seed=6)
-        report = lm_train(net, data, TrainConfig(max_epochs=400, grad_tol=0.0))
+        monkeypatch.setattr(training, "_GRAD_TOL", 0.0)
+        report = lm_train(net, data, max_epochs=400)
         if report.stop_reason == "validation":
             # restored weights must reproduce the reported validation MSE
             tr, va, _ = split_indices(len(data), net.seed)
@@ -121,34 +125,39 @@ class TestLmTrain:
             assert val_mse == pytest.approx(report.mse_val, abs=1e-15)
 
 
+def use_network(monkeypatch, layer_sizes, activations):
+    """Make the restart search draw this small architecture instead of the default."""
+    monkeypatch.setattr(
+        training,
+        "init_mlp",
+        functools.partial(init_mlp, layer_sizes=layer_sizes, activations=activations),
+    )
+
+
 class TestRestartSearch:
-    def test_single_restart_equals_plain_training(self, rng):
+    def test_single_restart_equals_plain_training(self, rng, monkeypatch):
         data = synthetic_dataset(rng, n=100, fn=lambda x: x[:, 0] ** 2)
-        net, report = restart_search(
-            data, restarts=1, seed=42,
-            layer_sizes=(3, 6, 1), activations=("logsig", "linear"),
-        )
+        use_network(monkeypatch, (3, 6, 1), ("logsig", "linear"))
+        net, report = restart_search(data, restarts=1, seed=42)
         child = int(np.random.SeedSequence(42).spawn(1)[0].generate_state(1)[0])
         direct = init_mlp(layer_sizes=(3, 6, 1), activations=("logsig", "linear"), seed=child)
         direct_report = lm_train(direct, data)
         assert report.mse_test == direct_report.mse_test
         np.testing.assert_array_equal(get_params(net), get_params(direct))
 
-    def test_same_seed_is_bit_identical(self, rng):
+    def test_same_seed_is_bit_identical(self, rng, monkeypatch):
         data = synthetic_dataset(rng, n=100, fn=lambda x: np.abs(x[:, 1]))
-        kwargs = dict(layer_sizes=(3, 5, 1), activations=("tansig", "linear"))
-        net_a, rep_a = restart_search(data, restarts=3, seed=5, **kwargs)
-        net_b, rep_b = restart_search(data, restarts=3, seed=5, **kwargs)
+        use_network(monkeypatch, (3, 5, 1), ("tansig", "linear"))
+        net_a, rep_a = restart_search(data, restarts=3, seed=5)
+        net_b, rep_b = restart_search(data, restarts=3, seed=5)
         np.testing.assert_array_equal(get_params(net_a), get_params(net_b))
         assert rep_a == rep_b
 
-    def test_selection_takes_minimum_test_mse(self, rng):
+    def test_selection_takes_minimum_test_mse(self, rng, monkeypatch):
         data = synthetic_dataset(rng, n=100, fn=lambda x: x[:, 0] * x[:, 2])
         restarts = 5
-        _, best = restart_search(
-            data, restarts=restarts, seed=9,
-            layer_sizes=(3, 6, 1), activations=("logsig", "linear"),
-        )
+        use_network(monkeypatch, (3, 6, 1), ("logsig", "linear"))
+        _, best = restart_search(data, restarts=restarts, seed=9)
         seeds = [
             int(s.generate_state(1)[0]) for s in np.random.SeedSequence(9).spawn(restarts)
         ]
