@@ -95,12 +95,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    result = optimal_qmr(
-        _family(args), ChannelParams(args.p, args.eta), args.q, WmrMode(args.mode)
-    )
+    family = _family(args)
+    result = optimal_qmr(family, ChannelParams(args.p, args.eta), args.q, WmrMode(args.mode))
     record = {
         "family": args.family,
-        "param": _family(args).param,
+        "param": family.param,
         "p": args.p,
         "eta": args.eta,
         "q": args.q,
@@ -114,30 +113,8 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _parse_slices(text: str | None) -> dict[str, float] | None:
-    if not text:
-        return None
-    slices = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in ("p", "q", "r", "eta") or not value:
-            raise ValueError(f"bad slice component {part!r} (expected e.g. q=0,r=0)")
-        if key in slices:
-            raise ValueError(f"slice axis {key!r} pinned twice")
-        slices[key] = float(value)
-    return slices
-
-
 def cmd_verify(args) -> int:
-    report = full_verification(
-        grid_points=args.grid_points,
-        upper=args.upper,
-        tol=args.tol,
-        slices=_parse_slices(args.slice),
-        seed=args.seed,
-        samples=args.samples,
-    )
+    report = full_verification(grid_points=args.grid_points, seed=args.seed, samples=args.samples)
     print(report.summary())
     if report.passed:
         print("all checks passed")
@@ -230,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed-form equivalence and invariant suite")
     p.add_argument("--grid-points", type=int, default=5)
-    p.add_argument("--upper", type=float, default=0.95)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--slice", default=None, help="pin grid axes, e.g. q=0,r=0")
     p.add_argument("--seed", type=_seed, default=2024)
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=cmd_verify)

@@ -28,6 +28,13 @@ from .measures import concurrence
 from .oracles import _reference_pipeline_state, wootters_concurrence_oracle
 from .states import StateFamily, make_state
 
+#: every axis of the verification grid runs from 0 to this value
+_UPPER = 0.95
+#: largest deviation the Bell closed-form and reference-composition checks allow
+_TOL = 1e-9
+#: largest deviation the spin-flip eigensolve concurrence check allows
+_DUAL_ROUTE_TOL = 1e-7
+
 
 def bell_concurrence_one_qubit(p, q, r, eta):
     """Closed-form pipeline concurrence, Bell input, WM/QMR on the second qubit.
@@ -144,12 +151,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _axis(grid_points: int, upper: float, fixed: float | None) -> np.ndarray:
-    if fixed is not None:
-        return np.array([fixed])
-    return np.linspace(0.0, upper, grid_points)
-
-
 def _worst(dev: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     """Largest deviation on a grid and the index of the first entry (C order) reaching it.
 
@@ -161,37 +162,31 @@ def _worst(dev: np.ndarray) -> tuple[float, tuple[int, ...] | None]:
     return worst, (None if worst <= 0.0 else np.unravel_index(k, dev.shape))
 
 
-def verify_closed_forms(
-    grid_points: int = 5,
-    upper: float = 0.95,
-    tol: float = 1e-9,
-    slices: dict[str, float] | None = None,
-) -> VerificationReport:
+def verify_closed_forms(grid_points: int) -> VerificationReport:
     """Compare closed forms and reference composition against the pipeline.
 
-    Sweeps a ``grid_points**4`` grid over (p, q, r, eta) in [0, upper]
-    (axes pinned by ``slices`` collapse to a single value).  The Bell
-    closed forms are checked for both measurement placements; the Werner
-    and MEMS families are checked for pipeline/reference self-consistency.
-    Each grid is one stacked evaluation per placement; the reported worst
-    case is the first maximal point in (placement, p, q, r, eta) order.
+    Sweeps a ``grid_points**4`` grid over (p, q, r, eta), each axis
+    ``grid_points`` even steps from 0 to ``_UPPER``.  The Bell closed
+    forms are checked for both measurement placements, to ``_TOL``.  The
+    Werner and MEMS families are checked on a coarser grid (every other
+    axis value from 4 points up): the pipeline state against the
+    Kraus-sum reference composition, to ``_TOL``, and its concurrence
+    against the spin-flip eigensolve of that reference, to
+    ``_DUAL_ROUTE_TOL``.  Each grid is one stacked evaluation per
+    placement; the reported worst case is the first maximal point in
+    (placement, p, q, r, eta) order.
     """
     if grid_points < 1:
         raise ValueError(f"grid_points={grid_points}: need at least 1 point per axis")
-    if not 0.0 <= upper < 1.0:
-        raise ValueError(f"upper={upper} outside [0, 1)")
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol={tol}: need a finite tolerance >= 0")
-    slices = slices or {}
     names = ("p", "q", "r", "eta")
-    axes = [_axis(grid_points, upper, slices.get(name)) for name in names]
+    axis = np.linspace(0.0, _UPPER, grid_points)
 
     def case(values, index) -> dict:
-        return {} if index is None else {n: float(v[i]) for n, v, i in zip(names, values, index)}
+        return {} if index is None else {n: float(values[i]) for n, i in zip(names, index)}
 
     checks = []
     bell = make_state(StateFamily("bell"))
-    p, q, r, eta = np.ix_(*axes)
+    p, q, r, eta = np.ix_(axis, axis, axis, axis)
     ch = ChannelParams(p, eta)
     for mode, fn, name in (
         (WmrMode.ONE_QUBIT, bell_concurrence_one_qubit, "bell closed form, one-qubit WMR"),
@@ -199,12 +194,12 @@ def verify_closed_forms(
     ):
         numeric = concurrence(wmr_pipeline(bell, ch, WmrParams(q, r, mode)).state)
         worst, index = _worst(np.abs(fn(p, q, r, eta) - numeric))
-        checks.append(EquivalenceCheck(name, worst, tol, case(axes, index)))
+        checks.append(EquivalenceCheck(name, worst, _TOL, case(axis, index)))
 
     # coarser grid: the reference route costs full matrix products per point
     sub = slice(None, None, 2) if grid_points >= 4 else slice(None)
-    sub_axes = [axis[sub] for axis in axes]
-    p, q, r, eta = np.ix_(*sub_axes)
+    sub_axis = axis[sub]
+    p, q, r, eta = np.ix_(sub_axis, sub_axis, sub_axis, sub_axis)
     ch = ChannelParams(p, eta)
     modes = (WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT)
     for family in (StateFamily("werner", 0.8), StateFamily("mems", 0.8), StateFamily("mems", 0.5)):
@@ -217,10 +212,10 @@ def verify_closed_forms(
             conc_dev.append(np.abs(wootters_concurrence_oracle(ref) - concurrence(evolved)))
         label = f"{family.kind}({family.param})"
         for what, dev, tolerance in (
-            ("pipeline vs reference composition (state entries)", state_dev, tol),
-            ("concurrence dual route (spin-flip eigensolve oracle)", conc_dev, max(tol, 1e-7)),
+            ("pipeline vs reference composition (state entries)", state_dev, _TOL),
+            ("concurrence dual route (spin-flip eigensolve oracle)", conc_dev, _DUAL_ROUTE_TOL),
         ):
             worst, index = _worst(np.stack(dev))
-            where = {} if index is None else {**case(sub_axes, index[1:]), "mode": modes[index[0]].value}
+            where = {} if index is None else {**case(sub_axis, index[1:]), "mode": modes[index[0]].value}
             checks.append(EquivalenceCheck(f"{label} {what}", worst, tolerance, where))
     return VerificationReport(checks)

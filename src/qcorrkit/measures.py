@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalContractError, UnsupportedStateError
-from .states import is_x_state
+from .states import X_STATE_TOL, is_x_state
 
-X_STATE_TOL = 1e-10
 _CLAMP = 1e-12
 _TINY = 2.2250738585072014e-308  # smallest normal double; stands in for x = 0 under log2
 
@@ -84,7 +83,7 @@ def x_entries(rho: np.ndarray) -> tuple[np.ndarray, ...]:
     herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
     if herm_dev > X_STATE_TOL:
         raise NumericalContractError(f"non-Hermitian input (deviation {herm_dev:.3e})")
-    if not np.all(is_x_state(rho, X_STATE_TOL)):
+    if not np.all(is_x_state(rho)):
         raise UnsupportedStateError("X-state formula fed a non-X state")
     z, w = rho[..., 0, 3], rho[..., 1, 2]
     imag = np.abs(rho[..., [0, 1], [3, 2]].imag).max()

@@ -25,6 +25,9 @@ _X_MASK = np.array(
     dtype=bool,
 )
 
+#: largest modulus an entry off the X pattern may have in an X state
+X_STATE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class StateFamily:
@@ -107,13 +110,13 @@ def make_state(family: StateFamily) -> np.ndarray:
     return nme_state(family.param)
 
 
-def is_x_state(rho: np.ndarray, tol: float = 1e-10) -> bool | np.ndarray:
-    """True iff every entry off the diagonal/anti-diagonal has modulus <= tol.
+def is_x_state(rho: np.ndarray) -> bool | np.ndarray:
+    """True iff every entry off the diagonal/anti-diagonal has modulus <= ``X_STATE_TOL``.
 
     Accepts a stack of states with shape (..., 4, 4) and then returns a
     boolean array, one entry per state.
     """
-    ok = np.abs(np.asarray(rho)[..., ~_X_MASK]).max(axis=-1) <= tol
+    ok = np.abs(np.asarray(rho)[..., ~_X_MASK]).max(axis=-1) <= X_STATE_TOL
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -66,7 +66,7 @@ def _channel_checks(rng: np.random.Generator, samples: int) -> list[EquivalenceC
         piped = wmr_pipeline(rho, ch, WmrParams(0.0, 0.0, mode))
         identity += [np.abs(piped.state - apply_cad(rho, ch)), np.abs(piped.success_probability - 1.0)]
         out = wmr_pipeline(rho, ch, WmrParams(q[chosen], r[chosen], mode))
-        closure.append(~is_x_state(out.state, 1e-10))
+        closure.append(~is_x_state(out.state))
     checks.append(EquivalenceCheck("pipeline with q=r=0 equals bare channel", _largest(*identity), 0.0))
     checks.append(EquivalenceCheck("X-form closure through the pipeline", _largest(*closure), 0.0))
 
@@ -107,17 +107,18 @@ def _discord_oracle_check(rng: np.random.Generator) -> EquivalenceCheck:
     )
 
 
-def full_verification(
-    grid_points: int = 5,
-    upper: float = 0.95,
-    tol: float = 1e-9,
-    slices: dict[str, float] | None = None,
-    seed: int = 2024,
-    samples: int = 200,
-) -> VerificationReport:
+def full_verification(grid_points: int = 5, seed: int = 2024, samples: int = 200) -> VerificationReport:
+    """Run every verify check; each has a fixed tolerance.
+
+    ``grid_points`` sets the points per axis of the closed-form grid
+    (:func:`verify_closed_forms`), ``seed`` the random stream of the
+    channel samples and the discord oracle states, and ``samples`` the
+    number of random states in each channel check.  A ``grid_points``
+    or ``samples`` below 1 raises ``ValueError`` before any work.
+    """
     if samples < 1:
         raise ValueError(f"samples={samples}: need at least 1 random state")
-    report = verify_closed_forms(grid_points=grid_points, upper=upper, tol=tol, slices=slices)
+    report = verify_closed_forms(grid_points)
     rng = np.random.default_rng(seed)
     report.checks.extend(_channel_checks(rng, samples))
     report.checks.append(_discord_oracle_check(rng))

@@ -283,7 +283,7 @@ def test_criterion_6_entanglement_sudden_death():
 
 
 def test_criterion_7_closed_form_equivalence():
-    report = verify_closed_forms(grid_points=5, upper=0.95, tol=1e-9)
+    report = verify_closed_forms(grid_points=5)
     bell_checks = [c for c in report.checks if c.name.startswith("bell")]
     worst = max(c.max_deviation for c in bell_checks)
     ok = all(c.passed for c in bell_checks)

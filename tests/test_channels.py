@@ -268,7 +268,7 @@ class TestPipeline:
                 ChannelParams(float(rng.random()), float(rng.random())),
                 WmrParams(float(rng.random() * 0.99), float(rng.random() * 0.99), mode),
             )
-            assert is_x_state(out.state, 1e-10)
+            assert is_x_state(out.state)
 
     def test_outputs_are_valid_states(self, rng):
         for _ in range(200):

@@ -70,17 +70,14 @@ class TestClosedForms:
 
 class TestVerificationReport:
     def test_default_grid_passes(self):
-        report = verify_closed_forms(grid_points=4, upper=0.9, tol=1e-9)
+        report = verify_closed_forms(grid_points=4)
         assert report.passed, report.summary()
 
-    def test_tolerance_tighter_than_float_fails(self):
-        report = verify_closed_forms(grid_points=3, upper=0.9, tol=1e-17)
+    def test_tolerance_tighter_than_float_fails(self, monkeypatch):
+        monkeypatch.setattr(closed_forms, "_TOL", 1e-17)
+        report = verify_closed_forms(grid_points=3)
         assert not report.passed
         assert any(not c.passed for c in report.checks)
-
-    def test_slices_pin_axes(self):
-        report = verify_closed_forms(grid_points=3, tol=1e-9, slices={"q": 0.0, "r": 0.0})
-        assert report.passed, report.summary()
 
 
 class TestStacks:
@@ -115,8 +112,8 @@ class TestStacks:
     def test_bell_grid_matches_a_per_point_loop(self):
         # the stacked grid reports what a loop over (p, q, r, eta) reports:
         # the same largest deviation, at the first point that reaches it
-        axis = np.linspace(0.0, 0.9, 3)
-        report = verify_closed_forms(grid_points=3, upper=0.9, tol=0.0)
+        axis = np.linspace(0.0, 0.95, 3)
+        report = verify_closed_forms(grid_points=3)
         for check, mode, fn in zip(
             report.checks[:2],
             (WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qcorrkit.oracles import validate_density_matrix
 from qcorrkit.states import (
+    _X_MASK,
     StateFamily,
     bell_state,
     is_x_state,
@@ -89,21 +90,25 @@ class TestConstructors:
 
 class TestPurityAndXForm:
     def test_mems_is_x(self):
-        assert is_x_state(mems_state(0.8), 1e-12)
+        rho = mems_state(0.8)
+        assert is_x_state(rho)
+        assert not rho[~_X_MASK].any()
 
     def test_product_with_plus_is_not_x(self):
         plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         zero = np.diag([1.0, 0.0]).astype(complex)
-        assert not is_x_state(np.kron(plus, zero), 1e-10)
+        assert not is_x_state(np.kron(plus, zero))
 
     def test_random_x_states_valid(self, rng):
         for _ in range(200):
             rho = random_x_state(rng)
             validate_density_matrix(rho)
-            assert is_x_state(rho, 1e-14)
+            assert is_x_state(rho)
+            assert not rho[~_X_MASK].any()
 
     def test_random_density_matrices_valid_and_general(self, rng):
         for _ in range(200):
             rho = random_density_matrix(rng)
             validate_density_matrix(rho)
-            assert not is_x_state(rho, 1e-6)
+            assert not is_x_state(rho)
+            assert np.abs(rho[~_X_MASK]).max() > 1e-6

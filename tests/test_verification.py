@@ -63,10 +63,10 @@ def test_all_nan_channel_output_fails_instead_of_crashing(monkeypatch, capsys):
 
 #: full_verification keyword arguments -> SHA-256 of the report summary text
 SUMMARY_SHA256 = [
-    ({"slices": {"q": 0.0, "r": 0.0}},
-     "e138c217f4fadc8a42338ef13c64bfda1c72f676c2452b4a33ad75ac3459d813"),
-    ({"grid_points": 4, "upper": 0.9},
-     "0a644d0af0b70e5f628acb1dd03cfd56fb6ead5f0317f5bef07ab381309628b8"),
+    ({}, "4cce71d5e481b4fb10ddd5216375063e82be3405ad7f698dc651c2ba5f17c313"),
+    ({"grid_points": 3}, "ed8b40f7947cb63b1b2d1972e0f43857a27b39c53ef46365030b4009b91a4a0c"),
+    ({"grid_points": 4, "seed": 7, "samples": 30},
+     "602e3c508eadf34cb2bc7c1e08e3b33d5c1479601934be89a0b071899536ebd4"),
 ]
 
 
