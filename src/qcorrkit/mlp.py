@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 DEFAULT_LAYER_SIZES = (5, 40, 24, 16, 1)
 DEFAULT_ACTIVATIONS = ("logsig", "tansig", "linear", "linear")
@@ -25,9 +24,18 @@ DEFAULT_ACTIVATIONS = ("logsig", "tansig", "linear", "linear")
 FEATURE_NAMES = ("jsd", "concurrence", "fidelity", "qs", "chi")
 
 
+def _logsig(z: np.ndarray) -> np.ndarray:
+    # scipy.special loads at the first forward pass, not with the module,
+    # since sweep and optimize never run a network; its expit stays because
+    # 1 / (1 + exp(-z)) differs from it by 1 ulp on some inputs
+    from scipy.special import expit
+
+    return expit(z)
+
+
 #: name -> (activation, its derivative expressed through the activation output)
 _ACTIVATIONS = {
-    "logsig": (expit, lambda a: a * (1.0 - a)),
+    "logsig": (_logsig, lambda a: a * (1.0 - a)),
     "tansig": (np.tanh, lambda a: 1.0 - a**2),
     "linear": (lambda z: z, np.ones_like),
 }
@@ -175,8 +183,21 @@ def backprop_factors(
 
 
 def factor_gram(inputs: list[np.ndarray], deltas: list[np.ndarray]) -> np.ndarray:
-    """J Jᵀ from the factors: Σ_l (Δ_l Δ_lᵀ) ∘ (A_l A_lᵀ + 1), shape (n, n)."""
-    return sum((d @ d.T) * (a @ a.T + 1.0) for a, d in zip(inputs, deltas))
+    """J Jᵀ from the factors: Σ_l (Δ_l Δ_lᵀ) ∘ (A_l A_lᵀ + 1), shape (n, n).
+
+    Each term is built in place and summed into the first layer's term;
+    the bytes equal those of the plain ``sum`` over the layers.
+    """
+    gram = None
+    for a, d in zip(inputs, deltas):
+        g = a @ a.T
+        g += 1.0
+        g *= d @ d.T
+        if gram is None:
+            gram = g
+        else:
+            gram += g
+    return gram
 
 
 def factor_jt_vector(

@@ -14,7 +14,6 @@ keeps it that way.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import WmrMode
 from .exceptions import NumericalContractError
@@ -217,6 +216,10 @@ def tdd_measurement_oracle(rho: np.ndarray, n_theta: int = 61, n_phi: int = 48) 
     directions with a two-angle grid followed by local simplex refinement.
     Grid and simplex evaluate the same route on rho's blocks.
     """
+    # imported here, not at module level: scipy.optimize is most of a CLI
+    # start-up, and only this refinement uses it
+    from scipy.optimize import minimize
+
     blocks = _first_qubit_blocks(rho)
     tt, pp = np.meshgrid(
         np.linspace(0.0, np.pi, n_theta),

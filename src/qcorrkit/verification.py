@@ -107,14 +107,16 @@ def _discord_oracle_check(rng: np.random.Generator) -> EquivalenceCheck:
     )
 
 
-def full_verification(grid_points: int = 5, seed: int = 2024, samples: int = 200) -> VerificationReport:
+def full_verification(grid_points: int, seed: int, samples: int) -> VerificationReport:
     """Run every verify check; each has a fixed tolerance.
 
     ``grid_points`` sets the points per axis of the closed-form grid
     (:func:`verify_closed_forms`), ``seed`` the random stream of the
     channel samples and the discord oracle states, and ``samples`` the
     number of random states in each channel check.  A ``grid_points``
-    or ``samples`` below 1 raises ``ValueError`` before any work.
+    or ``samples`` below 1 raises ``ValueError`` before any work.  The
+    defaults live on the ``qcorrkit verify`` flags only, so the command
+    and this function cannot drift apart.
     """
     if samples < 1:
         raise ValueError(f"samples={samples}: need at least 1 random state")

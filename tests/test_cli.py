@@ -1,5 +1,9 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -374,3 +378,51 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(command)[1:])
         except SystemExit as exc:
             pytest.fail(f"README command does not parse (exit {exc.code}): {command}")
+
+
+#: run in a fresh interpreter; prints, after each stage, the scipy modules loaded so far
+_SCIPY_PROBE = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    import qcorrkit, qcorrkit.cli
+    from qcorrkit import mlp, oracles, states
+
+    out = sys.argv[1]
+    loaded = {}
+
+    def stage(name, code=0):
+        assert code == 0, (name, code)
+        loaded[name] = sorted(m for m in sys.modules if m.startswith("scipy"))
+
+    stage("import")
+    main = qcorrkit.cli.main
+    stage("sweep", main(["sweep", "--family", "bell", "--var", "p", "--points", "5", "-o", out]))
+    stage("sweep wm2", main(["sweep", "--family", "mems", "--param", "0.8", "--mode", "wm2",
+                             "--var", "q", "--points", "5", "-o", out]))
+    stage("optimize", main(["optimize", "--family", "bell", "--p", "0.5", "--q", "0.3", "-o", out]))
+    mlp.save_mlp(mlp.init_mlp(seed=1), out)
+    stage("weights", main(["weights", "--model", out, "-o", out]))
+    oracles.tdd_measurement_oracle(states.bell_state())
+    stage("discord oracle")
+    mlp.forward(mlp.init_mlp(seed=1), np.zeros(5))
+    stage("forward")
+    print(json.dumps(loaded))
+""")
+
+
+def test_only_the_oracle_and_the_network_load_scipy(tmp_path):
+    # scipy.optimize and scipy.special are most of a fresh CLI start-up;
+    # sweep, optimize and weights must not pay for them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    for name in ("import", "sweep", "sweep wm2", "optimize", "weights"):
+        assert loaded[name] == [], f"scipy loaded by {name}: {loaded[name]}"
+    assert "scipy.optimize" in loaded["discord oracle"]
+    assert "scipy.special" in loaded["forward"]

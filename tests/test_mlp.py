@@ -163,6 +163,27 @@ class TestFactorRoute:
         assert jtv.shape == (net.n_params(),)
         assert np.abs(jtv - jtv_ref).max() <= 1e-12 * np.abs(jtv_ref).max()
 
+    @pytest.mark.parametrize(
+        "sizes,acts,n",
+        [
+            ((5, 40, 24, 16, 1), ("logsig", "tansig", "linear", "linear"), 70),
+            ((5, 40, 24, 16, 1), ("logsig", "tansig", "linear", "linear"), 350),
+            ((2, 3, 2, 1), ("logsig", "tansig", "linear"), 70),
+            ((3, 1), ("linear",), 70),
+        ],
+    )
+    def test_gram_bytes_equal_the_layer_sum(self, sizes, acts, n):
+        # the in-place Gram must round exactly as the plain sum over the layers,
+        # or every trained model moves; it must also leave the factors alone
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            net = init_mlp(layer_sizes=sizes, activations=acts, seed=seed)
+            _, inputs, deltas = backprop_factors(net, rng.uniform(-1.0, 1.0, size=(n, sizes[0])))
+            kept = [f.copy() for f in inputs + deltas]
+            expected = sum((d @ d.T) * (a @ a.T + 1.0) for a, d in zip(inputs, deltas))
+            assert factor_gram(inputs, deltas).tobytes() == expected.tobytes(), seed
+            assert all(f.tobytes() == k.tobytes() for f, k in zip(inputs + deltas, kept)), seed
+
 
 class TestParamsAndSummary:
     def test_round_trip(self, rng):

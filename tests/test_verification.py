@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from qcorrkit import channels, verification
-from qcorrkit.cli import main
+from qcorrkit.cli import build_parser, main
 from qcorrkit.verification import full_verification
 
 REDUCTION = "eta=0 reduces to uncorrelated damping"
+
+
+def verify_report(**overrides):
+    """``full_verification`` with the arguments ``qcorrkit verify`` passes it.
+
+    The defaults are read from the command's flags, so these tests pin
+    what the command runs; ``overrides`` replace single arguments.
+    """
+    args = vars(build_parser().parse_args(["verify"]))
+    kwargs = {k: args[k] for k in ("grid_points", "seed", "samples")}
+    return full_verification(**{**kwargs, **overrides})
 
 
 def test_wrong_uncorrelated_channel_fails_the_reduction_check(monkeypatch):
@@ -21,7 +32,7 @@ def test_wrong_uncorrelated_channel_fails_the_reduction_check(monkeypatch):
 
     monkeypatch.setattr(channels, "apply_ad_uncorrelated", half_damping)
     monkeypatch.setattr(verification, "apply_ad_uncorrelated", half_damping)
-    report = full_verification(grid_points=1, samples=5)
+    report = verify_report(grid_points=1, samples=5)
     (check,) = [c for c in report.checks if c.name == REDUCTION]
     assert not check.passed
 
@@ -37,7 +48,7 @@ def test_nan_channel_output_fails(monkeypatch):
         return out
 
     monkeypatch.setattr(verification, "apply_cad", nan_coherence)
-    report = full_verification(grid_points=1, samples=5)
+    report = verify_report(grid_points=1, samples=5)
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {
         "channel positivity",
@@ -54,14 +65,14 @@ def test_all_nan_channel_output_fails_instead_of_crashing(monkeypatch, capsys):
     # checks must still report them as failures (exit 3), not crash (exit 1)
     original = channels.apply_ad_uncorrelated
     monkeypatch.setattr(verification, "apply_ad_uncorrelated", lambda rho, p: original(rho, p) * np.nan)
-    report = full_verification(grid_points=1, samples=5)
+    report = verify_report(grid_points=1, samples=5)
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"channel trace preservation", "channel positivity"}
     assert main(["verify", "--grid-points", "1", "--samples", "5"]) == 3
     assert "Eigenvalues did not converge" not in capsys.readouterr().err
 
 
-#: full_verification keyword arguments -> SHA-256 of the report summary text
+#: arguments that differ from the verify command's defaults -> SHA-256 of the report summary text
 SUMMARY_SHA256 = [
     ({}, "4cce71d5e481b4fb10ddd5216375063e82be3405ad7f698dc651c2ba5f17c313"),
     ({"grid_points": 3}, "ed8b40f7947cb63b1b2d1972e0f43857a27b39c53ef46365030b4009b91a4a0c"),
@@ -73,5 +84,5 @@ SUMMARY_SHA256 = [
 @pytest.mark.parametrize("kwargs, digest", SUMMARY_SHA256)
 def test_summary_bytes_are_pinned(kwargs, digest):
     """The report text, deviations and worst cases included, to the byte."""
-    summary = full_verification(**kwargs).summary()
+    summary = verify_report(**kwargs).summary()
     assert hashlib.sha256(summary.encode()).hexdigest() == digest
