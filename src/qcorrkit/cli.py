@@ -88,7 +88,6 @@ def cmd_sweep(args) -> int:
         points=args.points,
         p_fixed=args.p,
         q_fixed=args.q,
-        normalized=args.normalized,
     )
     _write_text(args.output, sweep_csv_text(run_sweep(config)))
     return 0
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--p", type=float, default=0.5, help="fixed damping for q/alpha2 sweeps")
     p.add_argument("--q", type=float, default=0.5, help="fixed measurement strength")
-    p.add_argument("--normalized", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_sweep)
 

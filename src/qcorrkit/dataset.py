@@ -1,14 +1,14 @@
 """Feature/target tables for the discord predictor, projected from a sweep.
 
-A dataset is a column projection of one unnormalized :func:`run_sweep`:
-the five raw measures [jsd, concurrence, fidelity, qs, chi] become the
+A dataset is a column projection of one :func:`run_sweep` table: the
+five raw measures [jsd, concurrence, fidelity, qs, chi] become the
 features, the trace-distance discord the target, and the sweep axis the
-``sweep_value`` column.  Two scenarios map to sweeps: "no_wmr" is a
-damping sweep without protection (p runs over [0, 1]) and "wmr2" a
-measurement-strength sweep with two-qubit protection (p fixed, 0.5 by
-default; q runs over [0, 0.99] with the per-point optimal reversal
-strength).  This module owns only that mapping and the CSV interchange,
-whose header is
+``sweep_value`` column; the normalized columns go unused.  Two
+scenarios map to sweeps: "no_wmr" is a damping sweep without protection
+(p runs over [0, 1]) and "wmr2" a measurement-strength sweep with
+two-qubit protection (p fixed, 0.5 by default; q runs over [0, 0.99]
+with the per-point optimal reversal strength).  This module owns only
+that mapping and the CSV interchange, whose header is
 ``scenario,eta,sweep_var,sweep_value,jsd,concurrence,fidelity,qs,chi,tdd``.
 """
 
@@ -55,12 +55,9 @@ def build_dataset(
     if points < 50:
         raise ValueError("need at least 50 rows")
     if scenario == "no_wmr":
-        config = SweepConfig(family, eta, var="p", points=points, normalized=False)
+        config = SweepConfig(family, eta, var="p", points=points)
     else:
-        config = SweepConfig(
-            family, eta, WmrMode.TWO_QUBIT, var="q", points=points, p_fixed=p_fixed,
-            normalized=False,
-        )
+        config = SweepConfig(family, eta, WmrMode.TWO_QUBIT, var="q", points=points, p_fixed=p_fixed)
     result = run_sweep(config)
     features = np.column_stack([result.column(name) for name in FEATURE_NAMES])
     targets = result.column("tdd")

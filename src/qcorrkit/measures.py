@@ -10,8 +10,11 @@ measure takes one state or a ``(..., 4, 4)`` stack.  The dense 4x4
 routes live on as independent oracles in ``oracles.py``.
 
 :func:`correlation_vector` is the entry point: all six measures, validated
-once.  Only :func:`concurrence` (the optimizer's grid) and
-:func:`trace_distance_discord` (``verify``'s oracle check) stand alone.
+once, as a :class:`CorrelationVector`.  Only :func:`concurrence` (the
+optimizer's grid) and :func:`trace_distance_discord` (``verify``'s oracle
+check) stand alone.  :func:`normalize` rescales each measure by its
+anchors in ``DEFAULT_NORMALIZATION``, one more ``CorrelationVector``,
+of (maximum, classical limit) pairs.
 
 All logarithms are base 2, so entropic quantities are in bits and the
 dense-coding capacity peaks at 2.
@@ -19,7 +22,7 @@ dense-coding capacity peaks at 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +33,12 @@ _CLAMP = 1e-12
 _TINY = 2.2250738585072014e-308  # smallest normal double; stands in for x = 0 under log2
 
 
-@dataclass(frozen=True)
-class CorrelationVector:
-    """The six measures of one state (floats) or of a stack (arrays)."""
+class CorrelationVector(NamedTuple):
+    """The six measures of one state (floats) or of a stack (arrays).
+
+    The field names, in this order, are the measure columns of every
+    sweep table and its CSV.
+    """
 
     chi: float | np.ndarray
     fidelity: float | np.ndarray
@@ -41,31 +47,18 @@ class CorrelationVector:
     tdd: float | np.ndarray
     jsd: float | np.ndarray
 
-    def as_tuple(self):
-        return (self.chi, self.fidelity, self.concurrence, self.qs, self.tdd, self.jsd)
 
-
-@dataclass(frozen=True)
-class NormalizationTable:
-    """Per-measure (maximum, classical limit) anchors.
-
-    Normalized value = (raw - classical) / (maximum - classical), so 1 at
-    the maximum and 0 at the classical limit; negative values are allowed
-    and physically inconsequential.
-    """
-
-    chi: tuple[float, float] = (2.0, 1.0)
-    fidelity: tuple[float, float] = (1.0, 2.0 / 3.0)
-    concurrence: tuple[float, float] = (1.0, 0.0)
-    qs: tuple[float, float] = (6.0, 2.0)
-    tdd: tuple[float, float] = (1.0, 0.0)
-    jsd: tuple[float, float] = (0.56, 0.0)
-
-    def as_tuple(self):
-        return (self.chi, self.fidelity, self.concurrence, self.qs, self.tdd, self.jsd)
-
-
-DEFAULT_NORMALIZATION = NormalizationTable()
+# Per-measure (maximum, classical limit) anchors.  Normalized value =
+# (raw - classical) / (maximum - classical): 1 at the maximum and 0 at the
+# classical limit; negative values are allowed and physically inconsequential.
+DEFAULT_NORMALIZATION = CorrelationVector(
+    chi=(2.0, 1.0),
+    fidelity=(1.0, 2.0 / 3.0),
+    concurrence=(1.0, 0.0),
+    qs=(6.0, 2.0),
+    tdd=(1.0, 0.0),
+    jsd=(0.56, 0.0),
+)
 
 
 def x_entries(rho: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -234,8 +227,7 @@ def normalize(v: CorrelationVector) -> CorrelationVector:
 
     Takes the float fields of one state or the array fields of a stack.
     """
-    anchors = DEFAULT_NORMALIZATION.as_tuple()
     return CorrelationVector(
         *(_scalar((x - classical) / (maximum - classical))
-          for x, (maximum, classical) in zip(v.as_tuple(), anchors))
+          for x, (maximum, classical) in zip(v, DEFAULT_NORMALIZATION))
     )

@@ -2,17 +2,19 @@
 
 A sweep varies one of: the damping strength p, the measurement strength
 q (reversal strength re-optimized at every point), or the initial-state
-parameter alpha^2 of the partially entangled pure family.  Rows carry
-the six raw measures, optionally their normalized forms, and the
-optimal reversal strength and success probability when protection is
-active.  The CSV column layout is stable:
-``sweep_var,value,chi,fidelity,concurrence,qs,tdd,jsd[,n_*...][,r_star,success_prob]``.
+parameter alpha^2 of the partially entangled pure family.  The result
+is one float table, a row per point: the sweep value, the six raw
+measures (the :class:`CorrelationVector` fields), their normalized
+``n_*`` forms, and, when protection is active, the optimal reversal
+strength and success probability.  So the column layout depends only
+on the mode; the CSV writes it as
+``sweep_var,value,chi,fidelity,concurrence,qs,tdd,jsd,n_*...[,r_star,success_prob]``.
 
 An unprotected sweep (mode NONE) is evaluated as one stack: the p axis
 is one channel call with an array p, the alpha^2 axis one channel call
-on a stack of initial states, and all six measures (and their
-normalized forms) come from one :func:`correlation_vector` call on the
-resulting ``(points, 4, 4)`` stack.  The alpha^2 axis builds its
+on a stack of initial states, and all six measures come from one
+:func:`correlation_vector` call on the resulting ``(points, 4, 4)``
+stack, whose columns are the table.  The alpha^2 axis builds its
 initial states with one broadcast :func:`nme_state` call.  Each stacked
 row equals the row of that point evaluated on its own, bit for bit.  A
 protected sweep runs point by point, because :func:`optimal_qmr` takes
@@ -35,7 +37,7 @@ from .measures import CorrelationVector, correlation_vector, normalize
 from .optimize import optimal_qmr
 from .states import StateFamily, make_state, nme_state
 
-MEASURE_COLUMNS = ("chi", "fidelity", "concurrence", "qs", "tdd", "jsd")
+MEASURE_COLUMNS = CorrelationVector._fields
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,6 @@ class SweepConfig:
     points: int = 201
     p_fixed: float = 0.5    # damping used when sweeping q or alpha2
     q_fixed: float = 0.5    # measurement strength when sweeping p or alpha2 under protection
-    normalized: bool = True    # normalized columns use DEFAULT_NORMALIZATION
 
     def __post_init__(self):
         if self.var not in ("p", "q", "alpha2"):
@@ -70,13 +71,14 @@ class SweepConfig:
 
 @dataclass
 class SweepResult:
+    """A sweep as one float table: row i holds point i, column j is ``columns[j]``."""
+
     config: SweepConfig
-    header: list[str]
-    rows: list[list]
+    columns: tuple[str, ...]
+    table: np.ndarray       # (points, len(columns))
 
     def column(self, name: str) -> np.ndarray:
-        i = self.header.index(name)
-        return np.array([row[i] for row in self.rows], dtype=float)
+        return self.table[:, self.columns.index(name)]
 
 
 def _sweep_values(config: SweepConfig) -> np.ndarray:
@@ -84,11 +86,8 @@ def _sweep_values(config: SweepConfig) -> np.ndarray:
     return np.linspace(0.0, upper, config.points)
 
 
-def _measure_fields(vector: CorrelationVector, normalized: bool) -> list:
-    fields = list(vector.as_tuple())
-    if normalized:
-        fields += normalize(vector).as_tuple()
-    return fields
+def _measure_fields(vector: CorrelationVector) -> tuple:
+    return (*vector, *normalize(vector))
 
 
 def _unprotected_states(config: SweepConfig, values: np.ndarray) -> np.ndarray:
@@ -100,15 +99,12 @@ def _unprotected_states(config: SweepConfig, values: np.ndarray) -> np.ndarray:
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every sweep point; rows are fully computed before return."""
-    header = ["sweep_var", "value", *MEASURE_COLUMNS]
-    if config.normalized:
-        header += [f"n_{m}" for m in MEASURE_COLUMNS]
+    columns = ("value", *MEASURE_COLUMNS, *(f"n_{m}" for m in MEASURE_COLUMNS))
     values = _sweep_values(config)
 
     if config.mode is WmrMode.NONE:
         vector = correlation_vector(_unprotected_states(config, values))
-        columns = np.column_stack([values, *_measure_fields(vector, config.normalized)])
-        return SweepResult(config, header, [[config.var, *row] for row in columns.tolist()])
+        return SweepResult(config, columns, np.column_stack([values, *_measure_fields(vector)]))
 
     rows = []
     for value in values.tolist():
@@ -121,9 +117,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             family = StateFamily("nme", value)
         result = optimal_qmr(family, ChannelParams(p, config.eta), q, config.mode)
         vector = correlation_vector(result.state)
-        rows.append([config.var, value, *_measure_fields(vector, config.normalized),
-                     result.r_star, result.success_probability])
-    return SweepResult(config, header + ["r_star", "success_prob"], rows)
+        rows.append([value, *_measure_fields(vector), result.r_star, result.success_probability])
+    return SweepResult(config, (*columns, "r_star", "success_prob"), np.array(rows))
 
 
 def write_sweep_csv(result: SweepResult, fh) -> None:
@@ -135,8 +130,9 @@ def write_sweep_csv(result: SweepResult, fh) -> None:
     sweep variable's name or a float ``repr``) holds a comma, quote, CR
     or LF.
     """
-    lines = [",".join(result.header)]
-    lines += [row[0] + "," + ",".join(map(repr, map(float, row[1:]))) for row in result.rows]
+    var = result.config.var
+    lines = ["sweep_var," + ",".join(result.columns)]
+    lines += [var + "," + ",".join(map(repr, row)) for row in result.table.tolist()]
     fh.write("\r\n".join(lines) + "\r\n")
 
 

@@ -5,7 +5,8 @@ dense linear algebra there would be a regression: eigensolves and
 Kronecker products belong to the reference routes in ``oracles.py``.
 Every public name of the package needs a caller in ``src``, ``scripts``
 or ``bench``, and so does every defaulted parameter of a public
-function; tests alone do not keep a name or a setting alive.
+function and every defaulted field of a public dataclass; tests alone
+do not keep a name or a setting alive.
 """
 
 import ast
@@ -213,3 +214,66 @@ def test_every_defaulted_parameter_is_set_by_a_caller(module):
             if key not in UNSET_ALLOWLIST and not any(_passes(c, param, positional) for c in calls):
                 unset.append(key)
     assert not unset, f"defaulted parameters no caller in src/, scripts/ or bench/ sets: {unset}"
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is a dataclass or a ``NamedTuple``, whose constructor takes its fields."""
+    decorators = [_dotted(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list]
+    bases = [_dotted(b) for b in node.bases]
+    return any(d.rsplit(".", 1)[-1] == "dataclass" for d in decorators) or any(
+        b.rsplit(".", 1)[-1] == "NamedTuple" for b in bases
+    )
+
+
+def _has_default(value: ast.expr | None) -> bool:
+    """Whether a field's right-hand side gives it a default; ``field(...)`` may not."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and _dotted(value.func).rsplit(".", 1)[-1] == "field":
+        return any(k.arg in ("default", "default_factory") for k in value.keywords)
+    return True
+
+
+@functools.cache
+def _assigned_attributes() -> set[str]:
+    """Every attribute name the program assigns to, as in ``x.<name> = ...``."""
+    found = set()
+    for path in _program_files():
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute):
+                        found.add(sub.attr)
+    return found
+
+
+@pytest.mark.parametrize("module", CALLED_MODULES)
+def test_every_defaulted_field_is_set_by_a_caller(module):
+    # a dataclass field is a parameter of its constructor: a default that no
+    # constructor call or attribute assignment overrides is a constant
+    path = PACKAGE / f"{module}.py"
+    unset = []
+    for node in _tree(path).body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_") or not _is_record(node):
+            continue
+        fields = [(f.target.id, f.value) for f in node.body
+                  if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+        positional = [name for name, _ in fields]
+        own = range(node.lineno, node.end_lineno + 1)
+        calls = [c for p, c in _calls().get(node.name, []) if not (p == path and c.lineno in own)]
+        for name, value in fields:
+            key = f"{module}.{node.name}.{name}"
+            if (
+                _has_default(value)
+                and key not in UNSET_ALLOWLIST
+                and name not in _assigned_attributes()
+                and not any(_passes(c, name, positional) for c in calls)
+            ):
+                unset.append(key)
+    assert not unset, f"defaulted dataclass fields no caller in src/, scripts/ or bench/ sets: {unset}"

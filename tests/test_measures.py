@@ -233,7 +233,7 @@ class TestCorrelationVector:
 
     def test_maximally_mixed(self):
         v = correlation_vector(MIXED)
-        assert v.as_tuple() == (
+        assert tuple(v) == (
             pytest.approx(0.0, abs=1e-12),
             pytest.approx(0.5),
             pytest.approx(0.0, abs=1e-12),
@@ -244,7 +244,7 @@ class TestCorrelationVector:
 
     def test_ground_state(self):
         v = correlation_vector(GROUND)
-        assert v.as_tuple() == (
+        assert tuple(v) == (
             pytest.approx(1.0, abs=1e-12),
             pytest.approx(2 / 3),
             pytest.approx(0.0, abs=1e-12),
@@ -266,10 +266,10 @@ class TestNormalization:
     def test_anchor_values(self):
         v = CorrelationVector(chi=2.0, fidelity=1.0, concurrence=1.0, qs=6.0, tdd=1.0, jsd=0.56)
         n = normalize(v)
-        assert all(x == pytest.approx(1.0) for x in n.as_tuple())
+        assert all(x == pytest.approx(1.0) for x in n)
         v = CorrelationVector(chi=1.0, fidelity=2 / 3, concurrence=0.0, qs=2.0, tdd=0.0, jsd=0.0)
         n = normalize(v)
-        assert all(x == pytest.approx(0.0, abs=1e-12) for x in n.as_tuple())
+        assert all(x == pytest.approx(0.0, abs=1e-12) for x in n)
 
     def test_values_below_classical_go_negative(self):
         v = CorrelationVector(chi=0.5, fidelity=0.5, concurrence=0.0, qs=0.0, tdd=0.0, jsd=0.0)
@@ -285,7 +285,7 @@ class TestNormalization:
         va = CorrelationVector(*a)
         vb = CorrelationVector(*b)
         na, nb = normalize(va), normalize(vb)
-        for x, y, nx, ny in zip(a, b, na.as_tuple(), nb.as_tuple()):
+        for x, y, nx, ny in zip(a, b, na, nb):
             if x <= y:
                 assert nx <= ny + 1e-12
 

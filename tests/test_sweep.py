@@ -37,29 +37,23 @@ class TestConfigValidation:
 
 
 class TestRunSweep:
-    def test_header_schema_raw_only(self):
-        result = run_sweep(
-            SweepConfig(family=StateFamily("bell"), points=5, normalized=False)
-        )
-        assert result.header == [
-            "sweep_var", "value", "chi", "fidelity", "concurrence", "qs", "tdd", "jsd",
-        ]
-
     def test_header_schema_full(self):
         result = run_sweep(
             SweepConfig(
                 family=StateFamily("bell"), points=3, mode=WmrMode.TWO_QUBIT, var="q"
             )
         )
-        assert result.header == [
-            "sweep_var", "value", "chi", "fidelity", "concurrence", "qs", "tdd", "jsd",
+        assert result.columns == (
+            "value", "chi", "fidelity", "concurrence", "qs", "tdd", "jsd",
             "n_chi", "n_fidelity", "n_concurrence", "n_qs", "n_tdd", "n_jsd",
             "r_star", "success_prob",
-        ]
+        )
+        assert result.table.shape == (3, 15) and result.table.dtype == float
+        assert sweep_csv_text(result).split("\r\n")[0] == "sweep_var," + ",".join(result.columns)
 
     def test_pristine_endpoint(self):
         result = run_sweep(SweepConfig(family=StateFamily("bell"), points=11))
-        assert result.rows[0][1] == 0.0
+        assert result.column("value")[0] == 0.0
         assert result.column("concurrence")[0] == pytest.approx(1.0)
         assert result.column("chi")[0] == pytest.approx(2.0, abs=1e-9)
         assert result.column("qs")[0] == pytest.approx(6.0, abs=1e-9)
@@ -112,27 +106,27 @@ class TestStackedUnprotectedSweep:
     evaluated on its own through the single-state route."""
 
     @staticmethod
-    def _point_row(family, p, eta, value, var):
+    def _point_row(family, p, eta, value):
         vector = correlation_vector(apply_cad(make_state(family), ChannelParams(p, eta)))
-        return [var, value, *vector.as_tuple(), *normalize(vector).as_tuple()]
+        return [value, *vector, *normalize(vector)]
 
     @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
     @pytest.mark.parametrize("family", STACKED_FAMILIES, ids=lambda f: f"{f.kind}{f.param}")
     def test_p_rows_equal_per_point_rows(self, family, eta):
         result = run_sweep(SweepConfig(family, eta, var="p", points=41))
-        values = [row[1] for row in result.rows]
+        values = result.column("value").tolist()
         assert values[0] == 0.0 and values[-1] == 1.0
-        assert result.rows == [self._point_row(family, p, eta, p, "p") for p in values]
+        assert result.table.tolist() == [self._point_row(family, p, eta, p) for p in values]
 
     @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
     @pytest.mark.parametrize("p_fixed", [0.0, 0.37, 1.0])
     def test_alpha2_rows_equal_per_point_rows(self, p_fixed, eta):
         config = SweepConfig(StateFamily("nme", 0.5), eta, var="alpha2", points=41, p_fixed=p_fixed)
         result = run_sweep(config)
-        values = [row[1] for row in result.rows]
+        values = result.column("value").tolist()
         assert values[0] == 0.0 and values[-1] == 1.0   # the separable endpoints
-        assert result.rows == [
-            self._point_row(StateFamily("nme", a2), p_fixed, eta, a2, "alpha2") for a2 in values
+        assert result.table.tolist() == [
+            self._point_row(StateFamily("nme", a2), p_fixed, eta, a2) for a2 in values
         ]
 
     @pytest.mark.parametrize("var, family", [("p", StateFamily("werner", 0.8)),
@@ -150,7 +144,7 @@ class TestStackedUnprotectedSweep:
         for name in calls:
             monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
         result = run_sweep(SweepConfig(family, 0.4, var=var, points=37))
-        assert len(result.rows) == 37
+        assert len(result.table) == 37
         assert calls == {"apply_cad": 1, "correlation_vector": 1}
 
 
@@ -169,13 +163,14 @@ class TestCsvText:
     @pytest.mark.parametrize("var", CONFIGS)
     def test_text_equals_csv_writer(self, var):
         result = run_sweep(self.CONFIGS[var])
-        width = len(result.header) - 1
-        result.rows += [[var, *(self.SPECIAL[(k + i) % len(self.SPECIAL)] for i in range(width))]
-                        for k in range(len(self.SPECIAL))]
+        width = len(result.columns)
+        special = [[self.SPECIAL[(k + i) % len(self.SPECIAL)] for i in range(width)]
+                   for k in range(len(self.SPECIAL))]
+        result.table = np.vstack([result.table, special])
         expected = io.StringIO()
         writer = csv.writer(expected)
-        writer.writerow(result.header)
-        writer.writerows([[row[0], *map(repr, map(float, row[1:]))] for row in result.rows])
+        writer.writerow(["sweep_var", *result.columns])
+        writer.writerows([[var, *map(repr, row)] for row in result.table.tolist()])
 
         fh = io.StringIO()
         write_sweep_csv(result, fh)
@@ -209,8 +204,12 @@ UNPROTECTED_SWEEP_PINS = {
         "b5e47b6883b0672447d8aa3242e50ec2a3833556501de2a9aab006fe1b589fc4",
     ),
     "mems08-eta1-p-raw": (
-        "--family mems --param 0.8 --eta 1 --var p --points 21 --no-normalized",
+        "--family mems --param 0.8 --eta 1 --var p --points 21",
         "5bc8aedcdb9680e8e084b0ffdbf951cc7ac058795b323fd9ff0e6e10bd486d21",
+    ),
+    "mems08-eta1-p": (
+        "--family mems --param 0.8 --eta 1 --var p --points 21",
+        "2c3c54b3d6439c77759588d2201fd848929ed6d5f74f9a8a49c4bf173e12b0a1",
     ),
     "nme-eta0-alpha2": (
         "--family nme --var alpha2 --eta 0 --p 0.37 --points 11",
@@ -218,21 +217,29 @@ UNPROTECTED_SWEEP_PINS = {
     ),
 }
 ALL_SWEEP_PINS = {**SWEEP_PINS, **UNPROTECTED_SWEEP_PINS}
+#: pins that hash only the first 8 cells of every line (sweep_var, value
+#: and the six raw measures); the raw-only layout they were recorded from
+#: wrote exactly these lines
+RAW_CELL_PINS = {"mems08-eta1-p-raw"}
 
 
 class TestBytePins:
     """SHA-256 of CLI ``sweep -o`` files, values and formatting alike.
     The protected pins hold one-qubit rows and dead-plateau rows (r* = 0,
     C = 0); a round-off change may re-pin them only while the gate below
-    holds.  The unprotected pins hold stacked p and alpha2 sweeps, raw and
-    normalized; the stack reproduces the per-point loop bit for bit, so
-    they do not move."""
+    holds.  The unprotected pins hold stacked p and alpha2 sweeps, whole
+    files and, in ``RAW_CELL_PINS``, the raw-measure cells alone; the stack
+    reproduces the per-point loop bit for bit, so they do not move."""
 
-    @pytest.mark.parametrize("argv, digest", ALL_SWEEP_PINS.values(), ids=ALL_SWEEP_PINS.keys())
-    def test_csv_digest(self, tmp_path, argv, digest):
+    @pytest.mark.parametrize("name", ALL_SWEEP_PINS)
+    def test_csv_digest(self, tmp_path, name):
+        argv, digest = ALL_SWEEP_PINS[name]
         path = tmp_path / "pin.csv"
         assert main(["sweep", *argv.split(), "-o", str(path)]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        data = path.read_bytes()
+        if name in RAW_CELL_PINS:
+            data = b"\r\n".join(b",".join(line.split(b",")[:8]) for line in data.split(b"\r\n"))
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_one_parser_serves_errors_help_and_a_pinned_sweep(self, tmp_path, capsys):
         # main reuses one parser per process: an argparse error or --help
@@ -274,10 +281,7 @@ class TestBytePins:
             r_star = values[header.index("r_star") - 1]
             out = wmr_pipeline(rho0, ch, WmrParams(q, r_star, mode))
             vector = correlation_vector(out.state)
-            expected = [
-                values[0], *vector.as_tuple(), *normalize(vector).as_tuple(),
-                r_star, out.success_probability,
-            ]
+            expected = [values[0], *vector, *normalize(vector), r_star, out.success_probability]
             assert values == expected, row
 
 
