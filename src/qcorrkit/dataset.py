@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import WmrMode
-from .mlp import FEATURE_NAMES
+from .mlp import FEATURE_NAMES, TARGET_NAME
 from .states import StateFamily
 from .sweep import SweepConfig, run_sweep
 
 SCENARIOS = ("no_wmr", "wmr2")
-CSV_HEADER = ["scenario", "eta", "sweep_var", "sweep_value", *FEATURE_NAMES, "tdd"]
+CSV_HEADER = ["scenario", "eta", "sweep_var", "sweep_value", *FEATURE_NAMES, TARGET_NAME]
 
 
 @dataclass
@@ -60,7 +60,7 @@ def build_dataset(
         config = SweepConfig(family, eta, WmrMode.TWO_QUBIT, var="q", points=points, p_fixed=p_fixed)
     result = run_sweep(config)
     features = np.column_stack([result.column(name) for name in FEATURE_NAMES])
-    targets = result.column("tdd")
+    targets = result.column(TARGET_NAME)
     if not (np.isfinite(features).all() and np.isfinite(targets).all()):
         raise ValueError("non-finite measure values in generated dataset")
     return Dataset(features, targets, scenario, eta, config.var, result.column("value"))

@@ -17,11 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .measures import CorrelationVector
+
 DEFAULT_LAYER_SIZES = (5, 40, 24, 16, 1)
 DEFAULT_ACTIVATIONS = ("logsig", "tansig", "linear", "linear")
 
-#: the predictor's inputs, in column order; also the dataset CSV's feature columns
-FEATURE_NAMES = ("jsd", "concurrence", "fidelity", "qs", "chi")
+# each measure field holding its own name, so a renamed field fails here at import
+_NAMES = CorrelationVector(*CorrelationVector._fields)
+
+#: the predictor's inputs, in column order, and its target; also the
+#: dataset CSV's measure columns
+FEATURE_NAMES = (_NAMES.jsd, _NAMES.concurrence, _NAMES.fidelity, _NAMES.qs, _NAMES.chi)
+TARGET_NAME = _NAMES.tdd
 
 
 def _logsig(z: np.ndarray) -> np.ndarray:

@@ -13,6 +13,9 @@ keeps it that way.
 
 from __future__ import annotations
 
+import math
+from operator import itemgetter
+
 import numpy as np
 
 from .channels import WmrMode
@@ -181,6 +184,29 @@ def _first_qubit_blocks(rho: np.ndarray) -> list[list[complex]]:
     return blocks.reshape(4, 3).tolist()
 
 
+def _disturbance(blocks: list[list[complex]], ct, st, cp, sp, sqrt):
+    """The formula of :func:`_dephasing_distance` on cos/sin of theta and phi.
+
+    The arguments are either numpy arrays with ``sqrt=np.sqrt`` or Python
+    floats with ``sqrt=math.sqrt``: each step is one IEEE multiply, add or
+    correctly rounded square root in the order written here, so both give
+    the same bits.
+    """
+    hp, hm = 1.0 + ct, 1.0 - ct
+    k1, k2, k3, k4 = hp * cp, hp * sp, hm * cp, hm * sp
+    parts = []
+    for d, b, c in blocks:
+        parts.append(d.real * st + b.real * k1 - b.imag * k2 - c.real * k3 - c.imag * k4)
+        parts.append(d.imag * st + b.imag * k1 + b.real * k2 - c.imag * k3 + c.real * k4)
+    x00r, x00i, x01r, x01i, x10r, x10i, x11r, x11i = parts
+    frob = (x00r * x00r + x00i * x00i + x01r * x01r + x01i * x01i
+            + x10r * x10r + x10i * x10i + x11r * x11r + x11i * x11i)
+    det_r = x00r * x11r - x00i * x11i - x01r * x10r + x01i * x10i
+    det_i = x00r * x11i + x00i * x11r - x01r * x10i - x01i * x10r
+    # ||2X||_F^2 + 2|det 2X| is four times the radicand, so its root is 2(s1 + s2)
+    return sqrt(frob + 2.0 * sqrt(det_r * det_r + det_i * det_i))
+
+
 def _dephasing_distance(blocks: list[list[complex]], theta, phi) -> float | np.ndarray:
     """Trace norm of rho minus its first-qubit dephasing along (theta, phi).
 
@@ -194,32 +220,109 @@ def _dephasing_distance(blocks: list[list[complex]], theta, phi) -> float | np.n
     """
     ct, st = np.cos(theta), np.sin(theta)
     cp, sp = np.cos(phi), np.sin(phi)
-    hp, hm = 1.0 + ct, 1.0 - ct
-    k1, k2, k3, k4 = hp * cp, hp * sp, hm * cp, hm * sp
-    parts = []
-    for d, b, c in blocks:
-        parts.append(d.real * st + b.real * k1 - b.imag * k2 - c.real * k3 - c.imag * k4)
-        parts.append(d.imag * st + b.imag * k1 + b.real * k2 - c.imag * k3 + c.real * k4)
-    x00r, x00i, x01r, x01i, x10r, x10i, x11r, x11i = parts
-    frob = (x00r * x00r + x00i * x00i + x01r * x01r + x01i * x01i
-            + x10r * x10r + x10i * x10i + x11r * x11r + x11i * x11i)
-    det_r = x00r * x11r - x00i * x11i - x01r * x10r + x01i * x10i
-    det_i = x00r * x11i + x00i * x11r - x01r * x10i - x01i * x10r
-    # ||2X||_F^2 + 2|det 2X| is four times the radicand, so its root is 2(s1 + s2)
-    return np.sqrt(frob + 2.0 * np.sqrt(det_r * det_r + det_i * det_i))[()]
+    return _disturbance(blocks, ct, st, cp, sp, np.sqrt)[()]
+
+
+def _point_distance(blocks: list[list[complex]], theta: float, phi: float) -> float:
+    """:func:`_dephasing_distance` at one angle pair, on Python floats.
+
+    cos and sin run through the same numpy ufuncs as the grid's; the rest
+    is float arithmetic, several times cheaper than numpy scalars and
+    bit-identical to them.
+    """
+    return _disturbance(
+        blocks,
+        float(np.cos(theta)), float(np.sin(theta)),
+        float(np.cos(phi)), float(np.sin(phi)),
+        math.sqrt,
+    )
+
+
+# Nelder-Mead coefficients (reflection, expansion, contraction, shrink),
+# the initial simplex's relative and zero-coordinate steps, and the stop
+# rules of the oracle's refinement
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+_NM_XATOL, _NM_FATOL, _NM_MAXITER = 1e-10, 1e-13, 600
+
+
+def _nelder_mead(f, x0: float, y0: float) -> tuple[tuple[float, float], float, int]:
+    """Minimize f(x, y) by a 2-D Nelder-Mead simplex; (best vertex, min value, evaluations).
+
+    A step-for-step port of scipy 1.17's non-adaptive
+    ``minimize(method="Nelder-Mead")`` with ``xatol``, ``fatol`` and
+    ``maxiter`` set to the ``_NM_*`` constants and no evaluation limit:
+    the same initial simplex, the same vertex formulas in the same
+    operation order, and a stable sort, which is what ``np.argsort`` does
+    on three values (ties included).  On Python floats it gives scipy's
+    bits (``tests/test_oracles.py`` checks this) at a fraction of its
+    bookkeeping.
+    """
+    start = [
+        (x0, y0),
+        ((1 + _NM_NONZDELT) * x0 if x0 != 0 else _NM_ZDELT, y0),
+        (x0, (1 + _NM_NONZDELT) * y0 if y0 != 0 else _NM_ZDELT),
+    ]
+    # (value, vertex) pairs, kept sorted by value
+    sim = sorted(((f(*v), v) for v in start), key=itemgetter(0))
+    nfev = 3
+    for _ in range(1, _NM_MAXITER):
+        (f0, (x0, y0)), (f1, (x1, y1)), (f2, (x2, y2)) = sim
+        if (
+            abs(x1 - x0) <= _NM_XATOL and abs(y1 - y0) <= _NM_XATOL
+            and abs(x2 - x0) <= _NM_XATOL and abs(y2 - y0) <= _NM_XATOL
+            and abs(f0 - f1) <= _NM_FATOL and abs(f0 - f2) <= _NM_FATOL
+        ):
+            break
+        xb, yb = (x0 + x1) / 2, (y0 + y1) / 2
+        xr = ((1 + _NM_RHO) * xb - _NM_RHO * x2, (1 + _NM_RHO) * yb - _NM_RHO * y2)
+        fxr = f(*xr)
+        nfev += 1
+        shrink = False
+        if fxr < f0:
+            xe = ((1 + _NM_RHO * _NM_CHI) * xb - _NM_RHO * _NM_CHI * x2,
+                  (1 + _NM_RHO * _NM_CHI) * yb - _NM_RHO * _NM_CHI * y2)
+            fxe = f(*xe)
+            nfev += 1
+            sim[2] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < f1:
+            sim[2] = (fxr, xr)
+        elif fxr < f2:
+            xc = ((1 + _NM_PSI * _NM_RHO) * xb - _NM_PSI * _NM_RHO * x2,
+                  (1 + _NM_PSI * _NM_RHO) * yb - _NM_PSI * _NM_RHO * y2)
+            fxc = f(*xc)
+            nfev += 1
+            if fxc <= fxr:
+                sim[2] = (fxc, xc)
+            else:
+                shrink = True
+        else:
+            xcc = ((1 - _NM_PSI) * xb + _NM_PSI * x2, (1 - _NM_PSI) * yb + _NM_PSI * y2)
+            fxcc = f(*xcc)
+            nfev += 1
+            if fxcc < f2:
+                sim[2] = (fxcc, xcc)
+            else:
+                shrink = True
+        if shrink:
+            shrunk = ((x0 + _NM_SIGMA * (x - x0), y0 + _NM_SIGMA * (y - y0))
+                      for x, y in ((x1, y1), (x2, y2)))
+            sim[1:] = [(f(*v), v) for v in shrunk]
+            nfev += 2
+        sim.sort(key=itemgetter(0))
+    return sim[0][1], min(v for v, _ in sim), nfev
 
 
 def tdd_measurement_oracle(rho: np.ndarray, n_theta: int = 61, n_phi: int = 48) -> float:
     """Discord as the minimal disturbance by a first-qubit projective measurement.
 
     Minimizes ||rho - Pi(rho)||_1 over all Bloch-sphere measurement
-    directions with a two-angle grid followed by local simplex refinement.
-    Grid and simplex evaluate the same route on rho's blocks.
+    directions with a two-angle grid followed by a local Nelder-Mead
+    refinement from the grid's best angle pair, and keeps the smaller of
+    the two minima.  Grid and simplex evaluate the same formula on rho's
+    blocks; the simplex is :func:`_nelder_mead`, scipy's algorithm ported
+    bit for bit onto Python floats, so no scipy module loads.
     """
-    # imported here, not at module level: scipy.optimize is most of a CLI
-    # start-up, and only this refinement uses it
-    from scipy.optimize import minimize
-
     blocks = _first_qubit_blocks(rho)
     tt, pp = np.meshgrid(
         np.linspace(0.0, np.pi, n_theta),
@@ -228,13 +331,10 @@ def tdd_measurement_oracle(rho: np.ndarray, n_theta: int = 61, n_phi: int = 48) 
     )
     vals = _dephasing_distance(blocks, tt.ravel(), pp.ravel())
     i = int(vals.argmin())
-    res = minimize(
-        lambda a: _dephasing_distance(blocks, a[0], a[1]),
-        (tt.flat[i], pp.flat[i]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600},
+    _, fun, _ = _nelder_mead(
+        lambda theta, phi: _point_distance(blocks, theta, phi), float(tt.flat[i]), float(pp.flat[i])
     )
-    return float(min(vals[i], res.fun))
+    return float(min(vals[i], fun))
 
 
 def dense_coding_oracle(rho: np.ndarray) -> float:

@@ -404,15 +404,17 @@ _SCIPY_PROBE = textwrap.dedent("""
     stage("weights", main(["weights", "--model", out, "-o", out]))
     oracles.tdd_measurement_oracle(states.bell_state())
     stage("discord oracle")
+    stage("verify", main(["verify", "--grid-points", "2", "--samples", "10"]))
     mlp.forward(mlp.init_mlp(seed=1), np.zeros(5))
     stage("forward")
     print(json.dumps(loaded))
 """)
 
 
-def test_only_the_oracle_and_the_network_load_scipy(tmp_path):
-    # scipy.optimize and scipy.special are most of a fresh CLI start-up;
-    # sweep, optimize and weights must not pay for them
+def test_only_the_network_loads_scipy(tmp_path):
+    # scipy.special is most of a fresh CLI start-up; sweep, optimize,
+    # weights, the discord oracle and verify must not pay for it, and
+    # nothing loads scipy.optimize
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
@@ -422,7 +424,7 @@ def test_only_the_oracle_and_the_network_load_scipy(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
-    for name in ("import", "sweep", "sweep wm2", "optimize", "weights"):
+    for name in ("import", "sweep", "sweep wm2", "optimize", "weights", "discord oracle", "verify"):
         assert loaded[name] == [], f"scipy loaded by {name}: {loaded[name]}"
-    assert "scipy.optimize" in loaded["discord oracle"]
     assert "scipy.special" in loaded["forward"]
+    assert "scipy.optimize" not in loaded["forward"]

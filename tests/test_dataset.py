@@ -51,7 +51,9 @@ class TestCsvRoundTrip:
         path = tmp_path / "rows.csv"
         write_dataset_csv(path, data)
         header = path.read_text().splitlines()[0]
-        assert header == ",".join(CSV_HEADER)
+        # the measure names come from the CorrelationVector fields; the
+        # header stays the documented one
+        assert header == "scenario,eta,sweep_var,sweep_value,jsd,concurrence,fidelity,qs,chi,tdd"
         back = read_dataset_csv(path)
         np.testing.assert_array_equal(back.features, data.features)
         np.testing.assert_array_equal(back.targets, data.targets)

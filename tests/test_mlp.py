@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from qcorrkit.measures import CorrelationVector
 from qcorrkit.mlp import (
+    FEATURE_NAMES,
+    TARGET_NAME,
     backprop_factors,
     factor_gram,
     factor_jt_vector,
@@ -203,6 +206,10 @@ class TestParamsAndSummary:
         for name, mean, std in summary:
             assert mean == pytest.approx(0.5) and std == 0.0
         assert [s[0] for s in summary] == ["jsd", "concurrence", "fidelity", "qs", "chi"]
+
+    def test_features_and_target_are_the_measure_fields(self):
+        # the five inputs and the target together are the six measures, each once
+        assert sorted((*FEATURE_NAMES, TARGET_NAME)) == sorted(CorrelationVector._fields)
 
     def test_symmetric_weights_mean_near_zero(self, rng):
         net = init_mlp(seed=0)

@@ -1,5 +1,7 @@
 """Cross-validation of analytic measures against their brute-force oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from qcorrkit.measures import concurrence, correlation_vector, trace_distance_di
 from qcorrkit.oracles import (
     _dephasing_distance,
     _first_qubit_blocks,
+    _nelder_mead,
+    _point_distance,
     dense_coding_oracle,
     fully_entangled_fraction_oracle,
     hermitian_eigenvalues,
@@ -86,10 +90,73 @@ class TestTddOracle:
                 assert batched.shape == tt.shape
                 scalar = [_dephasing_distance(blocks, t, p) for t, p in zip(tt.flat, pp.flat)]
                 np.testing.assert_array_equal(batched.ravel(), scalar)
+                # the simplex's route: Python float angles in, a Python float out
+                floats = [_point_distance(blocks, float(t), float(p)) for t, p in zip(tt.flat, pp.flat)]
+                assert all(type(f) is float for f in floats)
+                np.testing.assert_array_equal(batched.ravel(), floats)
 
     def test_default_grid_is_61_by_48(self, rng):
         for rho in (random_x_state(rng), random_density_matrix(rng), mems_state(0.8)):
             assert tdd_measurement_oracle(rho) == tdd_measurement_oracle(rho, 61, 48)
+
+    def test_pinned_values(self):
+        # the oracle's bits, as the scipy refinement it replaced gave them
+        rho = np.diag([0.45, 0.3, 0.15, 0.1]).astype(complex)
+        rho[0, 3] = rho[3, 0] = 0.12
+        rho[1, 2] = rho[2, 1] = 0.05
+        for state, pinned in (
+            (bell_state(), "0x1.ffffffffffffcp-1"),
+            (werner_state(0.8), "0x1.9999999999996p-1"),
+            (mems_state(0.3), "0x1.3333333333332p-2"),
+            (rho, "0x1.2e320ca07dbfap-2"),
+        ):
+            assert tdd_measurement_oracle(state).hex() == pinned
+
+
+class TestSimplexPort:
+    def test_matches_scipy_nelder_mead_bit_for_bit(self):
+        # the port must retrace scipy's simplex, with the options the oracle
+        # passed it, exactly: same best vertex, same minimum and same number
+        # of evaluations, from the oracle's own grid start.  Bell ties in every direction, and the random draws
+        # include starts at theta = 0 and at phi = 0, where the initial
+        # simplex takes its zero-coordinate step.
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(0)
+        states = [random_x_state(rng) for _ in range(60)] + [random_density_matrix(rng) for _ in range(60)]
+        states += [bell_state(), werner_state(0.8), mems_state(0.8), mems_state(0.3)]
+        tt, pp = np.meshgrid(
+            np.linspace(0.0, np.pi, 61),
+            np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False),
+            indexing="ij",
+        )
+        starts = []
+        for rho in states:
+            blocks = _first_qubit_blocks(rho)
+            i = int(_dephasing_distance(blocks, tt.ravel(), pp.ravel()).argmin())
+            x0 = (tt.flat[i], pp.flat[i])
+            starts.append(x0)
+            ref = minimize(
+                lambda a: _dephasing_distance(blocks, a[0], a[1]),
+                x0,
+                method="Nelder-Mead",
+                options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 600},
+            )
+            x, fun, nfev = _nelder_mead(
+                lambda theta, phi: _point_distance(blocks, theta, phi), float(x0[0]), float(x0[1])
+            )
+            assert x == tuple(ref.x)
+            assert fun == ref.fun
+            assert nfev == ref.nfev
+        assert sum(t == 0.0 for t, _ in starts) >= 5
+        assert sum(t != 0.0 and p == 0.0 for t, p in starts) >= 5
+
+    def test_sort_is_stable_like_argsort_on_three_values(self):
+        # the port sorts its vertices with sorted(); scipy uses np.argsort,
+        # which must agree on every weak ordering of three values
+        for values in itertools.product((0.0, 1.0, 2.0), repeat=3):
+            stable = sorted(range(3), key=values.__getitem__)
+            assert list(np.argsort(np.array(values))) == stable
 
 
 def kron_eigensolve_distance(rho, theta, phi):
