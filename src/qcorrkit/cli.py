@@ -26,7 +26,7 @@ import numpy as np
 from .channels import ChannelParams, WmrMode
 from .dataset import build_dataset, read_dataset_csv, write_dataset_csv
 from .exceptions import NumericalContractError, TrainingFailure
-from .mlp import forward, load_mlp, save_mlp, weight_summary_csv
+from .mlp import TARGET_NAME, forward, load_mlp, save_mlp, weight_summary_csv
 from .optimize import optimal_qmr
 from .states import StateFamily
 from .sweep import SweepConfig, run_sweep, sweep_csv_text
@@ -155,7 +155,7 @@ def cmd_predict(args) -> int:
         raise NumericalContractError(f"prediction MSE is not finite ({mse})")
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["sweep_var", "sweep_value", "tdd", "tdd_predicted"])
+    writer.writerow(["sweep_var", "sweep_value", TARGET_NAME, f"{TARGET_NAME}_predicted"])
     for i in range(len(data)):
         writer.writerow(
             [

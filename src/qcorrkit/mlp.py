@@ -4,7 +4,7 @@ The architecture used throughout is 5-40-24-16-1 with a log-sigmoid
 first hidden layer, a tangent-sigmoid second, and linear third hidden
 and output layers.  Inputs are min-max scaled to [-1, 1] with anchors
 stored on the model; the target is left unscaled.  Weights live in
-plain arrays so the trainer can flatten and restore them freely, and
+plain arrays, which the trainer reads as views into one flat vector, and
 the whole model round-trips through a self-describing JSON document.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,12 +32,11 @@ TARGET_NAME = _NAMES.tdd
 
 
 def _logsig(z: np.ndarray) -> np.ndarray:
-    # scipy.special loads at the first forward pass, not with the module,
-    # since sweep and optimize never run a network; its expit stays because
-    # 1 / (1 + exp(-z)) differs from it by 1 ulp on some inputs
-    from scipy.special import expit
-
-    return expit(z)
+    # exp overflows to inf for z below about -709, and 1 / inf is the
+    # sigmoid's limit 0; numpy's exp is not libm's, so this is within
+    # 4 ulp of scipy's expit, not equal to it (docs/decisions.md section 5)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 #: name -> (activation, its derivative expressed through the activation output)
@@ -122,12 +121,23 @@ def set_input_scaling(net: Mlp, features: np.ndarray) -> None:
     net.input_max = hi
 
 
+def layer_outputs(net: Mlp, scaled: np.ndarray) -> list[np.ndarray]:
+    """The forward pass, keeping every layer's output.
+
+    Returns [A_0, A_1, ..., A_L]: A_0 is the scaled rows, shape
+    (n, n_in), and A_l for l > 0 the output of weight layer l - 1, so
+    A_l is also the input of weight layer l.  This is the one layer loop;
+    :func:`forward_scaled` and the trainer both run it.
+    """
+    outputs = [np.atleast_2d(scaled)]
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        outputs.append(_ACTIVATIONS[act][0](outputs[-1] @ w.T + b))
+    return outputs
+
+
 def forward_scaled(net: Mlp, scaled: np.ndarray) -> np.ndarray:
     """Propagate already-scaled rows; returns shape (n,) outputs."""
-    a = np.atleast_2d(scaled)
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        a = _ACTIVATIONS[act][0](a @ w.T + b)
-    return a[:, 0]
+    return layer_outputs(net, scaled)[-1][:, 0]
 
 
 def forward(net: Mlp, features: np.ndarray) -> float | np.ndarray:
@@ -149,44 +159,44 @@ def get_params(net: Mlp) -> np.ndarray:
     )
 
 
-def set_params(net: Mlp, vec: np.ndarray) -> None:
-    pos = 0
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        net.weights[i] = vec[pos : pos + w.size].reshape(w.shape).copy()
+def param_view(net: Mlp, vec: np.ndarray) -> Mlp:
+    """``net`` with weights and biases that are views into ``vec``.
+
+    ``vec`` is in :func:`get_params` order.  Nothing is copied, so the
+    trainer can score a candidate vector without writing it into a net.
+    """
+    weights, biases, pos = [], [], 0
+    for w, b in zip(net.weights, net.biases):
+        weights.append(vec[pos : pos + w.size].reshape(w.shape))
         pos += w.size
-        net.biases[i] = vec[pos : pos + b.size].copy()
+        biases.append(vec[pos : pos + b.size])
         pos += b.size
     if pos != vec.size:
         raise ValueError(f"parameter vector size {vec.size}, expected {pos}")
+    return replace(net, weights=weights, biases=biases)
 
 
-def backprop_factors(
-    net: Mlp, scaled: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """One forward and one backward pass, kept in per-layer factors.
+def set_params(net: Mlp, vec: np.ndarray) -> None:
+    view = param_view(net, vec)
+    net.weights[:] = [w.copy() for w in view.weights]
+    net.biases[:] = [b.copy() for b in view.biases]
 
-    Returns (predictions, inputs, deltas): for weight layer l, inputs[l]
-    is its input activation A_l, shape (n, n_in), and deltas[l] is
-    Δ_l = d output / d (layer-l preactivation), shape (n, n_out).  Row i
-    of the Jacobian is, layer by layer, the outer product Δ_l[i] A_l[i]
-    (weights, row-major) followed by Δ_l[i] (biases), so
+
+def layer_deltas(net: Mlp, outputs: list[np.ndarray]) -> list[np.ndarray]:
+    """The backward half of backpropagation, from :func:`layer_outputs`.
+
+    Returns, per weight layer l, Δ_l = d output / d (layer-l
+    preactivation), shape (n, n_out).  With A_l = outputs[l] the layer's
+    input, row i of the Jacobian is, layer by layer, the outer product
+    Δ_l[i] A_l[i] (weights, row-major) followed by Δ_l[i] (biases), so
     :func:`factor_gram` and :func:`factor_jt_vector` need no Jacobian.
     """
-    a = np.atleast_2d(scaled)
-    inputs = []
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        inputs.append(a)
-        a = _ACTIVATIONS[act][0](a @ w.T + b)
     derivative = [_ACTIVATIONS[act][1] for act in net.activations]
-
-    deltas = []
-    delta = derivative[-1](a)
-    for layer in range(len(net.weights) - 1, -1, -1):
-        deltas.append(delta)
-        if layer > 0:
-            delta = (delta @ net.weights[layer]) * derivative[layer - 1](inputs[layer])
+    deltas = [derivative[-1](outputs[-1])]
+    for layer in range(len(net.weights) - 1, 0, -1):
+        deltas.append((deltas[-1] @ net.weights[layer]) * derivative[layer - 1](outputs[layer]))
     deltas.reverse()
-    return a[:, 0], inputs, deltas
+    return deltas
 
 
 def factor_gram(inputs: list[np.ndarray], deltas: list[np.ndarray]) -> np.ndarray:
@@ -224,7 +234,7 @@ def network_jacobian(net: Mlp, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Reverse-mode accumulation over the batch.  Returns (predictions,
     jacobian) with shapes (n,) and (n, n_params); the column order
     matches :func:`get_params`.  Training never builds this matrix (it
-    works from :func:`backprop_factors`); it is kept as the independent
+    works from :func:`layer_deltas`); it is kept as the independent
     oracle the factor route is tested against.
     """
     a = np.atleast_2d(scaled)

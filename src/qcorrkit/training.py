@@ -1,9 +1,10 @@
 """Damped Gauss-Newton (Levenberg-Marquardt) training with restarts.
 
-Each epoch runs one forward and one backward pass over the training
-rows and keeps, per weight layer l, its input activations A_l and output
-deltas Δ_l.  The Jacobian J of the outputs is never built: the n×n
-matrix JJᵀ = Σ_l (Δ_lΔ_lᵀ)∘(A_lA_lᵀ + 1) gives the damped system
+Each epoch runs one backward pass over the training rows, on the
+forward pass that scored its weights when they were accepted, and keeps,
+per weight layer l, its input activations A_l and output deltas Δ_l.
+The Jacobian J of the outputs is never built: the n×n matrix
+JJᵀ = Σ_l (Δ_lΔ_lᵀ)∘(A_lA_lᵀ + 1) gives the damped system
 (JJᵀ + μI)·v = e, and Jᵀv (the gradient, and the step) is taken layer by
 layer from the same factors (``docs/decisions.md`` section 3).  A step
 is accepted only if the training MSE drops; rejected steps raise the
@@ -26,12 +27,14 @@ from .dataset import Dataset
 from .exceptions import TrainingFailure
 from .mlp import (
     Mlp,
-    backprop_factors,
     factor_gram,
     factor_jt_vector,
     forward_scaled,
     get_params,
     init_mlp,
+    layer_deltas,
+    layer_outputs,
+    param_view,
     scale_inputs,
     set_input_scaling,
     set_params,
@@ -71,9 +74,9 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
-def _mse(net: Mlp, scaled: np.ndarray, targets: np.ndarray) -> float:
+def _mse(pred: np.ndarray, targets: np.ndarray) -> float:
     # an overflow shows up as an infinite loss, which the callers handle
-    err = targets - forward_scaled(net, scaled)
+    err = targets - pred
     with np.errstate(over="ignore"):
         return float(np.mean(err**2))
 
@@ -101,43 +104,51 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
 
     n = len(x_train)
     mu = _MU0
-    mse = _mse(net, x_train, y_train)
+    # the weights are the flat vector theta, read by views; they are
+    # written back into the net once, after the last epoch
+    theta = get_params(net)
+    current = param_view(net, theta)
+    outputs = layer_outputs(current, x_train)
+    mse = _mse(outputs[-1][:, 0], y_train)
     if not np.isfinite(mse):
         raise TrainingFailure("initial training loss is not finite")
     history = [mse]
 
-    best_val = _mse(net, x_val, y_val)
-    best_val_params = get_params(net)
+    best_val = _mse(forward_scaled(current, x_val), y_val)
+    best_val_params = theta
     val_fails = 0
     epochs = 0
     stop_reason = "epoch_limit"
 
-    eye = np.eye(n)
     while epochs < max_epochs:
-        pred, inputs, deltas = backprop_factors(net, x_train)
-        err = y_train - pred
+        # the forward pass is the one that scored this theta
+        inputs = outputs[:-1]
+        deltas = layer_deltas(current, outputs)
+        err = y_train - outputs[-1][:, 0]
         grad = 2.0 / n * factor_jt_vector(inputs, deltas, err)
         if np.abs(grad).max() < _GRAD_TOL:
             stop_reason = "gradient"
             break
 
-        theta = get_params(net)
         jjt = factor_gram(inputs, deltas)
         accepted = False
         while mu <= _MU_MAX:
+            damped = jjt.copy()
+            damped.flat[:: n + 1] += mu  # JJᵀ + μI
             try:
-                v = np.linalg.solve(jjt + mu * eye, err)
+                v = np.linalg.solve(damped, err)
             except np.linalg.LinAlgError:
                 mu *= _MU_FACTOR
                 continue
-            set_params(net, theta + factor_jt_vector(inputs, deltas, v))
-            candidate = _mse(net, x_train, y_train)
+            step = theta + factor_jt_vector(inputs, deltas, v)
+            trial = param_view(net, step)
+            trial_outputs = layer_outputs(trial, x_train)
+            candidate = _mse(trial_outputs[-1][:, 0], y_train)
             if np.isfinite(candidate) and candidate < mse:
-                mse = candidate
+                theta, current, outputs, mse = step, trial, trial_outputs, candidate
                 mu = max(mu / _MU_FACTOR, _MU_MIN)
                 accepted = True
                 break
-            set_params(net, theta)
             mu *= _MU_FACTOR
         if not accepted:
             stop_reason = "mu_overflow"
@@ -146,22 +157,23 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
         epochs += 1
         history.append(mse)
 
-        val_mse = _mse(net, x_val, y_val)
+        val_mse = _mse(forward_scaled(current, x_val), y_val)
         if val_mse < best_val:
             best_val = val_mse
-            best_val_params = get_params(net)
+            best_val_params = theta
             val_fails = 0
         else:
             val_fails += 1
             if val_fails >= _MAX_VAL_FAILS:
                 stop_reason = "validation"
-                set_params(net, best_val_params)
+                theta = best_val_params
                 break
 
+    set_params(net, theta)
     return TrainReport(
-        mse_train=_mse(net, x_train, y_train),
-        mse_val=_mse(net, x_val, y_val),
-        mse_test=_mse(net, scaled[idx_test], data.targets[idx_test]),
+        mse_train=_mse(forward_scaled(net, x_train), y_train),
+        mse_val=_mse(forward_scaled(net, x_val), y_val),
+        mse_test=_mse(forward_scaled(net, scaled[idx_test]), data.targets[idx_test]),
         epochs=epochs,
         mu_final=mu,
         stop_reason=stop_reason,

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,11 @@ def closed_form_optimum(sigma: np.ndarray, mode: WmrMode) -> float:
     if mode is WmrMode.TWO_QUBIT:
         return k * u / (s11 * u * u + (s22 + s33) * u + s44)
     return k * np.sqrt(u) / ((s11 + s33) * u + s22 + s44)
+
+
+def readme_commands() -> list[str]:
+    """The ``qcorrkit`` commands of README's "Command line" block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("qcorrkit ")]

@@ -15,6 +15,8 @@ from qcorrkit.dataset import CSV_HEADER, build_dataset, write_dataset_csv
 from qcorrkit.mlp import init_mlp, save_mlp
 from qcorrkit.states import StateFamily
 
+from conftest import readme_commands
+
 
 class TestSweepCommand:
     def test_writes_csv_with_stable_header(self, tmp_path):
@@ -360,17 +362,9 @@ class TestExitCodeContract:
         assert captured.out == "" and not out.exists()
 
 
-def _readme_commands() -> list[str]:
-    """The ``qcorrkit`` commands of README's "Command line" block, continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
-    return [line for line in lines if line.startswith("qcorrkit ")]
-
-
 def test_readme_commands_parse():
     # parsed only, not run: a flag the docs name after it is gone fails here
-    commands = _readme_commands()
+    commands = readme_commands()
     assert len(commands) >= 8
     parser = build_parser()
     for command in commands:
@@ -388,6 +382,7 @@ _SCIPY_PROBE = textwrap.dedent("""
     from qcorrkit import mlp, oracles, states
 
     out = sys.argv[1]
+    model, data = out + ".model.json", out + ".data.csv"
     loaded = {}
 
     def stage(name, code=0):
@@ -407,14 +402,16 @@ _SCIPY_PROBE = textwrap.dedent("""
     stage("verify", main(["verify", "--grid-points", "2", "--samples", "10"]))
     mlp.forward(mlp.init_mlp(seed=1), np.zeros(5))
     stage("forward")
+    stage("train", main(["train", "--rows", "50", "--restarts", "1", "--max-epochs", "3",
+                         "--model-out", model, "--dataset-out", data]))
+    stage("predict", main(["predict", "--model", model, "--data", data, "-o", out]))
     print(json.dumps(loaded))
 """)
 
 
-def test_only_the_network_loads_scipy(tmp_path):
-    # scipy.special is most of a fresh CLI start-up; sweep, optimize,
-    # weights, the discord oracle and verify must not pay for it, and
-    # nothing loads scipy.optimize
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is a test dependency only: no command, the network or the
+    # discord oracle may load any of it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
@@ -424,7 +421,8 @@ def test_only_the_network_loads_scipy(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
-    for name in ("import", "sweep", "sweep wm2", "optimize", "weights", "discord oracle", "verify"):
+    stages = ("import", "sweep", "sweep wm2", "optimize", "weights", "discord oracle", "verify",
+              "forward", "train", "predict")
+    assert list(loaded) == list(stages)
+    for name in stages:
         assert loaded[name] == [], f"scipy loaded by {name}: {loaded[name]}"
-    assert "scipy.special" in loaded["forward"]
-    assert "scipy.optimize" not in loaded["forward"]

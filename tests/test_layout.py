@@ -5,15 +5,22 @@ dense linear algebra there would be a regression: eigensolves and
 Kronecker products belong to the reference routes in ``oracles.py``.
 Every public name of the package needs a caller in ``src``, ``scripts``
 or ``bench``, and so does every defaulted parameter of a public
-function and every defaulted field of a public dataclass; tests alone
-do not keep a name or a setting alive.
+function, every defaulted field of a public dataclass and every CLI
+flag; tests alone do not keep a name or a setting alive.  No module
+imports scipy, which only the tests use.
 """
 
+import argparse
 import ast
 import functools
+import shlex
 from pathlib import Path
 
 import pytest
+
+from qcorrkit.cli import build_parser
+
+from conftest import readme_commands
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qcorrkit"
@@ -51,6 +58,21 @@ def test_x_state_path_has_no_eigensolve_or_kron(module):
             found += [f"line {node.lineno}: import {a.name}" for a in node.names
                       if _dense(f"{node.module}.{a.name}")]
     assert not found, f"{module}.py uses dense linear algebra: {found}"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_scipy(module):
+    # scipy is a test dependency; the package runs on numpy alone
+    found = []
+    for node in ast.walk(_tree(PACKAGE / f"{module}.py")):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert not found, f"{module}.py imports scipy: {found}"
 
 
 @pytest.mark.parametrize("module", ["sweep", "dataset"])
@@ -277,3 +299,43 @@ def test_every_defaulted_field_is_set_by_a_caller(module):
             ):
                 unset.append(key)
     assert not unset, f"defaulted dataclass fields no caller in src/, scripts/ or bench/ sets: {unset}"
+
+
+def _argv_lists() -> list[list[str]]:
+    """The ``qcorrkit`` argv lists of ``scripts/``, ``bench/jobs.py`` and README's commands.
+
+    In a program file, an argv is a list display whose first item is the
+    name of a subcommand; its string items are the words it passes.
+    """
+    commands = set(_subparsers().choices)
+    found = [shlex.split(line)[1:] for line in readme_commands()]
+    for path in sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "bench" / "jobs.py"]:
+        for node in ast.walk(_tree(path)):
+            if (
+                isinstance(node, ast.List)
+                and node.elts
+                and isinstance(node.elts[0], ast.Constant)
+                and node.elts[0].value in commands
+            ):
+                found.append([e.value for e in node.elts
+                              if isinstance(e, ast.Constant) and isinstance(e.value, str)])
+    return found
+
+
+def _subparsers() -> argparse._SubParsersAction:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_every_cli_flag_has_a_user():
+    # the defaulted-parameter guard counts a command forwarding args.x as a
+    # caller, so a flag only tests pass would keep its setting alive there
+    passed = {}
+    for argv in _argv_lists():
+        passed.setdefault(argv[0], set()).update(argv[1:])
+    unused = []
+    for command, sub in _subparsers().choices.items():
+        for action in sub._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                if not passed.get(command, set()) & set(action.option_strings):
+                    unused.append(f"{command} {max(action.option_strings, key=len)}")
+    assert not unused, f"CLI flags no script, bench job or README command passes: {unused}"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,19 @@ from qcorrkit.measures import CorrelationVector
 from qcorrkit.mlp import (
     FEATURE_NAMES,
     TARGET_NAME,
-    backprop_factors,
+    _logsig,
     factor_gram,
     factor_jt_vector,
     forward,
     forward_scaled,
     get_params,
     init_mlp,
+    layer_deltas,
+    layer_outputs,
     mlp_from_json,
     mlp_to_json,
     network_jacobian,
+    param_view,
     scale_inputs,
     set_input_scaling,
     set_params,
@@ -77,6 +82,34 @@ class TestForward:
         batch = forward(net, xs)
         for i in range(9):
             assert batch[i] == pytest.approx(forward(net, xs[i]), abs=1e-14)
+
+
+class TestLogsig:
+    """1 / (1 + exp(-z)) on numpy's exp, against scipy's expit on libm's.
+
+    The two are not bit-equal: each is within 2 ulp of the exact sigmoid,
+    and they differ by up to 4 ulp, near z = -37 (docs/decisions.md section 5).
+    """
+
+    def test_within_four_ulp_of_expit(self):
+        from scipy.special import expit
+
+        z = np.concatenate([np.linspace(-800.0, 800.0, 400_001), np.linspace(-40.0, 40.0, 400_001)])
+        np.testing.assert_array_max_ulp(_logsig(z), expit(z), maxulp=4)
+
+    def test_limits_signed_zeros_and_nan_equal_expit(self):
+        from scipy.special import expit
+
+        z = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan])
+        out = _logsig(z)
+        np.testing.assert_array_equal(out, [1.0, 0.0, 0.5, 0.5, np.nan])
+        np.testing.assert_array_equal(out, expit(z))
+
+    def test_no_overflow_warning_far_below_zero(self):
+        # exp(1000) overflows to inf, which is the right limit, not an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _logsig(np.array([-1000.0])).tolist() == [0.0]
 
 
 class TestScaling:
@@ -152,7 +185,8 @@ class TestFactorRoute:
         x = rng.uniform(-1.0, 1.0, size=(n, sizes[0]))
         v = rng.normal(size=n)
         pred_ref, jac = network_jacobian(net, x)
-        pred, inputs, deltas = backprop_factors(net, x)
+        outputs = layer_outputs(net, x)
+        pred, inputs, deltas = outputs[-1][:, 0], outputs[:-1], layer_deltas(net, outputs)
         np.testing.assert_array_equal(pred, pred_ref)
         np.testing.assert_array_equal(pred, forward_scaled(net, x))
 
@@ -181,7 +215,8 @@ class TestFactorRoute:
         for seed in range(8):
             rng = np.random.default_rng(seed)
             net = init_mlp(layer_sizes=sizes, activations=acts, seed=seed)
-            _, inputs, deltas = backprop_factors(net, rng.uniform(-1.0, 1.0, size=(n, sizes[0])))
+            outputs = layer_outputs(net, rng.uniform(-1.0, 1.0, size=(n, sizes[0])))
+            inputs, deltas = outputs[:-1], layer_deltas(net, outputs)
             kept = [f.copy() for f in inputs + deltas]
             expected = sum((d @ d.T) * (a @ a.T + 1.0) for a, d in zip(inputs, deltas))
             assert factor_gram(inputs, deltas).tobytes() == expected.tobytes(), seed
@@ -197,6 +232,18 @@ class TestParamsAndSummary:
         set_params(other, theta)
         for w1, w2 in zip(net.weights, other.weights):
             np.testing.assert_array_equal(w1, w2)
+
+    def test_view_shares_the_vector_and_forwards_as_the_copy(self, rng):
+        net = init_mlp(seed=9)
+        theta = get_params(net) + rng.normal(scale=0.1, size=net.n_params())
+        view = param_view(net, theta)
+        assert all(np.shares_memory(a, theta) for a in view.weights + view.biases)
+        copied = init_mlp(seed=9)
+        set_params(copied, theta)
+        x = rng.uniform(-1.0, 1.0, (50, 5))
+        assert forward_scaled(view, x).tobytes() == forward_scaled(copied, x).tobytes()
+        with pytest.raises(ValueError, match="parameter vector size"):
+            param_view(net, theta[:-1])
 
     def test_constant_weights_summary(self):
         net = init_mlp(seed=0)

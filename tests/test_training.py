@@ -3,20 +3,30 @@ import functools
 import numpy as np
 import pytest
 
-from qcorrkit import training
+from qcorrkit import mlp, training
 from qcorrkit.dataset import Dataset, build_dataset
 from qcorrkit.exceptions import TrainingFailure
 from qcorrkit.mlp import (
+    factor_gram,
+    factor_jt_vector,
     forward,
+    forward_scaled,
     get_params,
     init_mlp,
     network_jacobian,
     scale_inputs,
     set_input_scaling,
+    set_params,
 )
 from qcorrkit.states import StateFamily
 from qcorrkit.training import (
+    _GRAD_TOL,
+    _MAX_VAL_FAILS,
+    _MU0,
     _MU_FACTOR,
+    _MU_MAX,
+    _MU_MIN,
+    TrainReport,
     lm_train,
     restart_search,
     split_indices,
@@ -123,6 +133,115 @@ class TestLmTrain:
                 )
             )
             assert val_mse == pytest.approx(report.mse_val, abs=1e-15)
+
+
+def _reference_factors(net, x):
+    """One forward and one backward pass of its own, kept in per-layer factors."""
+    a = np.atleast_2d(x)
+    inputs = []
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        inputs.append(a)
+        a = mlp._ACTIVATIONS[act][0](a @ w.T + b)
+    derivative = [mlp._ACTIVATIONS[act][1] for act in net.activations]
+    deltas = []
+    delta = derivative[-1](a)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        deltas.append(delta)
+        if layer > 0:
+            delta = (delta @ net.weights[layer]) * derivative[layer - 1](inputs[layer])
+    deltas.reverse()
+    return a[:, 0], inputs, deltas
+
+
+def _reference_mse(net, x, y):
+    with np.errstate(over="ignore"):
+        return float(np.mean((y - forward_scaled(net, x)) ** 2))
+
+
+def reference_lm_train(net, data, max_epochs):
+    """LM with a fresh forward pass every epoch, each attempt written into the net.
+
+    Every attempt sets the candidate's weights, scores them and restores
+    the old ones on rejection, and the damped matrix is JJᵀ + μ·eye(n).
+    """
+    idx_train, idx_val, idx_test = split_indices(len(data), net.seed)
+    set_input_scaling(net, data.features[idx_train])
+    scaled = scale_inputs(net, data.features)
+    x_train, y_train = scaled[idx_train], data.targets[idx_train]
+    x_val, y_val = scaled[idx_val], data.targets[idx_val]
+    n = len(x_train)
+    mu = _MU0
+    mse = _reference_mse(net, x_train, y_train)
+    history = [mse]
+    best_val = _reference_mse(net, x_val, y_val)
+    best_val_params = get_params(net)
+    val_fails = epochs = 0
+    stop_reason = "epoch_limit"
+    while epochs < max_epochs:
+        pred, inputs, deltas = _reference_factors(net, x_train)
+        err = y_train - pred
+        if np.abs(2.0 / n * factor_jt_vector(inputs, deltas, err)).max() < _GRAD_TOL:
+            stop_reason = "gradient"
+            break
+        theta = get_params(net)
+        jjt = factor_gram(inputs, deltas)
+        accepted = False
+        while mu <= _MU_MAX:
+            v = np.linalg.solve(jjt + mu * np.eye(n), err)
+            set_params(net, theta + factor_jt_vector(inputs, deltas, v))
+            candidate = _reference_mse(net, x_train, y_train)
+            if np.isfinite(candidate) and candidate < mse:
+                mse = candidate
+                mu = max(mu / _MU_FACTOR, _MU_MIN)
+                accepted = True
+                break
+            set_params(net, theta)
+            mu *= _MU_FACTOR
+        if not accepted:
+            stop_reason = "mu_overflow"
+            break
+        epochs += 1
+        history.append(mse)
+        val_mse = _reference_mse(net, x_val, y_val)
+        if val_mse < best_val:
+            best_val, best_val_params, val_fails = val_mse, get_params(net), 0
+        else:
+            val_fails += 1
+            if val_fails >= _MAX_VAL_FAILS:
+                stop_reason = "validation"
+                set_params(net, best_val_params)
+                break
+    return TrainReport(
+        mse_train=_reference_mse(net, x_train, y_train),
+        mse_val=_reference_mse(net, x_val, y_val),
+        mse_test=_reference_mse(net, scaled[idx_test], data.targets[idx_test]),
+        epochs=epochs,
+        mu_final=mu,
+        stop_reason=stop_reason,
+        mse_history=history,
+    )
+
+
+@pytest.fixture(scope="module")
+def bell_100():
+    return build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=100)
+
+
+@pytest.mark.parametrize(
+    "seed,max_epochs,stop",
+    [(0, 1000, "gradient"), (1, 1000, "gradient"), (2, 1000, "validation"),
+     (6, 1000, "validation"), (2, 7, "epoch_limit")],
+)
+def test_lm_train_equals_the_reference_loop_bit_for_bit(bell_100, seed, max_epochs, stop):
+    # reusing the accepted forward pass and scoring candidates on views
+    # into the flat weights must not move one bit of a trained model
+    net, ref = init_mlp(seed=seed), init_mlp(seed=seed)
+    report = lm_train(net, bell_100, max_epochs=max_epochs)
+    expected = reference_lm_train(ref, bell_100, max_epochs)
+    assert report.stop_reason == stop
+    assert report == expected
+    assert get_params(net).tobytes() == get_params(ref).tobytes()
+    assert [w.shape for w in net.weights] == [w.shape for w in ref.weights]
 
 
 def use_network(monkeypatch, layer_sizes, activations):
