@@ -28,24 +28,16 @@ from .dataset import build_dataset, read_dataset_csv, write_dataset_csv
 from .exceptions import NumericalContractError, TrainingFailure
 from .mlp import TARGET_NAME, forward, load_mlp, save_mlp, weight_summary_csv
 from .optimize import optimal_qmr
-from .states import StateFamily
+from .states import FAMILY_DEFAULTS, StateFamily
 from .sweep import SweepConfig, run_sweep, sweep_csv_text
 from .training import restart_search
 from .verification import full_verification
-
-_FAMILY_DEFAULT_PARAM = {"bell": 1.0, "werner": 1.0, "mems": 1.0, "nme": 0.5}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on bad flags; the contract here says 1."""
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _family(args) -> StateFamily:
-    param = args.param if args.param is not None else _FAMILY_DEFAULT_PARAM[args.family]
-    return StateFamily(args.family, param)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -69,7 +61,7 @@ def _seed(text: str) -> int:
 
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=sorted(_FAMILY_DEFAULT_PARAM), default="bell")
+    p.add_argument("--family", choices=sorted(FAMILY_DEFAULTS), default="bell")
     p.add_argument(
         "--param",
         type=float,
@@ -81,7 +73,7 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_sweep(args) -> int:
     config = SweepConfig(
-        family=_family(args),
+        family=StateFamily(args.family, args.param),
         eta=args.eta,
         mode=WmrMode(args.mode),
         var=args.var,
@@ -94,7 +86,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    family = _family(args)
+    family = StateFamily(args.family, args.param)
     result = optimal_qmr(family, ChannelParams(args.p, args.eta), args.q, WmrMode(args.mode))
     record = {
         "family": args.family,
@@ -126,9 +118,8 @@ def cmd_train(args) -> int:
     if args.data:
         data = read_dataset_csv(args.data)
     else:
-        data = build_dataset(
-            _family(args), args.scenario, args.eta, points=args.rows, p_fixed=args.p
-        )
+        family = StateFamily(args.family, args.param)
+        data = build_dataset(family, args.scenario, args.eta, points=args.rows, p_fixed=args.p)
     net, report = restart_search(
         data, restarts=args.restarts, seed=args.seed, max_epochs=args.max_epochs
     )

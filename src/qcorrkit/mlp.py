@@ -3,9 +3,11 @@
 The architecture used throughout is 5-40-24-16-1 with a log-sigmoid
 first hidden layer, a tangent-sigmoid second, and linear third hidden
 and output layers.  Inputs are min-max scaled to [-1, 1] with anchors
-stored on the model; the target is left unscaled.  Weights live in
-plain arrays, which the trainer reads as views into one flat vector, and
-the whole model round-trips through a self-describing JSON document.
+stored on the model; the target is left unscaled.  Every weight and
+bias lives in one flat vector, ``Mlp.params``, which the LM trainer
+updates as a whole; the per-layer ``weights`` and ``biases`` are views
+into it.  The whole model round-trips through a self-describing JSON
+document.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +50,8 @@ _ACTIVATIONS = {
 
 
 def _check_architecture(layer_sizes, activations) -> None:
+    if len(layer_sizes) < 2:
+        raise ValueError("need at least one weight layer")
     if len(activations) != len(layer_sizes) - 1:
         raise ValueError("need one activation per weight layer")
     if layer_sizes[-1] != 1:
@@ -61,15 +65,23 @@ def _check_architecture(layer_sizes, activations) -> None:
 class Mlp:
     layer_sizes: tuple[int, ...]
     activations: tuple[str, ...]
-    weights: list[np.ndarray]        # per layer, shape (n_out, n_in)
-    biases: list[np.ndarray]         # per layer, shape (n_out,)
+    params: np.ndarray               # every parameter: per layer, W row-major, then b
     input_min: np.ndarray            # per feature scaling anchors
     input_max: np.ndarray
     seed: int
     train_report: dict = field(default_factory=dict)
+    weights: list[np.ndarray] = field(init=False, repr=False)  # views, shape (n_out, n_in)
+    biases: list[np.ndarray] = field(init=False, repr=False)   # views, shape (n_out,)
 
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+    def __post_init__(self):
+        self.weights, self.biases, pos = [], [], 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            self.weights.append(self.params[pos : pos + n_out * n_in].reshape(n_out, n_in))
+            pos += n_out * n_in
+            self.biases.append(self.params[pos : pos + n_out])
+            pos += n_out
+        if pos != self.params.size:
+            raise ValueError(f"parameter vector size {self.params.size}, expected {pos}")
 
 
 def init_mlp(
@@ -79,21 +91,18 @@ def init_mlp(
 ) -> Mlp:
     """Fresh network with weights and biases uniform in [-0.5, 0.5].
 
+    The parameters are one draw in storage order, which is the stream of
+    the per-layer draws, weights then biases, one layer after the other.
     The initial scaling anchors are (-1, 1) per feature, which makes the
     scaler the identity until a trainer fits real anchors.
     """
     _check_architecture(layer_sizes, activations)
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(rng.uniform(-0.5, 0.5, size=(n_out, n_in)))
-        biases.append(rng.uniform(-0.5, 0.5, size=n_out))
+    size = sum(n_out * (n_in + 1) for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]))
     n_feat = layer_sizes[0]
     return Mlp(
         layer_sizes=tuple(layer_sizes),
         activations=tuple(activations),
-        weights=weights,
-        biases=biases,
+        params=np.random.default_rng(seed).uniform(-0.5, 0.5, size=size),
         input_min=-np.ones(n_feat),
         input_max=np.ones(n_feat),
         seed=int(seed),
@@ -152,36 +161,6 @@ def forward(net: Mlp, features: np.ndarray) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def get_params(net: Mlp) -> np.ndarray:
-    """Flatten all weights and biases, layer by layer (weights row-major)."""
-    return np.concatenate(
-        [np.concatenate([w.ravel(), b]) for w, b in zip(net.weights, net.biases)]
-    )
-
-
-def param_view(net: Mlp, vec: np.ndarray) -> Mlp:
-    """``net`` with weights and biases that are views into ``vec``.
-
-    ``vec`` is in :func:`get_params` order.  Nothing is copied, so the
-    trainer can score a candidate vector without writing it into a net.
-    """
-    weights, biases, pos = [], [], 0
-    for w, b in zip(net.weights, net.biases):
-        weights.append(vec[pos : pos + w.size].reshape(w.shape))
-        pos += w.size
-        biases.append(vec[pos : pos + b.size])
-        pos += b.size
-    if pos != vec.size:
-        raise ValueError(f"parameter vector size {vec.size}, expected {pos}")
-    return replace(net, weights=weights, biases=biases)
-
-
-def set_params(net: Mlp, vec: np.ndarray) -> None:
-    view = param_view(net, vec)
-    net.weights[:] = [w.copy() for w in view.weights]
-    net.biases[:] = [b.copy() for b in view.biases]
-
-
 def layer_deltas(net: Mlp, outputs: list[np.ndarray]) -> list[np.ndarray]:
     """The backward half of backpropagation, from :func:`layer_outputs`.
 
@@ -220,7 +199,7 @@ def factor_gram(inputs: list[np.ndarray], deltas: list[np.ndarray]) -> np.ndarra
 def factor_jt_vector(
     inputs: list[np.ndarray], deltas: list[np.ndarray], v: np.ndarray
 ) -> np.ndarray:
-    """Jᵀ v from the factors, in :func:`get_params` order."""
+    """Jᵀ v from the factors, in ``Mlp.params`` order."""
     parts = []
     for a, d in zip(inputs, deltas):
         parts.append(((d * v[:, None]).T @ a).ravel())
@@ -232,10 +211,10 @@ def network_jacobian(net: Mlp, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Per-sample derivatives of the output w.r.t. every parameter.
 
     Reverse-mode accumulation over the batch.  Returns (predictions,
-    jacobian) with shapes (n,) and (n, n_params); the column order
-    matches :func:`get_params`.  Training never builds this matrix (it
-    works from :func:`layer_deltas`); it is kept as the independent
-    oracle the factor route is tested against.
+    jacobian) with shapes (n,) and (n, params.size); the column order
+    matches ``Mlp.params``.  It reads the per-layer views.  Training
+    never builds this matrix (it works from :func:`layer_deltas`); it is
+    kept as the independent oracle the factor route is tested against.
     """
     a = np.atleast_2d(scaled)
     outputs = [a]
@@ -308,27 +287,34 @@ def mlp_from_json(text: str) -> Mlp:
     """
     doc = json.loads(text)
     try:
-        net = Mlp(
-            layer_sizes=tuple(int(n) for n in doc["layer_sizes"]),
-            activations=tuple(doc["activations"]),
-            weights=[np.array(w, dtype=float) for w in doc["weights"]],
-            biases=[np.array(b, dtype=float) for b in doc["biases"]],
-            input_min=np.array(doc["input_scaling"]["min"], dtype=float),
-            input_max=np.array(doc["input_scaling"]["max"], dtype=float),
-            seed=int(doc["seed"]),
-            train_report=doc.get("train_report", {}),
-        )
+        sizes = tuple(int(n) for n in doc["layer_sizes"])
+        activations = tuple(doc["activations"])
+        weights = [np.array(w, dtype=float) for w in doc["weights"]]
+        biases = [np.array(b, dtype=float) for b in doc["biases"]]
+        input_min = np.array(doc["input_scaling"]["min"], dtype=float)
+        input_max = np.array(doc["input_scaling"]["max"], dtype=float)
+        seed = int(doc["seed"])
+        train_report = doc.get("train_report", {})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: missing or mistyped {exc}") from exc
-    _check_architecture(net.layer_sizes, net.activations)
-    sizes = net.layer_sizes
+    _check_architecture(sizes, activations)
+    # shapes are checked per layer before flattening: a transposed layer
+    # has the right element count and would load as a scrambled one
     weight_shapes = list(zip(sizes[1:], sizes[:-1]))
     bias_shapes = [(n,) for n in sizes[1:]]
-    if [w.shape for w in net.weights] != weight_shapes or [b.shape for b in net.biases] != bias_shapes:
+    if [w.shape for w in weights] != weight_shapes or [b.shape for b in biases] != bias_shapes:
         raise ValueError(f"weight and bias shapes do not chain layer_sizes {list(sizes)}")
-    if net.input_min.shape != (sizes[0],) or net.input_max.shape != (sizes[0],):
+    if input_min.shape != (sizes[0],) or input_max.shape != (sizes[0],):
         raise ValueError(f"input scaling needs {sizes[0]} anchors per side")
-    return net
+    return Mlp(
+        layer_sizes=sizes,
+        activations=activations,
+        params=np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(weights, biases)]),
+        input_min=input_min,
+        input_max=input_max,
+        seed=seed,
+        train_report=train_report,
+    )
 
 
 def save_mlp(net: Mlp, path) -> None:

@@ -29,24 +29,32 @@ _X_MASK = np.array(
 X_STATE_TOL = 1e-10
 
 
+#: every state family and its default parameter, the value at which the
+#: family's state is the Bell state (for nme, alpha^2 = 1/2)
+FAMILY_DEFAULTS = {"bell": 1.0, "werner": 1.0, "mems": 1.0, "nme": 0.5}
+
+
 @dataclass(frozen=True)
 class StateFamily:
     """A named initial-state family with its single parameter.
 
     kind
-        one of ``"bell"``, ``"werner"``, ``"mems"``, ``"nme"``
+        one of the keys of ``FAMILY_DEFAULTS``
     param
         mixing weight r_b for Werner, anti-diagonal weight for MEMS,
         |alpha|^2 for the non-maximally entangled pure state.  Ignored
-        for ``"bell"``.
+        for ``"bell"``.  ``None`` (the default) takes the family's
+        entry in ``FAMILY_DEFAULTS``.
     """
 
     kind: str
-    param: float = 1.0
+    param: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("bell", "werner", "mems", "nme"):
+        if self.kind not in FAMILY_DEFAULTS:
             raise ValueError(f"unknown state family {self.kind!r}")
+        if self.param is None:
+            object.__setattr__(self, "param", FAMILY_DEFAULTS[self.kind])
         if not 0.0 <= self.param <= 1.0:
             raise ValueError(f"family parameter {self.param} outside [0, 1]")
 

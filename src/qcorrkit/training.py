@@ -19,7 +19,7 @@ and the train/val/test shuffle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -30,14 +30,11 @@ from .mlp import (
     factor_gram,
     factor_jt_vector,
     forward_scaled,
-    get_params,
     init_mlp,
     layer_deltas,
     layer_outputs,
-    param_view,
     scale_inputs,
     set_input_scaling,
-    set_params,
 )
 
 
@@ -104,10 +101,9 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
 
     n = len(x_train)
     mu = _MU0
-    # the weights are the flat vector theta, read by views; they are
-    # written back into the net once, after the last epoch
-    theta = get_params(net)
-    current = param_view(net, theta)
+    # the weights are the flat vector theta; a candidate is a net on its
+    # own vector, and theta is written back into net once, after the last epoch
+    theta, current = net.params, net
     outputs = layer_outputs(current, x_train)
     mse = _mse(outputs[-1][:, 0], y_train)
     if not np.isfinite(mse):
@@ -141,7 +137,7 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
                 mu *= _MU_FACTOR
                 continue
             step = theta + factor_jt_vector(inputs, deltas, v)
-            trial = param_view(net, step)
+            trial = replace(net, params=step)
             trial_outputs = layer_outputs(trial, x_train)
             candidate = _mse(trial_outputs[-1][:, 0], y_train)
             if np.isfinite(candidate) and candidate < mse:
@@ -169,7 +165,7 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
                 theta = best_val_params
                 break
 
-    set_params(net, theta)
+    net.params[:] = theta
     return TrainReport(
         mse_train=_mse(forward_scaled(net, x_train), y_train),
         mse_val=_mse(forward_scaled(net, x_val), y_val),

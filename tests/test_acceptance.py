@@ -26,10 +26,8 @@ from qcorrkit.measures import (
 )
 from qcorrkit.mlp import (
     forward_scaled,
-    get_params,
     init_mlp,
     network_jacobian,
-    set_params,
     weight_summary,
 )
 from qcorrkit.oracles import tdd_measurement_oracle
@@ -330,19 +328,16 @@ def test_criterion_9_lm_correctness(rng, monkeypatch):
     net = init_mlp(layer_sizes=(2, 2, 1), activations=("logsig", "tansig"), seed=17)
     x = rng.normal(size=(6, 2))
     _, jac = network_jacobian(net, x)
-    theta = get_params(net)
+    theta = net.params.copy()
     fd = np.empty_like(jac)
     h = 1e-6
     for j in range(theta.size):
-        up, dn = theta.copy(), theta.copy()
-        up[j] += h
-        dn[j] -= h
-        set_params(net, up)
+        net.params[j] = theta[j] + h
         f_up = forward_scaled(net, x)
-        set_params(net, dn)
+        net.params[j] = theta[j] - h
         f_dn = forward_scaled(net, x)
+        net.params[j] = theta[j]
         fd[:, j] = (f_up - f_dn) / (2.0 * h)
-    set_params(net, theta)
     rel = float((np.abs(jac - fd) / (np.abs(fd) + 1e-10)).max())
 
     from qcorrkit.dataset import Dataset
@@ -400,9 +395,7 @@ def test_criterion_11_weight_summary(bell_models):
     data = build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=500)
     net2, _ = restart_search(data, restarts=20, seed=7)
     identical = summaries[("no_wmr", 0.0)] == weight_summary(net2)
-    identical = identical and np.array_equal(
-        get_params(bell_models[("no_wmr", 0.0)][0]), get_params(net2)
-    )
+    identical = identical and np.array_equal(bell_models[("no_wmr", 0.0)][0].params, net2.params)
 
     conc_means = {k: dict((n, m) for n, m, _ in v)["concurrence"] for k, v in summaries.items()}
     _report(

@@ -12,7 +12,7 @@ import pytest
 
 from qcorrkit.cli import build_parser, main
 from qcorrkit.dataset import CSV_HEADER, build_dataset, write_dataset_csv
-from qcorrkit.mlp import init_mlp, save_mlp
+from qcorrkit.mlp import init_mlp, mlp_to_json
 from qcorrkit.states import StateFamily
 
 from conftest import readme_commands
@@ -219,8 +219,14 @@ class TestTrainPredictWeights:
             lambda doc: {**doc, "weights": doc["weights"][:-1]},
             lambda doc: {**doc, "activations": ["relu", *doc["activations"][1:]]},
             lambda doc: {k: v for k, v in doc.items() if k != "seed"},
+            # 5x40 holds as many numbers as 40x5: the shape, not the count, is wrong
+            lambda doc: {**doc, "weights": [np.transpose(doc["weights"][0]).tolist(),
+                                            *doc["weights"][1:]]},
+            lambda doc: {**doc, "layer_sizes": [1], "activations": [], "weights": [],
+                         "biases": [], "input_scaling": {"min": [0.0], "max": [1.0]}},
         ],
-        ids=["weight_layer_dropped", "unknown_activation", "seed_missing"],
+        ids=["weight_layer_dropped", "unknown_activation", "seed_missing",
+             "first_layer_transposed", "no_weight_layer"],
     )
     def test_malformed_model_is_usage_error(self, trained, tmp_path, capsys, edit):
         model = tmp_path / "bad.json"
@@ -242,11 +248,12 @@ class TestTrainPredictWeights:
         # features and one discord target of a dataset is refused, not read
         # through its first output column or numpy's broadcasting error
         net = init_mlp(layer_sizes=(*sizes[:-1], 1), activations=("logsig", "linear"), seed=3)
-        net.layer_sizes = sizes
-        net.weights[-1] = np.repeat(net.weights[-1], sizes[-1], axis=0)
-        net.biases[-1] = np.repeat(net.biases[-1], sizes[-1])
+        doc = json.loads(mlp_to_json(net))
+        doc["layer_sizes"] = list(sizes)
+        doc["weights"][-1] *= sizes[-1]  # the output layer's row, once per output
+        doc["biases"][-1] *= sizes[-1]
         model, data = tmp_path / "model.json", tmp_path / "data.csv"
-        save_mlp(net, model)
+        model.write_text(json.dumps(doc))
         write_dataset_csv(data, build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=50))
         out = tmp_path / "pred.csv"
         assert main(["predict", "--model", str(model), "--data", str(data), "-o", str(out)]) == 1

@@ -3,10 +3,11 @@
 The X-state path works on six numbers per state and its entry maps, so
 dense linear algebra there would be a regression: eigensolves and
 Kronecker products belong to the reference routes in ``oracles.py``.
-Every public name of the package needs a caller in ``src``, ``scripts``
-or ``bench``, and so does every defaulted parameter of a public
-function, every defaulted field of a public dataclass and every CLI
-flag; tests alone do not keep a name or a setting alive.  No module
+Every public name of the package, and every public method and property
+of a public class, needs a caller in ``src``, ``scripts`` or ``bench``,
+and so does every defaulted parameter of a public function, every
+defaulted field of a public dataclass and every CLI flag; tests alone
+do not keep a name or a setting alive.  No module
 imports scipy, which only the tests use.
 """
 
@@ -128,8 +129,12 @@ UNCALLED_ALLOWLIST = {
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, node) of each public top-level function, class and assigned name."""
+    """(name, node) of each public top-level function, class and assigned name,
+    and of each public method and property of a public class, named ``Class.member``."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, ast.Assign):
@@ -179,7 +184,8 @@ def test_every_public_name_has_a_caller(module):
     uncalled = []
     for name, node in _public_definitions(_tree(path)):
         own = range(node.lineno, node.end_lineno + 1)
-        called = any(not (p == path and line in own) for p, line in references.get(name, []))
+        found = references.get(name.rsplit(".", 1)[-1], [])
+        called = any(not (p == path and line in own) for p, line in found)
         if not called and f"{module}.{name}" not in UNCALLED_ALLOWLIST:
             uncalled.append(name)
     assert not uncalled, f"{module}.py names with no caller in src/, scripts/ or bench/: {uncalled}"

@@ -1,4 +1,6 @@
+import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,17 +14,14 @@ from qcorrkit.mlp import (
     factor_jt_vector,
     forward,
     forward_scaled,
-    get_params,
     init_mlp,
     layer_deltas,
     layer_outputs,
     mlp_from_json,
     mlp_to_json,
     network_jacobian,
-    param_view,
     scale_inputs,
     set_input_scaling,
-    set_params,
     weight_summary,
 )
 
@@ -143,19 +142,16 @@ class TestJacobian:
         net = init_mlp(layer_sizes=sizes, activations=acts, seed=17)
         x = rng.normal(size=(6, sizes[0]))
         _, jac = network_jacobian(net, x)
-        theta = get_params(net)
+        theta = net.params.copy()
         h = 1e-6
         fd = np.empty_like(jac)
         for j in range(theta.size):
-            up, dn = theta.copy(), theta.copy()
-            up[j] += h
-            dn[j] -= h
-            set_params(net, up)
+            net.params[j] = theta[j] + h
             f_up = forward_scaled(net, x)
-            set_params(net, dn)
+            net.params[j] = theta[j] - h
             f_dn = forward_scaled(net, x)
+            net.params[j] = theta[j]
             fd[:, j] = (f_up - f_dn) / (2.0 * h)
-        set_params(net, theta)
         rel = np.abs(jac - fd) / (np.abs(fd) + 1e-10)
         assert rel.max() <= 1e-5
 
@@ -197,7 +193,7 @@ class TestFactorRoute:
 
         jtv_ref = jac.T @ v
         jtv = factor_jt_vector(inputs, deltas, v)
-        assert jtv.shape == (net.n_params(),)
+        assert jtv.shape == net.params.shape
         assert np.abs(jtv - jtv_ref).max() <= 1e-12 * np.abs(jtv_ref).max()
 
     @pytest.mark.parametrize(
@@ -226,24 +222,51 @@ class TestFactorRoute:
 class TestParamsAndSummary:
     def test_round_trip(self, rng):
         net = init_mlp(seed=9)
-        theta = get_params(net)
-        assert theta.size == net.n_params() == 5 * 40 + 40 + 40 * 24 + 24 + 24 * 16 + 16 + 16 + 1
+        assert net.params.size == 5 * 40 + 40 + 40 * 24 + 24 + 24 * 16 + 16 + 16 + 1
         other = init_mlp(seed=10)
-        set_params(other, theta)
+        other.params[:] = net.params
         for w1, w2 in zip(net.weights, other.weights):
             np.testing.assert_array_equal(w1, w2)
 
     def test_view_shares_the_vector_and_forwards_as_the_copy(self, rng):
         net = init_mlp(seed=9)
-        theta = get_params(net) + rng.normal(scale=0.1, size=net.n_params())
-        view = param_view(net, theta)
+        theta = net.params + rng.normal(scale=0.1, size=net.params.size)
+        view = replace(net, params=theta)
         assert all(np.shares_memory(a, theta) for a in view.weights + view.biases)
         copied = init_mlp(seed=9)
-        set_params(copied, theta)
+        copied.params[:] = theta
         x = rng.uniform(-1.0, 1.0, (50, 5))
         assert forward_scaled(view, x).tobytes() == forward_scaled(copied, x).tobytes()
         with pytest.raises(ValueError, match="parameter vector size"):
-            param_view(net, theta[:-1])
+            replace(net, params=theta[:-1])
+
+    @pytest.mark.parametrize("make", [
+        lambda: init_mlp(seed=4),
+        lambda: mlp_from_json(mlp_to_json(init_mlp(seed=4))),
+        lambda: replace(init_mlp(seed=4), params=np.linspace(-1.0, 1.0, 1641)),
+    ], ids=["init_mlp", "mlp_from_json", "replace"])
+    def test_layers_are_views_into_params(self, make):
+        # params is the only storage: the layers are its slices in order,
+        # and a write through either side shows on the other
+        net = make()
+        layers = [a for w, b in zip(net.weights, net.biases) for a in (w, b)]
+        assert all(np.shares_memory(a, net.params) for a in layers)
+        assert np.concatenate([a.ravel() for a in layers]).tobytes() == net.params.tobytes()
+        net.weights[1][2, 3] = 7.0
+        net.params[-1] = 9.0
+        assert net.params[5 * 40 + 40 + 2 * 40 + 3] == 7.0 and net.biases[-1][0] == 9.0
+
+    @pytest.mark.parametrize("sizes, acts, seed, digest", [
+        ((5, 40, 24, 16, 1), ("logsig", "tansig", "linear", "linear"), 0,
+         "d7f38d9e245d4458692ca95ffa00df942860b0a046ac193d9fbdff2d2b24dcd6"),
+        ((3, 4, 1), ("logsig", "linear"), 5,
+         "54f9ca29dfef110186cf5c1cf5aa41697ed9ef522d856f5384b999b663d33f55"),
+    ], ids=["default", "small"])
+    def test_initial_model_bytes_are_pinned(self, sizes, acts, seed, digest):
+        # the model file's bytes across versions; uniform draws and repr,
+        # no exp, so the digest holds on any CPU
+        text = mlp_to_json(init_mlp(layer_sizes=sizes, activations=acts, seed=seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_constant_weights_summary(self):
         net = init_mlp(seed=0)

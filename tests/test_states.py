@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qcorrkit.oracles import validate_density_matrix
 from qcorrkit.states import (
     _X_MASK,
+    FAMILY_DEFAULTS,
     StateFamily,
     bell_state,
     is_x_state,
@@ -42,6 +43,13 @@ class TestConstructors:
         bell = bell_state()
         for rho in (werner_state(1.0), mems_state(1.0), nme_state(0.5)):
             assert np.abs(rho - bell).max() <= 1e-12
+
+    def test_family_defaults_are_the_bell_state(self):
+        # StateFamily(kind) and the CLI's --family without --param read one table
+        for kind, param in FAMILY_DEFAULTS.items():
+            assert StateFamily(kind) == StateFamily(kind, param)
+            assert np.abs(make_state(StateFamily(kind)) - bell_state()).max() <= 1e-12
+        assert StateFamily("nme").param == 0.5
 
     def test_out_of_range_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from qcorrkit import cli, sweep
 from qcorrkit.channels import ChannelParams, WmrMode, WmrParams, apply_cad, apply_wm, wmr_pipeline
-from qcorrkit.cli import _family, build_parser, main
+from qcorrkit.cli import build_parser, main
 from qcorrkit.measures import correlation_vector, normalize
 from qcorrkit.states import StateFamily, make_state
 from qcorrkit.sweep import (
@@ -267,7 +267,7 @@ class TestBytePins:
         header, *rows = list(csv.reader(path.read_text().splitlines()))
         for row in rows:
             values = [float(x) for x in row[1:]]
-            family, p, q = _family(args), args.p, args.q
+            family, p, q = StateFamily(args.family, args.param), args.p, args.q
             if args.var == "p":
                 p = values[0]
             elif args.var == "q":

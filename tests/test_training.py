@@ -11,12 +11,10 @@ from qcorrkit.mlp import (
     factor_jt_vector,
     forward,
     forward_scaled,
-    get_params,
     init_mlp,
     network_jacobian,
     scale_inputs,
     set_input_scaling,
-    set_params,
 )
 from qcorrkit.states import StateFamily
 from qcorrkit.training import (
@@ -88,7 +86,7 @@ class TestLmTrain:
         err = data.targets[train] - pred
         mu = report.mu_final * _MU_FACTOR  # the damping of the accepted attempt
         step = jac.T @ np.linalg.solve(jac @ jac.T + mu * np.eye(len(x)), err)
-        np.testing.assert_allclose(get_params(net), get_params(ref) + step, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(net.params, ref.params + step, rtol=0, atol=1e-12)
 
     def test_constant_target_learned_by_bias(self, rng):
         data = synthetic_dataset(rng, n=100, fn=lambda x: np.full(len(x), 0.37))
@@ -174,7 +172,7 @@ def reference_lm_train(net, data, max_epochs):
     mse = _reference_mse(net, x_train, y_train)
     history = [mse]
     best_val = _reference_mse(net, x_val, y_val)
-    best_val_params = get_params(net)
+    best_val_params = net.params.copy()
     val_fails = epochs = 0
     stop_reason = "epoch_limit"
     while epochs < max_epochs:
@@ -183,19 +181,19 @@ def reference_lm_train(net, data, max_epochs):
         if np.abs(2.0 / n * factor_jt_vector(inputs, deltas, err)).max() < _GRAD_TOL:
             stop_reason = "gradient"
             break
-        theta = get_params(net)
+        theta = net.params.copy()
         jjt = factor_gram(inputs, deltas)
         accepted = False
         while mu <= _MU_MAX:
             v = np.linalg.solve(jjt + mu * np.eye(n), err)
-            set_params(net, theta + factor_jt_vector(inputs, deltas, v))
+            net.params[:] = theta + factor_jt_vector(inputs, deltas, v)
             candidate = _reference_mse(net, x_train, y_train)
             if np.isfinite(candidate) and candidate < mse:
                 mse = candidate
                 mu = max(mu / _MU_FACTOR, _MU_MIN)
                 accepted = True
                 break
-            set_params(net, theta)
+            net.params[:] = theta
             mu *= _MU_FACTOR
         if not accepted:
             stop_reason = "mu_overflow"
@@ -204,12 +202,12 @@ def reference_lm_train(net, data, max_epochs):
         history.append(mse)
         val_mse = _reference_mse(net, x_val, y_val)
         if val_mse < best_val:
-            best_val, best_val_params, val_fails = val_mse, get_params(net), 0
+            best_val, best_val_params, val_fails = val_mse, net.params.copy(), 0
         else:
             val_fails += 1
             if val_fails >= _MAX_VAL_FAILS:
                 stop_reason = "validation"
-                set_params(net, best_val_params)
+                net.params[:] = best_val_params
                 break
     return TrainReport(
         mse_train=_reference_mse(net, x_train, y_train),
@@ -240,7 +238,7 @@ def test_lm_train_equals_the_reference_loop_bit_for_bit(bell_100, seed, max_epoc
     expected = reference_lm_train(ref, bell_100, max_epochs)
     assert report.stop_reason == stop
     assert report == expected
-    assert get_params(net).tobytes() == get_params(ref).tobytes()
+    assert net.params.tobytes() == ref.params.tobytes()
     assert [w.shape for w in net.weights] == [w.shape for w in ref.weights]
 
 
@@ -262,14 +260,14 @@ class TestRestartSearch:
         direct = init_mlp(layer_sizes=(3, 6, 1), activations=("logsig", "linear"), seed=child)
         direct_report = lm_train(direct, data)
         assert report.mse_test == direct_report.mse_test
-        np.testing.assert_array_equal(get_params(net), get_params(direct))
+        np.testing.assert_array_equal(net.params, direct.params)
 
     def test_same_seed_is_bit_identical(self, rng, monkeypatch):
         data = synthetic_dataset(rng, n=100, fn=lambda x: np.abs(x[:, 1]))
         use_network(monkeypatch, (3, 5, 1), ("tansig", "linear"))
         net_a, rep_a = restart_search(data, restarts=3, seed=5)
         net_b, rep_b = restart_search(data, restarts=3, seed=5)
-        np.testing.assert_array_equal(get_params(net_a), get_params(net_b))
+        np.testing.assert_array_equal(net_a.params, net_b.params)
         assert rep_a == rep_b
 
     def test_selection_takes_minimum_test_mse(self, rng, monkeypatch):
