@@ -30,7 +30,7 @@ from .mlp import TARGET_NAME, forward, load_mlp, save_mlp, weight_summary_csv
 from .optimize import optimal_qmr
 from .states import FAMILY_DEFAULTS, StateFamily
 from .sweep import SweepConfig, run_sweep, sweep_csv_text
-from .training import restart_search
+from .training import mean_squared_error, restart_search
 from .verification import full_verification
 
 class _Parser(argparse.ArgumentParser):
@@ -141,7 +141,7 @@ def cmd_predict(args) -> int:
     data = read_dataset_csv(args.data)
     predictions = forward(net, data.features)
     with np.errstate(over="ignore"):
-        mse = float(np.mean((predictions - data.targets) ** 2))
+        mse = mean_squared_error(predictions, data.targets)
     if not np.isfinite(mse):
         raise NumericalContractError(f"prediction MSE is not finite ({mse})")
     buf = io.StringIO()

@@ -14,12 +14,16 @@ default-architecture networks and keeps the one with the lowest test
 MSE.  The recipe is fixed: only the epoch cap is a parameter, and the
 gradient stop is the constant ``_GRAD_TOL``.  Every run is
 deterministic in its seed: the network seed drives both the weight draw
-and the train/val/test shuffle.
+and the train/val/test shuffle.  Restarts share nothing, so when BLAS
+leaves cores free the search trains them in forked worker processes
+(``docs/decisions.md`` section 6), with the same result.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, asdict, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -45,6 +49,12 @@ _MU_MIN = 1e-20  # keeps the damped system solvable after long streaks
 _MAX_VAL_FAILS = 6
 _GRAD_TOL = 1e-7  # stop once the gradient's infinity norm drops below this
 _SPLIT = (0.70, 0.15, 0.15)  # train, validation, test fractions
+#: BLAS thread variables in the order OpenBLAS reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+#: those variables as BLAS saw them: it reads them once, when numpy loads,
+#: and this module loads numpy or loads after it, so a later change to the
+#: environment reaches neither BLAS nor the worker count
+_BLAS_ENVIRON = {var: os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
 
 
 @dataclass
@@ -71,13 +81,17 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
 
 
-def _mse(pred: np.ndarray, targets: np.ndarray) -> float:
-    # an overflow shows up as an infinite loss, which the callers handle
+def mean_squared_error(pred: np.ndarray, targets: np.ndarray) -> float:
+    """The mean of the squared errors, with the bits of ``np.mean((targets - pred)**2)``.
+
+    An overflow gives an infinite loss, which the callers handle; they
+    run it under ``np.errstate(over="ignore")`` so numpy prints nothing.
+    """
     err = targets - pred
-    with np.errstate(over="ignore"):
-        return float(np.mean(err**2))
+    return float(np.add.reduce(err * err)) / err.size
 
 
+@np.errstate(over="ignore")
 def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
     """Train ``net`` in place on ``data``; returns the final report.
 
@@ -101,16 +115,19 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
 
     n = len(x_train)
     mu = _MU0
-    # the weights are the flat vector theta; a candidate is a net on its
-    # own vector, and theta is written back into net once, after the last epoch
+    # the weights are the flat vector theta, the params of the net `current`;
+    # candidates are scored on `spare`, whose vector is overwritten by each
+    # attempt, and the two swap on an accepted step; theta is written back
+    # into net once, after the last epoch
     theta, current = net.params, net
+    spare = replace(net, params=np.empty_like(theta))
     outputs = layer_outputs(current, x_train)
-    mse = _mse(outputs[-1][:, 0], y_train)
+    mse = mean_squared_error(outputs[-1][:, 0], y_train)
     if not np.isfinite(mse):
         raise TrainingFailure("initial training loss is not finite")
     history = [mse]
 
-    best_val = _mse(forward_scaled(current, x_val), y_val)
+    best_val = mean_squared_error(forward_scaled(current, x_val), y_val)
     best_val_params = theta
     val_fails = 0
     epochs = 0
@@ -126,6 +143,8 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
             stop_reason = "gradient"
             break
 
+        if spare.params is best_val_params:  # still needed for a validation stop
+            spare = replace(net, params=np.empty_like(theta))
         jjt = factor_gram(inputs, deltas)
         accepted = False
         while mu <= _MU_MAX:
@@ -136,12 +155,12 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
             except np.linalg.LinAlgError:
                 mu *= _MU_FACTOR
                 continue
-            step = theta + factor_jt_vector(inputs, deltas, v)
-            trial = replace(net, params=step)
-            trial_outputs = layer_outputs(trial, x_train)
-            candidate = _mse(trial_outputs[-1][:, 0], y_train)
+            np.add(theta, factor_jt_vector(inputs, deltas, v), out=spare.params)
+            trial_outputs = layer_outputs(spare, x_train)
+            candidate = mean_squared_error(trial_outputs[-1][:, 0], y_train)
             if np.isfinite(candidate) and candidate < mse:
-                theta, current, outputs, mse = step, trial, trial_outputs, candidate
+                current, spare = spare, current
+                theta, outputs, mse = current.params, trial_outputs, candidate
                 mu = max(mu / _MU_FACTOR, _MU_MIN)
                 accepted = True
                 break
@@ -153,7 +172,7 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
         epochs += 1
         history.append(mse)
 
-        val_mse = _mse(forward_scaled(current, x_val), y_val)
+        val_mse = mean_squared_error(forward_scaled(current, x_val), y_val)
         if val_mse < best_val:
             best_val = val_mse
             best_val_params = theta
@@ -167,14 +186,77 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
 
     net.params[:] = theta
     return TrainReport(
-        mse_train=_mse(forward_scaled(net, x_train), y_train),
-        mse_val=_mse(forward_scaled(net, x_val), y_val),
-        mse_test=_mse(forward_scaled(net, scaled[idx_test]), data.targets[idx_test]),
+        mse_train=mean_squared_error(forward_scaled(net, x_train), y_train),
+        mse_val=mean_squared_error(forward_scaled(net, x_val), y_val),
+        mse_test=mean_squared_error(
+            forward_scaled(net, scaled[idx_test]), data.targets[idx_test]
+        ),
         epochs=epochs,
         mu_final=mu,
         stop_reason=stop_reason,
         mse_history=history,
     )
+
+
+def _worker_count(environ, cores: int, restarts: int) -> int:
+    """Processes a restart search trains in, leaving no core to two threads.
+
+    Each process runs BLAS on as many threads as the first of
+    ``_BLAS_THREAD_VARS`` in ``environ`` that holds a positive whole
+    number says, or on every one of ``cores`` when none does, as
+    OpenBLAS reads them.  So the count is ``cores // threads``, and never
+    more than ``restarts``.
+    """
+    threads = cores
+    for var in _BLAS_THREAD_VARS:
+        try:
+            value = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            threads = value
+            break
+    return min(restarts, cores // threads)
+
+
+def _train_restart(data: Dataset, seed: int, max_epochs: int):
+    """Restart ``seed``: its trained params, scaling anchors and report.
+
+    Returns None when its loss turns non-finite.  A worker sends these
+    back, not the net: an unpickled net's weights and biases would be
+    copies, no longer views into its params.
+    """
+    net = init_mlp(seed=seed)
+    try:
+        report = lm_train(net, data, max_epochs=max_epochs)
+    except TrainingFailure:
+        return None
+    return net.params, net.input_min, net.input_max, report
+
+
+def _train_restarts(data: Dataset, seeds: list[int], max_epochs: int):
+    """:func:`_train_restart` of every seed, in seed order.
+
+    In one process the restarts train one by one as the result is read.
+    With ``w = _worker_count(...)`` of 2 or more they train in ``w``
+    forked workers, and every worker has exited before this returns; an
+    exception other than :class:`TrainingFailure` propagates either way.
+    """
+    # the cores this process may run on: the affinity mask exists on Linux,
+    # which can fork; elsewhere one, so the search stays in this process
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    args = (repeat(data), seeds, repeat(max_epochs))
+    workers = _worker_count(_BLAS_ENVIRON, cores, len(seeds))
+    if workers < 2:
+        return map(_train_restart, *args)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_train_restart, *args))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def restart_search(
@@ -190,27 +272,28 @@ def restart_search(
     deterministic child seed of ``seed``; the winner is the restart with
     the lowest test MSE (first on ties).  Runs whose loss turns
     non-finite are skipped; if every restart fails, a
-    :class:`TrainingFailure` is raised.
+    :class:`TrainingFailure` is raised.  The restarts run in parallel
+    when BLAS leaves cores free (:func:`_worker_count`); the result does
+    not depend on how many processes train them.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     child_seeds = [
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(restarts)
     ]
-    best: tuple[Mlp, TrainReport] | None = None
-    best_index = -1
-    for k, child in enumerate(child_seeds):
-        net = init_mlp(seed=child)
-        try:
-            report = lm_train(net, data, max_epochs=max_epochs)
-        except TrainingFailure:
-            continue
-        if best is None or report.mse_test < best[1].mse_test:
-            best = (net, report)
-            best_index = k
+    best_index, best = -1, None
+    for k, result in enumerate(_train_restarts(data, child_seeds, max_epochs)):
+        # result: (params, input_min, input_max, report), None for a failed restart
+        if result is not None and (best is None or result[-1].mse_test < best[-1].mse_test):
+            best_index, best = k, result
     if best is None:
         raise TrainingFailure("all restarts produced non-finite losses")
-    net, report = best
+    params, input_min, input_max, report = best
+    # Mlp's __post_init__ makes the winner's weights and biases views into params
+    net = replace(
+        init_mlp(seed=child_seeds[best_index]),
+        params=params, input_min=input_min, input_max=input_max,
+    )
     report.restarts_run = restarts
     report.best_restart = best_index
     net.train_report = report.as_dict()

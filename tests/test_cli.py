@@ -381,7 +381,8 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse (exit {exc.code}): {command}")
 
 
-#: run in a fresh interpreter; prints, after each stage, the scipy modules loaded so far
+#: run in a fresh interpreter; prints, after each stage, the scipy, multiprocessing
+#: and concurrent.futures modules loaded so far
 _SCIPY_PROBE = textwrap.dedent("""
     import json, sys
     import numpy as np
@@ -394,7 +395,8 @@ _SCIPY_PROBE = textwrap.dedent("""
 
     def stage(name, code=0):
         assert code == 0, (name, code)
-        loaded[name] = sorted(m for m in sys.modules if m.startswith("scipy"))
+        loaded[name] = sorted(m for m in sys.modules
+                              if m.startswith(("scipy", "multiprocessing", "concurrent")))
 
     stage("import")
     main = qcorrkit.cli.main
@@ -418,8 +420,12 @@ _SCIPY_PROBE = textwrap.dedent("""
 
 def test_no_command_loads_scipy(tmp_path):
     # scipy is a test dependency only: no command, the network or the
-    # discord oracle may load any of it
-    env = dict(os.environ)
+    # discord oracle may load any of it.  Nor may they load the process
+    # pool's modules, which only a restart search with a free core for a
+    # second worker imports: the probe's train has one restart, which
+    # trains in-process, as the benchmark's warm-up does, even with BLAS
+    # pinned to one thread as the benchmark pins it
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
     )
@@ -432,4 +438,4 @@ def test_no_command_loads_scipy(tmp_path):
               "forward", "train", "predict")
     assert list(loaded) == list(stages)
     for name in stages:
-        assert loaded[name] == [], f"scipy loaded by {name}: {loaded[name]}"
+        assert loaded[name] == [], f"{name} loaded {loaded[name]}"

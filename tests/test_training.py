@@ -1,4 +1,6 @@
 import functools
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -285,6 +287,110 @@ class TestRestartSearch:
         assert best.mse_test == min(all_tests)
         assert best.best_restart == int(np.argmin(all_tests))
         assert best.restarts_run == restarts
+
+
+def set_blas_threads(monkeypatch, threads):
+    """Two usable cores, and the process started with BLAS pinned to ``threads``
+    (None: unset), as ``training`` read the environment at import."""
+    environ = {} if threads is None else {"OPENBLAS_NUM_THREADS": str(threads)}
+    monkeypatch.setattr(training, "_BLAS_ENVIRON", environ)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize(
+    "environ,cores,restarts,workers",
+    [
+        ({}, 2, 20, 1),                                    # unset: BLAS takes every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 20, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),          # one restart
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 20, 1),         # one core
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 20, 1),
+        ({"OPENBLAS_NUM_THREADS": "16"}, 8, 20, 0),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 64, 20, 20),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 64, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 64, 20, 16),
+        ({"GOTO_NUM_THREADS": "2"}, 8, 20, 4),
+        ({"OMP_NUM_THREADS": "1"}, 8, 20, 8),
+        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 8, 20, 4),
+        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 20, 2),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8, 20, 8),
+        ({"OPENBLAS_NUM_THREADS": "-3", "OMP_NUM_THREADS": "2"}, 8, 20, 4),
+        ({"OPENBLAS_NUM_THREADS": "two", "GOTO_NUM_THREADS": ""}, 8, 20, 1),
+    ],
+)
+def test_worker_count_leaves_no_core_to_two_threads(environ, cores, restarts, workers):
+    # a pure rule: large core counts are checked here, never by starting workers
+    assert training._worker_count(environ, cores, restarts) == workers
+
+
+class TestWorkerPool:
+    """Restarts trained in forked workers give the bytes of one process."""
+
+    def search(self, monkeypatch, threads, data, restarts, seed):
+        """``restart_search`` with BLAS at ``threads``: its result and the processes it forked."""
+        set_blas_threads(monkeypatch, threads)
+        forks, fork = [], os.fork
+
+        def counting_fork():  # the pool starts its workers through os.fork
+            forks.append(1)
+            return fork()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", counting_fork)
+            try:
+                return restart_search(data, restarts=restarts, seed=seed), len(forks)
+            finally:
+                assert multiprocessing.active_children() == []
+
+    def test_pool_gives_the_bytes_of_one_process(self, rng, monkeypatch):
+        data = synthetic_dataset(rng, n=100, fn=lambda x: x[:, 0] * x[:, 2])
+        use_network(monkeypatch, (3, 6, 1), ("logsig", "linear"))
+        (net, report), forks = self.search(monkeypatch, 1, data, 4, 9)
+        (ref, ref_report), ref_forks = self.search(monkeypatch, None, data, 4, 9)
+        assert (forks, ref_forks) == (2, 0)
+        assert net.params.tobytes() == ref.params.tobytes()
+        assert net.input_min.tobytes() == ref.input_min.tobytes()
+        assert net.input_max.tobytes() == ref.input_max.tobytes()
+        assert report == ref_report and net.train_report == ref.train_report
+        for model in (net, ref):
+            assert all(np.shares_memory(a, model.params) for a in model.weights + model.biases)
+
+    def test_a_failed_restart_is_skipped_in_both(self, rng, monkeypatch):
+        data = synthetic_dataset(rng, n=100, fn=lambda x: np.abs(x[:, 1]))
+        first = int(np.random.SeedSequence(5).spawn(3)[0].generate_state(1)[0])
+
+        def init(seed):  # restart 0 starts with weights so large its loss is not finite
+            net = init_mlp(layer_sizes=(3, 6, 1), activations=("logsig", "linear"), seed=seed)
+            if seed == first:
+                net.params[:] = 1e300
+            return net
+
+        monkeypatch.setattr(training, "init_mlp", init)
+        (net, report), forks = self.search(monkeypatch, 1, data, 3, 5)
+        (ref, ref_report), ref_forks = self.search(monkeypatch, None, data, 3, 5)
+        assert (forks, ref_forks) == (2, 0)
+        assert report.best_restart != 0
+        assert net.params.tobytes() == ref.params.tobytes() and report == ref_report
+
+    @pytest.mark.parametrize("threads", [1, None])
+    def test_other_errors_propagate(self, rng, monkeypatch, threads):
+        data = synthetic_dataset(rng, n=3)
+        use_network(monkeypatch, (3, 2, 1), ("logsig", "linear"))
+        with pytest.raises(ValueError, match="dataset too small"):
+            self.search(monkeypatch, threads, data, 4, 1)
+
+    def test_one_restart_starts_no_process(self, rng, monkeypatch):
+        data = synthetic_dataset(rng, n=100, fn=lambda x: x[:, 0])
+        use_network(monkeypatch, (3, 2, 1), ("logsig", "linear"))
+        assert self.search(monkeypatch, 1, data, 1, 3)[1] == 0
+
+    def test_a_variable_set_after_import_starts_no_process(self, rng, monkeypatch):
+        # BLAS read the environment when numpy loaded; importing bench/run.py
+        # pins it afterwards, which reaches neither BLAS nor the worker count
+        data = synthetic_dataset(rng, n=100, fn=lambda x: x[:, 0])
+        use_network(monkeypatch, (3, 2, 1), ("logsig", "linear"))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert self.search(monkeypatch, None, data, 3, 3)[1] == 0
 
 
 class TestOnPipelineData:
