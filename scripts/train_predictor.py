@@ -17,22 +17,22 @@ import pathlib
 import sys
 
 from qcorrkit import cli
-
-SCENARIOS = (("no_wmr", 0.0), ("no_wmr", 1.0), ("wmr2", 0.0), ("wmr2", 1.0))
+from qcorrkit.dataset import SCENARIOS
 
 
 def commands(out: pathlib.Path, rows: int, restarts: int, seed: int) -> list[list[str]]:
     """The ``qcorrkit`` argv lists of every scenario, in run order."""
     table = []
-    for scenario, eta in SCENARIOS:
-        stem = out / f"{scenario}_eta{int(eta)}"
-        model, data = f"{stem}_model.json", f"{stem}_data.csv"
-        table.append([
-            "train", "--family", "bell", "--scenario", scenario, "--eta", str(eta),
-            "--rows", str(rows), "--restarts", str(restarts), "--seed", str(seed),
-            "--model-out", model, "--summary-out", f"{stem}_weights.csv", "--dataset-out", data,
-        ])
-        table.append(["predict", "--model", model, "--data", data, "-o", f"{stem}_predictions.csv"])
+    for scenario in SCENARIOS:
+        for eta in (0.0, 1.0):
+            stem = out / f"{scenario}_eta{int(eta)}"
+            model, data = f"{stem}_model.json", f"{stem}_data.csv"
+            table.append([
+                "train", "--family", "bell", "--scenario", scenario, "--eta", str(eta),
+                "--rows", str(rows), "--restarts", str(restarts), "--seed", str(seed),
+                "--model-out", model, "--summary-out", f"{stem}_weights.csv", "--dataset-out", data,
+            ])
+            table.append(["predict", "--model", model, "--data", data, "-o", f"{stem}_predictions.csv"])
     return table
 
 

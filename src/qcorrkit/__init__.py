@@ -48,7 +48,6 @@ from .mlp import (
     load_mlp,
     save_mlp,
     weight_summary,
-    weight_summary_csv,
 )
 from .optimize import OptimizationResult, optimal_qmr
 from .states import (

@@ -15,21 +15,19 @@ identical invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 
 import numpy as np
 
 from .channels import ChannelParams, WmrMode
-from .dataset import build_dataset, read_dataset_csv, write_dataset_csv
+from .dataset import SCENARIOS, build_dataset, read_dataset_csv, write_dataset_csv
 from .exceptions import NumericalContractError, TrainingFailure
-from .mlp import TARGET_NAME, forward, load_mlp, save_mlp, weight_summary_csv
+from .mlp import TARGET_NAME, forward, load_mlp, save_mlp, weight_summary
 from .optimize import optimal_qmr
 from .states import FAMILY_DEFAULTS, StateFamily
-from .sweep import SweepConfig, run_sweep, sweep_csv_text
+from .sweep import SweepConfig, csv_text, run_sweep, sweep_csv_text
 from .training import mean_squared_error, restart_search
 from .verification import full_verification
 
@@ -47,6 +45,12 @@ def _write_text(path: str | None, text: str) -> None:
         # newline="": the CSV texts end their lines in "\r\n" already
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _weight_summary_text(net) -> str:
+    """:func:`weight_summary` as CSV text with the header ``input,mean,std``."""
+    names, means, stds = zip(*weight_summary(net))
+    return csv_text(("input", "mean", "std"), [(n,) for n in names], np.column_stack([means, stds]))
 
 
 def _seed(text: str) -> int:
@@ -129,7 +133,7 @@ def cmd_train(args) -> int:
     if args.model_out:
         save_mlp(net, args.model_out)
     if args.summary_out:
-        _write_text(args.summary_out, weight_summary_csv(net))
+        _write_text(args.summary_out, _weight_summary_text(net))
     summary = report.as_dict()
     del summary["mse_history"]
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -144,25 +148,15 @@ def cmd_predict(args) -> int:
         mse = mean_squared_error(predictions, data.targets)
     if not np.isfinite(mse):
         raise NumericalContractError(f"prediction MSE is not finite ({mse})")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sweep_var", "sweep_value", TARGET_NAME, f"{TARGET_NAME}_predicted"])
-    for i in range(len(data)):
-        writer.writerow(
-            [
-                data.sweep_var,
-                repr(float(data.sweep_values[i])),
-                repr(float(data.targets[i])),
-                repr(float(predictions[i])),
-            ]
-        )
-    _write_text(args.output, buf.getvalue())
+    header = ("sweep_var", "sweep_value", TARGET_NAME, f"{TARGET_NAME}_predicted")
+    rows = np.column_stack([data.sweep_values, data.targets, predictions])
+    _write_text(args.output, csv_text(header, [(data.sweep_var,)] * len(data), rows))
     print(json.dumps({"rows": len(data), "mse": mse}, sort_keys=True))
     return 0
 
 
 def cmd_weights(args) -> int:
-    _write_text(args.output, weight_summary_csv(load_mlp(args.model)))
+    _write_text(args.output, _weight_summary_text(load_mlp(args.model)))
     return 0
 
 
@@ -202,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the discord predictor")
     _add_family_flags(p)
-    p.add_argument("--scenario", choices=["no_wmr", "wmr2"], default="no_wmr")
+    p.add_argument("--scenario", choices=list(SCENARIOS), default="no_wmr")
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--rows", type=int, default=500)
     p.add_argument("--p", type=float, default=0.5, help="fixed damping for wmr2 datasets")

@@ -10,6 +10,8 @@ two-qubit protection (p fixed, 0.5 by default; q runs over [0, 0.99]
 with the per-point optimal reversal strength).  This module owns only
 that mapping and the CSV interchange, whose header is
 ``scenario,eta,sweep_var,sweep_value,jsd,concurrence,fidelity,qs,chi,tdd``.
+:func:`csv_text` writes the file and quotes nothing, so the reader
+refuses a scenario and sweep_var pair that :func:`build_dataset` never sets.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import numpy as np
 from .channels import WmrMode
 from .mlp import FEATURE_NAMES, TARGET_NAME
 from .states import StateFamily
-from .sweep import SweepConfig, run_sweep
+from .sweep import SweepConfig, csv_text, run_sweep
 
-SCENARIOS = ("no_wmr", "wmr2")
+#: scenario -> the sweep axis its rows run along
+SCENARIOS = {"no_wmr": "p", "wmr2": "q"}
 CSV_HEADER = ["scenario", "eta", "sweep_var", "sweep_value", *FEATURE_NAMES, TARGET_NAME]
 
 
@@ -51,7 +54,7 @@ def build_dataset(
 ) -> Dataset:
     """Run the scenario's sweep and project its columns into a dataset."""
     if scenario not in SCENARIOS:
-        raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+        raise ValueError(f"scenario must be one of {tuple(SCENARIOS)}, got {scenario!r}")
     if points < 50:
         raise ValueError("need at least 50 rows")
     if scenario == "no_wmr":
@@ -67,15 +70,10 @@ def build_dataset(
 
 
 def write_dataset_csv(path, data: Dataset) -> None:
+    labels = [(data.scenario, repr(float(data.eta)), data.sweep_var)] * len(data)
+    rows = np.column_stack([data.sweep_values, data.features, data.targets])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i in range(len(data)):
-            writer.writerow(
-                [data.scenario, repr(float(data.eta)), data.sweep_var, repr(float(data.sweep_values[i]))]
-                + [repr(float(x)) for x in data.features[i]]
-                + [repr(float(data.targets[i]))]
-            )
+        fh.write(csv_text(CSV_HEADER, labels, rows))
 
 
 def _finite(path, line_no: int, col: str, cell: str) -> float:
@@ -94,7 +92,7 @@ def read_dataset_csv(path) -> Dataset:
     """Parse a dataset CSV; a malformed or non-finite cell is reported by row and column.
 
     Every row must carry the same scenario, eta and sweep_var; the first
-    row that disagrees with row 2 is reported.
+    row that disagrees with row 2 is reported, and row 2 must be a scenario and its axis.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -115,6 +113,12 @@ def read_dataset_csv(path) -> Dataset:
             eta = _finite(path, line_no, "eta", row[1])
             row_tag = (row[0], eta, row[2])
             if tag is None:
+                if SCENARIOS.get(row[0]) != row[2]:
+                    col = "sweep_var" if row[0] in SCENARIOS else "scenario"
+                    raise ValueError(
+                        f"{path}: row {line_no}, column {col!r}: scenario {row[0]!r} with "
+                        f"sweep_var {row[2]!r} is not one of {SCENARIOS}"
+                    )
                 tag = row_tag
             elif row_tag != tag:
                 raise ValueError(

@@ -12,8 +12,6 @@ document.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -250,16 +248,6 @@ def weight_summary(net: Mlp) -> list[tuple[str, float, float]]:
         (names[i], float(w[:, i].mean()), float(w[:, i].std()))
         for i in range(w.shape[1])
     ]
-
-
-def weight_summary_csv(net: Mlp) -> str:
-    """:func:`weight_summary` as CSV text with the header ``input,mean,std``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["input", "mean", "std"])
-    for name, mean, std in weight_summary(net):
-        writer.writerow([name, repr(mean), repr(std)])
-    return buf.getvalue()
 
 
 def mlp_to_json(net: Mlp) -> str:

@@ -14,15 +14,16 @@ An unprotected sweep (mode NONE) is evaluated as one stack: the p axis
 is one channel call with an array p, the alpha^2 axis one channel call
 on a stack of initial states, and all six measures come from one
 :func:`correlation_vector` call on the resulting ``(points, 4, 4)``
-stack, whose columns are the table.  The alpha^2 axis builds its
-initial states with one broadcast :func:`nme_state` call.  Each stacked
-row equals the row of that point evaluated on its own, bit for bit.  A
-protected sweep runs point by point, because :func:`optimal_qmr` takes
-one post-channel state per call: it scores that state's reversal on its
-own 1001-point guard grid, which is itself a stack.
+stack.  The alpha^2 axis builds its initial states with one broadcast
+:func:`nme_state` call.  Each stacked row equals the row of that point
+evaluated on its own, bit for bit.  A protected sweep runs point by
+point, because :func:`optimal_qmr` takes one post-channel state per
+call: it scores that state's reversal on its own 1001-point guard grid,
+which is itself a stack.  Either way the table is one :func:`normalize`
+call and one ``np.column_stack`` over the measure columns.
 
-:func:`write_sweep_csv` joins the cells itself and writes the whole
-text at once; the bytes are those of the excel-dialect ``csv.writer``.
+:func:`csv_text` writes every CSV of the package: sweeps, datasets,
+predictions and weight summaries.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ def _sweep_values(config: SweepConfig) -> np.ndarray:
     return np.linspace(0.0, upper, config.points)
 
 
-def _measure_fields(vector: CorrelationVector) -> tuple:
-    return (*vector, *normalize(vector))
-
-
 def _unprotected_states(config: SweepConfig, values: np.ndarray) -> np.ndarray:
     """The ``(points, 4, 4)`` stack of channel outputs, from one channel call."""
     if config.var == "p":
@@ -101,39 +98,49 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every sweep point; rows are fully computed before return."""
     columns = ("value", *MEASURE_COLUMNS, *(f"n_{m}" for m in MEASURE_COLUMNS))
     values = _sweep_values(config)
-
     if config.mode is WmrMode.NONE:
-        vector = correlation_vector(_unprotected_states(config, values))
-        return SweepResult(config, columns, np.column_stack([values, *_measure_fields(vector)]))
+        vector, protection = correlation_vector(_unprotected_states(config, values)), ()
+    else:
+        vectors, r_star, success = [], [], []
+        for value in values.tolist():
+            family, p, q = config.family, config.p_fixed, config.q_fixed
+            if config.var == "p":
+                p = value
+            elif config.var == "q":
+                q = value
+            else:
+                family = StateFamily("nme", value)
+            result = optimal_qmr(family, ChannelParams(p, config.eta), q, config.mode)
+            vectors.append(correlation_vector(result.state))
+            r_star.append(result.r_star)
+            success.append(result.success_probability)
+        vector, protection = CorrelationVector(*np.array(vectors).T), (r_star, success)
+        columns += ("r_star", "success_prob")
+    table = np.column_stack([values, *vector, *normalize(vector), *protection])
+    return SweepResult(config, columns, table)
 
-    rows = []
-    for value in values.tolist():
-        family, p, q = config.family, config.p_fixed, config.q_fixed
-        if config.var == "p":
-            p = value
-        elif config.var == "q":
-            q = value
-        else:
-            family = StateFamily("nme", value)
-        result = optimal_qmr(family, ChannelParams(p, config.eta), q, config.mode)
-        vector = correlation_vector(result.state)
-        rows.append([value, *_measure_fields(vector), result.r_star, result.success_probability])
-    return SweepResult(config, (*columns, "r_star", "success_prob"), np.array(rows))
+
+def csv_text(header, labels, rows) -> str:
+    """CSV text whose row i is the text cells ``labels[i]``, then the ``repr``
+    of each float in the 2-D float table ``rows[i]``.
+
+    The text is what the excel-dialect :func:`csv.writer` writes for
+    these cells, built without it: comma-separated cells, lines ending
+    in ``"\\r\\n"``, and no quoting, so no header name or label may hold
+    a comma, quote, CR or LF; a float ``repr`` never does.
+    """
+    lines = [",".join(header)]
+    lines += [
+        ",".join((*label, *map(repr, row)))
+        for label, row in zip(labels, np.asarray(rows, dtype=float).tolist(), strict=True)
+    ]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def write_sweep_csv(result: SweepResult, fh) -> None:
-    """Write the header and rows to ``fh`` as CSV text, in one ``fh.write``.
-
-    The text is what the excel-dialect :func:`csv.writer` writes for
-    these rows, built without it: comma-separated cells, lines ending in
-    ``"\\r\\n"``, and no quoting, because no cell (a header name, the
-    sweep variable's name or a float ``repr``) holds a comma, quote, CR
-    or LF.
-    """
-    var = result.config.var
-    lines = ["sweep_var," + ",".join(result.columns)]
-    lines += [var + "," + ",".join(map(repr, row)) for row in result.table.tolist()]
-    fh.write("\r\n".join(lines) + "\r\n")
+    """Write the header and rows to ``fh`` as :func:`csv_text`, in one ``fh.write``."""
+    labels = [(result.config.var,)] * len(result.table)
+    fh.write(csv_text(("sweep_var", *result.columns), labels, result.table))
 
 
 def sweep_csv_text(result: SweepResult) -> str:

@@ -210,6 +210,34 @@ class TestTrainPredictWeights:
         report = json.loads(capsys.readouterr().out)
         assert report["mse_test"] <= 1e-3
 
+    @pytest.mark.parametrize(
+        "scenario, sweep_var, column",
+        [('"x,y"', "p", "scenario"), ("wmr1", "q", "scenario"), ("no_wmr", "q", "sweep_var"),
+         ("wmr2", "p", "sweep_var"), ("no_wmr", '"a,b"', "sweep_var")],
+        ids=["quoted_scenario", "unknown_scenario", "no_wmr_on_q", "wmr2_on_p", "quoted_axis"],
+    )
+    def test_unknown_scenario_or_axis_is_usage_error(
+        self, trained, tmp_path, capsys, scenario, sweep_var, column
+    ):
+        # the dataset writer quotes no cell, so a file carrying a scenario or
+        # axis it never writes is refused before anything is trained or written
+        header, *rows = (trained / "data.csv").read_text().splitlines()
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(
+            [header, *(",".join([scenario, r.split(",")[1], sweep_var, *r.split(",")[3:]])
+                       for r in rows)]
+        ) + "\n")
+        model, out = tmp_path / "model.json", tmp_path / "pred.csv"
+        train = ["train", "--data", str(data), "--restarts", "1", "--max-epochs", "2",
+                 "--model-out", str(model), "--summary-out", str(tmp_path / "summary.csv")]
+        predict = ["predict", "--model", str(trained / "model.json"), "--data", str(data),
+                   "-o", str(out)]
+        assert main(train) == 1 and main(predict) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(f"row 2, column '{column}'") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
     def test_missing_model_is_usage_error(self, tmp_path):
         assert main(["weights", "--model", str(tmp_path / "nope.json")]) == 1
 

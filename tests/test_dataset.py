@@ -5,6 +5,7 @@ import pytest
 
 from qcorrkit.dataset import (
     CSV_HEADER,
+    SCENARIOS,
     build_dataset,
     read_dataset_csv,
     write_dataset_csv,
@@ -47,18 +48,21 @@ class TestBuildDataset:
 
 class TestCsvRoundTrip:
     def test_write_read(self, tmp_path):
-        data = build_dataset(StateFamily("mems", 0.8), "no_wmr", 1.0, points=55)
-        path = tmp_path / "rows.csv"
-        write_dataset_csv(path, data)
-        header = path.read_text().splitlines()[0]
-        # the measure names come from the CorrelationVector fields; the
-        # header stays the documented one
-        assert header == "scenario,eta,sweep_var,sweep_value,jsd,concurrence,fidelity,qs,chi,tdd"
-        back = read_dataset_csv(path)
-        np.testing.assert_array_equal(back.features, data.features)
-        np.testing.assert_array_equal(back.targets, data.targets)
-        np.testing.assert_array_equal(back.sweep_values, data.sweep_values)
-        assert back.scenario == data.scenario and back.eta == data.eta
+        for scenario in SCENARIOS:
+            # build_dataset sets each scenario's own axis, which the reader requires
+            data = build_dataset(StateFamily("mems", 0.8), scenario, 1.0, points=55)
+            assert data.sweep_var == SCENARIOS[scenario]
+            path = tmp_path / f"{scenario}.csv"
+            write_dataset_csv(path, data)
+            header = path.read_text().splitlines()[0]
+            # the measure names come from the CorrelationVector fields; the
+            # header stays the documented one
+            assert header == "scenario,eta,sweep_var,sweep_value,jsd,concurrence,fidelity,qs,chi,tdd"
+            back = read_dataset_csv(path)
+            np.testing.assert_array_equal(back.features, data.features)
+            np.testing.assert_array_equal(back.targets, data.targets)
+            np.testing.assert_array_equal(back.sweep_values, data.sweep_values)
+            assert (back.scenario, back.eta, back.sweep_var) == (scenario, 1.0, data.sweep_var)
 
     def test_parse_error_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -8,7 +8,8 @@ of a public class, needs a caller in ``src``, ``scripts`` or ``bench``,
 and so does every defaulted parameter of a public function, every
 defaulted field of a public dataclass and every CLI flag; tests alone
 do not keep a name or a setting alive.  No module
-imports scipy, which only the tests use.
+imports scipy, which only the tests use, and ``sweep.csv_text`` is the
+only CSV writer.
 """
 
 import argparse
@@ -74,6 +75,21 @@ def test_no_module_imports_scipy(module):
             continue
         found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] == "scipy"]
     assert not found, f"{module}.py imports scipy: {found}"
+
+
+def test_no_csv_writer_outside_csv_text():
+    # sweep.csv_text spells every CSV the program writes; a csv.writer or
+    # DictWriter elsewhere would be a second spelling of the same bytes
+    writers = {"writer", "DictWriter"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Attribute) and _dotted(node) in {f"csv.{w}" for w in writers}:
+                found.append(f"{path.name} line {node.lineno}: {_dotted(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found += [f"{path.name} line {node.lineno}: from csv import {a.name}"
+                          for a in node.names if a.name in writers]
+    assert not found, f"CSV writers outside sweep.csv_text: {found}"
 
 
 @pytest.mark.parametrize("module", ["sweep", "dataset"])

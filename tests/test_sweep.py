@@ -9,7 +9,10 @@ import pytest
 from qcorrkit import cli, sweep
 from qcorrkit.channels import ChannelParams, WmrMode, WmrParams, apply_cad, apply_wm, wmr_pipeline
 from qcorrkit.cli import build_parser, main
+from qcorrkit.dataset import CSV_HEADER, Dataset, build_dataset, write_dataset_csv
 from qcorrkit.measures import correlation_vector, normalize
+from qcorrkit.mlp import init_mlp, save_mlp
+from qcorrkit.optimize import optimal_qmr
 from qcorrkit.states import StateFamily, make_state
 from qcorrkit.sweep import (
     SweepConfig,
@@ -148,10 +151,57 @@ class TestStackedUnprotectedSweep:
         assert calls == {"apply_cad": 1, "correlation_vector": 1}
 
 
+class TestProtectedSweepTable:
+    """A protected sweep collects each point's measures, r* and success
+    probability and builds its table with one normalize call and one
+    column stack; the table must equal, bit for bit, the rows assembled
+    point by point as ``[value, *v, *normalize(v), r_star, success]``."""
+
+    CASES = {
+        "q": (StateFamily("werner", 0.8), np.linspace(0.0, 0.99, 9)),
+        "p": (StateFamily("mems", 0.8), np.linspace(0.0, 1.0, 9)),
+        "alpha2": (StateFamily("nme", 0.5), np.linspace(0.0, 1.0, 9)),
+    }
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT], ids=["wm1", "wm2"])
+    @pytest.mark.parametrize("var", CASES)
+    def test_table_equals_per_point_rows(self, monkeypatch, var, mode):
+        family, values = self.CASES[var]
+        calls = {"optimal_qmr": 0, "correlation_vector": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
+        config = SweepConfig(family, 0.4, mode, var=var, points=len(values), q_fixed=0.6)
+        result = run_sweep(config)
+        assert calls == {"optimal_qmr": len(values), "correlation_vector": len(values)}
+
+        rows = []
+        for value in values.tolist():
+            point_family, p, q = family, config.p_fixed, config.q_fixed
+            if var == "p":
+                p = value
+            elif var == "q":
+                q = value
+            else:
+                point_family = StateFamily("nme", value)
+            out = optimal_qmr(point_family, ChannelParams(p, config.eta), q, mode)
+            vector = correlation_vector(out.state)
+            rows.append([value, *vector, *normalize(vector), out.r_star, out.success_probability])
+        assert result.table.tobytes() == np.array(rows).tobytes()
+
+
 class TestCsvText:
-    """``write_sweep_csv`` joins the cells itself; its text must be the
-    excel-dialect ``csv.writer`` text, for each sweep variable and for the
-    floats whose repr is unusual."""
+    """``csv_text`` joins the cells itself; the text of every CSV written
+    through it (a sweep for each sweep variable, a dataset file, the
+    ``predict`` output and the weight summary) must be the excel-dialect
+    ``csv.writer`` text of the same cells, for the floats whose repr is
+    unusual too."""
 
     SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 1.0)
     CONFIGS = {
@@ -160,23 +210,80 @@ class TestCsvText:
         "alpha2": SweepConfig(StateFamily("nme", 0.5), var="alpha2", points=5),
     }
 
+    @classmethod
+    def _special_rows(cls, width):
+        return [[cls.SPECIAL[(k + i) % len(cls.SPECIAL)] for i in range(width)]
+                for k in range(len(cls.SPECIAL))]
+
+    @staticmethod
+    def _writer_text(header, rows):
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return expected.getvalue()
+
     @pytest.mark.parametrize("var", CONFIGS)
     def test_text_equals_csv_writer(self, var):
         result = run_sweep(self.CONFIGS[var])
-        width = len(result.columns)
-        special = [[self.SPECIAL[(k + i) % len(self.SPECIAL)] for i in range(width)]
-                   for k in range(len(self.SPECIAL))]
-        result.table = np.vstack([result.table, special])
-        expected = io.StringIO()
-        writer = csv.writer(expected)
-        writer.writerow(["sweep_var", *result.columns])
-        writer.writerows([[var, *map(repr, row)] for row in result.table.tolist()])
+        result.table = np.vstack([result.table, self._special_rows(len(result.columns))])
+        expected = self._writer_text(
+            ["sweep_var", *result.columns], [[var, *map(repr, row)] for row in result.table.tolist()]
+        )
 
         fh = io.StringIO()
         write_sweep_csv(result, fh)
-        assert fh.getvalue() == expected.getvalue()
-        assert fh.tell() == len(expected.getvalue())
-        assert sweep_csv_text(result) == expected.getvalue()
+        assert fh.getvalue() == expected
+        assert fh.tell() == len(expected)
+        assert sweep_csv_text(result) == expected
+
+    @pytest.mark.parametrize("scenario", ["no_wmr", "wmr2"])
+    def test_dataset_file_equals_csv_writer(self, tmp_path, scenario):
+        data = build_dataset(StateFamily("werner", 0.8), scenario, 0.4, points=50)
+        table = np.vstack([np.column_stack([data.sweep_values, data.features, data.targets]),
+                           self._special_rows(7)])
+        data = Dataset(table[:, 1:6], table[:, 6], data.scenario, data.eta, data.sweep_var,
+                       table[:, 0])
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, data)
+        expected = self._writer_text(
+            CSV_HEADER, [[scenario, "0.4", data.sweep_var, *map(repr, row)] for row in table.tolist()]
+        )
+        assert path.read_bytes() == expected.encode()
+
+    def test_predictions_equal_csv_writer(self, tmp_path, monkeypatch, capsys):
+        # the reader takes finite cells only, so the unusual non-finite
+        # floats reach the file as predictions
+        data = build_dataset(StateFamily("bell"), "wmr2", 1.0, points=50)
+        finite = [x for x in self.SPECIAL if math.isfinite(x)]
+        data.sweep_values[: len(finite)] = finite
+        data.targets[-len(finite):] = finite
+        predictions = np.resize(self.SPECIAL, len(data))
+        model, path, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "pred.csv"
+        save_mlp(init_mlp(seed=3), model)
+        write_dataset_csv(path, data)
+        monkeypatch.setattr(cli, "forward", lambda net, features: predictions)
+        monkeypatch.setattr(cli, "mean_squared_error", lambda predicted, targets: 0.0)
+        assert main(["predict", "--model", str(model), "--data", str(path), "-o", str(out)]) == 0
+        capsys.readouterr()
+        expected = self._writer_text(
+            ["sweep_var", "sweep_value", "tdd", "tdd_predicted"],
+            [["q", repr(v), repr(t), repr(p)]
+             for v, t, p in zip(data.sweep_values.tolist(), data.targets.tolist(), predictions.tolist())],
+        )
+        assert out.read_bytes() == expected.encode()
+
+    def test_weight_summary_equals_csv_writer(self, tmp_path, monkeypatch):
+        model, out = tmp_path / "model.json", tmp_path / "weights.csv"
+        save_mlp(init_mlp(seed=3), model)
+        summary = cli.weight_summary(init_mlp(seed=3))
+        summary += [(f"input{k}", *row[:2]) for k, row in enumerate(self._special_rows(2))]
+        monkeypatch.setattr(cli, "weight_summary", lambda net: summary)
+        assert main(["weights", "--model", str(model), "-o", str(out)]) == 0
+        expected = self._writer_text(
+            ["input", "mean", "std"], [[name, repr(mean), repr(std)] for name, mean, std in summary]
+        )
+        assert out.read_bytes() == expected.encode()
 
 
 #: CLI ``sweep`` flags -> SHA-256 of the written file
