@@ -155,15 +155,18 @@ def qmr_diagonal(r: float | np.ndarray, mode: WmrMode) -> np.ndarray:
 
 
 def _sandwich_normalized(
-    rho: np.ndarray, strength: np.ndarray, diag: np.ndarray
+    rho: np.ndarray, strength: np.ndarray, outer: np.ndarray
 ) -> tuple[np.ndarray, float | np.ndarray]:
-    # M rho M^dag for diagonal real M is an entrywise rescale; diag may stack (..., 4).
-    # Where the strength is 0, M is the identity (diag all 1), and weight 1 keeps it so.
-    out = rho * _outer(diag)
+    # M rho M^dag for diagonal real M is rho * (m m^T), with ``outer`` = m m^T, which
+    # may stack (..., 4, 4).  Where the strength is 0, M is the identity (outer all 1),
+    # and weight 1 keeps it so.  numpy divides a complex entry by a real t as
+    # x * (1/t), so one reciprocal per state gives the quotient's value.
+    out = rho * outer
     t = np.where(strength == 0.0, 1.0, out.trace(axis1=-2, axis2=-1).real)
     if np.count_nonzero(t < _DEGENERATE_TRACE):
         raise DegenerateMeasurementError(f"post-measurement trace {t.min():.3e}")
-    return out / t[..., None, None], t[()]
+    out *= (1.0 / t)[..., None, None]
+    return out, t[()]
 
 
 def apply_wm(
@@ -182,7 +185,7 @@ def apply_wm(
     q = _unit_interval("q", q, closed=False)
     if mode is WmrMode.NONE or not np.count_nonzero(q):
         return rho, 1.0
-    return _sandwich_normalized(rho, q, wm_diagonal(q, mode))
+    return _sandwich_normalized(rho, q, _outer(wm_diagonal(q, mode)))
 
 
 def apply_qmr(
@@ -192,7 +195,7 @@ def apply_qmr(
     r = _unit_interval("r", r, closed=False)
     if mode is WmrMode.NONE or not np.count_nonzero(r):
         return rho, 1.0
-    return _sandwich_normalized(rho, r, qmr_diagonal(r, mode))
+    return _sandwich_normalized(rho, r, _outer(qmr_diagonal(r, mode)))
 
 
 def wmr_pipeline(rho: np.ndarray, ch: ChannelParams, wmr: WmrParams) -> PipelineOutput:

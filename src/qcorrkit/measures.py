@@ -27,10 +27,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import NumericalContractError, UnsupportedStateError
-from .states import X_STATE_TOL, is_x_state
+from .states import _X_MASK, X_STATE_TOL
 
 _CLAMP = 1e-12
 _TINY = 2.2250738585072014e-308  # smallest normal double; stands in for x = 0 under log2
+
+# What x_entries gathers, as flat indices 4i + j of a (..., 16) view: row 0
+# holds entries on or above the diagonal and row 1 their mirrors.  The first
+# four columns are the upper entries off the X pattern, so the two rows hold
+# all eight; then come a, b, c, d and the coherences z = rho14, w = rho23.
+_UPPER = [(i, j) for i, j in zip(*np.nonzero(~_X_MASK)) if i < j]
+_UPPER += [(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2)]
+_PAIRS = np.array([[4 * i + j for i, j in _UPPER], [4 * j + i for i, j in _UPPER]])
+_PAIRS.flags.writeable = False
 
 
 class CorrelationVector(NamedTuple):
@@ -73,18 +82,19 @@ def x_entries(rho: np.ndarray) -> tuple[np.ndarray, ...]:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise NumericalContractError(f"expected (..., 4, 4) states, got shape {rho.shape}")
-    herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
+    pairs = rho.reshape(rho.shape[:-2] + (16,))[..., _PAIRS]
+    upper = pairs[..., 0, :]
+    # rho - rho^H is anti-Hermitian, so its upper triangle holds its largest modulus
+    herm_dev = np.abs(upper - pairs[..., 1, :].conj()).max()
     if herm_dev > X_STATE_TOL:
         raise NumericalContractError(f"non-Hermitian input (deviation {herm_dev:.3e})")
-    if not np.all(is_x_state(rho)):
+    if not np.abs(pairs[..., :4]).max() <= X_STATE_TOL:  # a NaN off the pattern fails too
         raise UnsupportedStateError("X-state formula fed a non-X state")
-    z, w = rho[..., 0, 3], rho[..., 1, 2]
-    imag = np.abs(rho[..., [0, 1], [3, 2]].imag).max()
+    imag = np.abs(upper[..., 8:].imag).max()
     if imag > X_STATE_TOL:
         raise UnsupportedStateError(f"X-state coherences must be real (imaginary part {imag:.3e})")
-    a, b, c, d = (rho[..., i, i].real for i in range(4))
     # [()] turns the entries of one state into scalars, and leaves arrays as they are
-    return tuple(e[()] for e in (a, b, c, d, z.real, w.real))
+    return tuple(upper[..., k].real[()] for k in range(4, 10))
 
 
 def _scalar(x: np.ndarray) -> float | np.ndarray:

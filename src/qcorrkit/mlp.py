@@ -269,13 +269,15 @@ def mlp_to_json(net: Mlp) -> str:
 def mlp_from_json(text: str) -> Mlp:
     """Rebuild a model from :func:`mlp_to_json` output.
 
-    Raises ``ValueError`` unless the document has every required key, one
-    known activation per layer, weights and biases whose shapes chain
-    ``layer_sizes``, and one scaling anchor pair per input.
+    Raises ``ValueError`` unless the document has every required key,
+    integer layer sizes, one known activation per layer, weights and
+    biases whose shapes chain ``layer_sizes``, one scaling anchor pair
+    per input with max above min, finite numbers throughout, and, if
+    present, a ``train_report`` object.
     """
     doc = json.loads(text)
     try:
-        sizes = tuple(int(n) for n in doc["layer_sizes"])
+        sizes = tuple(doc["layer_sizes"])
         activations = tuple(doc["activations"])
         weights = [np.array(w, dtype=float) for w in doc["weights"]]
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
@@ -285,6 +287,11 @@ def mlp_from_json(text: str) -> Mlp:
         train_report = doc.get("train_report", {})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: missing or mistyped {exc}") from exc
+    # bool is an int subclass, and JSON's true is no layer width
+    if not all(type(n) is int for n in sizes):
+        raise ValueError(f"layer_sizes must be integers, got {list(sizes)}")
+    if not isinstance(train_report, dict):
+        raise ValueError(f"train_report must be an object, got {train_report!r}")
     _check_architecture(sizes, activations)
     # shapes are checked per layer before flattening: a transposed layer
     # has the right element count and would load as a scrambled one
@@ -294,6 +301,10 @@ def mlp_from_json(text: str) -> Mlp:
         raise ValueError(f"weight and bias shapes do not chain layer_sizes {list(sizes)}")
     if input_min.shape != (sizes[0],) or input_max.shape != (sizes[0],):
         raise ValueError(f"input scaling needs {sizes[0]} anchors per side")
+    if not all(np.isfinite(a).all() for a in (*weights, *biases, input_min, input_max)):
+        raise ValueError("model weights, biases and scaling anchors must be finite")
+    if not (input_max > input_min).all():
+        raise ValueError("each input scaling anchor pair needs max above min")
     return Mlp(
         layer_sizes=sizes,
         activations=activations,

@@ -3,27 +3,55 @@
 The objective is the concurrence of the full measurement/channel/reversal
 pipeline as a function of the reversal strength r at fixed damping,
 memory, and measurement strength.  The state sigma after measurement and
-channel does not depend on r, so it is built once.  A dense coarse grid,
-reversed and scored in one batched ``apply_qmr`` call, detects the dead
-plateau and guards the result; the optimum itself is the stationary
-point of the concurrence in u = 1 - r, which is unimodal there
-(``docs/decisions.md`` section 1.2).
+channel does not depend on r, so it is built once.  A dense coarse grid
+detects the dead plateau and guards the result: the grid and each mode's
+reversal factors are built once per process, so a call reverses sigma on
+the whole grid with one multiply, one trace and one reciprocal per grid
+point, and scores it with one batched ``concurrence`` call.  The optimum
+itself is the stationary point of the concurrence in u = 1 - r, which is
+unimodal there (``docs/decisions.md`` section 1.2).
 The result carries the protected state at the optimum, so callers never
 rebuild it.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelParams, WmrMode, apply_cad, apply_qmr, apply_wm
+from .channels import (
+    ChannelParams,
+    WmrMode,
+    _outer,
+    _sandwich_normalized,
+    apply_cad,
+    apply_qmr,
+    apply_wm,
+    qmr_diagonal,
+)
 from .measures import concurrence
 from .states import StateFamily, make_state
 
 _R_MAX = 1.0 - 1e-6
 _GRID_STEP = 1e-3
+
+#: the guard grid: [0, ``_R_MAX``) in steps of ``_GRID_STEP``, then ``_R_MAX``
+_GRID = np.append(np.arange(0.0, _R_MAX, _GRID_STEP), _R_MAX)
+_GRID.flags.writeable = False
+
+
+@functools.cache
+def _grid_factors(mode: WmrMode) -> np.ndarray:
+    """The reversal factors m mᵀ of every grid strength, shape (grid, 4, 4), read-only.
+
+    Complex, so that reversing a complex state casts nothing per call;
+    the products are those of the real factors.
+    """
+    factors = _outer(qmr_diagonal(_GRID, mode)).astype(complex)
+    factors.flags.writeable = False
+    return factors
 
 
 @dataclass(frozen=True)
@@ -57,12 +85,8 @@ def optimal_qmr(
     measured, t_wm = apply_wm(make_state(family), q, mode)
     sigma = apply_cad(measured, ch)
 
-    grid = np.arange(0.0, _R_MAX, _GRID_STEP)
-    if grid[-1] < _R_MAX:
-        grid = np.append(grid, _R_MAX)
-
-    values = concurrence(apply_qmr(sigma, grid, mode)[0])
-    evaluations = len(grid)
+    values = concurrence(_sandwich_normalized(sigma, _GRID, _grid_factors(mode))[0])
+    evaluations = _GRID.size
 
     best = int(values.argmax())  # argmax takes the first index, i.e. smallest r
     if values[best] <= 0.0:
@@ -79,8 +103,8 @@ def optimal_qmr(
         evaluations += 1
         # the closed form must never lose to the best grid candidate, and a
         # tie (flat or boundary maximum) resolves to the smaller r
-        if c_star < values[best] or (c_star - values[best] <= 1e-12 and grid[best] < r_star):
-            r_star, c_star = float(grid[best]), float(values[best])
+        if c_star < values[best] or (c_star - values[best] <= 1e-12 and _GRID[best] < r_star):
+            r_star, c_star = float(_GRID[best]), float(values[best])
             state, t_qmr = apply_qmr(sigma, r_star, mode)
 
     return OptimizationResult(

@@ -45,6 +45,9 @@ _MAGIC_BASIS = np.array(
     ],
     dtype=complex,
 ) / np.sqrt(2.0)
+for _constant in (_I2, *_PAULIS, _MAGIC_BASIS):
+    _constant.flags.writeable = False
+del _constant
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:

@@ -24,6 +24,7 @@ _X_MASK = np.array(
     ],
     dtype=bool,
 )
+_X_MASK.flags.writeable = False
 
 #: largest modulus an entry off the X pattern may have in an X state
 X_STATE_TOL = 1e-10

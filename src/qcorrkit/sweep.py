@@ -18,9 +18,10 @@ stack.  The alpha^2 axis builds its initial states with one broadcast
 :func:`nme_state` call.  Each stacked row equals the row of that point
 evaluated on its own, bit for bit.  A protected sweep runs point by
 point, because :func:`optimal_qmr` takes one post-channel state per
-call: it scores that state's reversal on its own 1001-point guard grid,
-which is itself a stack.  Either way the table is one :func:`normalize`
-call and one ``np.column_stack`` over the measure columns.
+call: it scores that state's reversal on the 1001-point guard grid, one
+stack per call, through reversal factors built once per mode.  Either
+way the table is one :func:`normalize` call and one ``np.column_stack``
+over the measure columns.
 
 :func:`csv_text` writes every CSV of the package: sweeps, datasets,
 predictions and weight summaries.

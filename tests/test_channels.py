@@ -205,6 +205,25 @@ class TestMeasurements:
         with pytest.raises(ValueError):
             apply_qmr(rho, np.array([0.2, -0.1]), mode)
 
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    @pytest.mark.parametrize("draw", [random_x_state, random_density_matrix], ids=["x", "dense"])
+    def test_reciprocal_equals_the_quotient(self, rng, mode, draw):
+        # one reciprocal per state, then a multiply, gives the value of the
+        # complex quotient out / t entry by entry (== leaves a zero's sign open)
+        from qcorrkit.channels import _outer, _sandwich_normalized, qmr_diagonal
+
+        rho = np.stack([draw(rng) for _ in range(200)])
+        strength = np.where(rng.random(200) < 0.1, 0.0, rng.random(200))
+        outer = _outer(qmr_diagonal(strength, mode))
+        out = rho * outer
+        t = np.where(strength == 0.0, 1.0, out.trace(axis1=-2, axis2=-1).real)
+        states, traces = _sandwich_normalized(rho, strength, outer)
+        assert np.array_equal(states, out / t[:, None, None])
+        assert np.array_equal(traces, t)
+        # the optimizer passes its cached factors as complex: the same products
+        complex_states, _ = _sandwich_normalized(rho, strength, outer.astype(complex))
+        assert complex_states.tobytes() == states.tobytes()
+
     def test_strength_domain(self):
         with pytest.raises(ValueError):
             apply_wm(bell_state(), 1.0, WmrMode.TWO_QUBIT)

@@ -266,6 +266,41 @@ class TestTrainPredictWeights:
         assert capsys.readouterr().err.count("error:") == 2
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["weights"][1][0].__setitem__(3, float("nan")), "must be finite"),
+            (lambda doc: doc["biases"][0].__setitem__(0, float("inf")), "must be finite"),
+            (lambda doc: doc["input_scaling"]["max"].__setitem__(2, float("-inf")),
+             "must be finite"),
+            (lambda doc: doc["layer_sizes"].__setitem__(2, 24.5), "layer_sizes must be integers"),
+            (lambda doc: doc["layer_sizes"].__setitem__(0, "5"), "layer_sizes must be integers"),
+            (lambda doc: doc["input_scaling"]["max"].__setitem__(
+                1, doc["input_scaling"]["min"][1]), "needs max above min"),
+            (lambda doc: doc.__setitem__("train_report", 7), "train_report must be an object"),
+        ],
+        ids=["nan_weight", "inf_bias", "inf_anchor", "fractional_size", "string_size",
+             "zero_width_anchor", "report_not_object"],
+    )
+    def test_unreadable_model_writes_nothing(self, trained, tmp_path, capsys, recwarn,
+                                             edit, message):
+        # each of these once loaded: weights wrote nan rows or predict warned
+        # from the scaler; the reader now refuses them before any output
+        doc = json.loads((trained / "model.json").read_text())
+        edit(doc)
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        pred, weights = tmp_path / "pred.csv", tmp_path / "w.csv"
+        assert main(["predict", "--model", str(model), "--data", str(trained / "data.csv"),
+                     "--output", str(pred)]) == 1
+        assert main(["weights", "--model", str(model), "--output", str(weights)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(message) == 2
+        assert captured.err.count("\n") == 2  # one error line per command, no warning
+        assert not recwarn.list
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize(
         "sizes, message",
         [((5, 3, 2), "predicts one value, got 2 outputs"),
          ((3, 4, 1), "takes 3 features per row, got 5")],

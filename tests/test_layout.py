@@ -9,18 +9,23 @@ and so does every defaulted parameter of a public function, every
 defaulted field of a public dataclass and every CLI flag; tests alone
 do not keep a name or a setting alive.  No module
 imports scipy, which only the tests use, and ``sweep.csv_text`` is the
-only CSV writer.
+only CSV writer.  Every array a module holds for all its callers is
+read-only.
 """
 
 import argparse
 import ast
 import functools
+import importlib
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qcorrkit.channels import WmrMode
 from qcorrkit.cli import build_parser
+from qcorrkit.optimize import _grid_factors
 
 from conftest import readme_commands
 
@@ -90,6 +95,26 @@ def test_no_csv_writer_outside_csv_text():
                 found += [f"{path.name} line {node.lineno}: from csv import {a.name}"
                           for a in node.names if a.name in writers]
     assert not found, f"CSV writers outside sweep.csv_text: {found}"
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_module_level_arrays_are_read_only(module):
+    # a module's arrays are shared by every caller: one in-place write
+    # would corrupt them for the rest of the process
+    writable = []
+    for name, value in vars(importlib.import_module(f"qcorrkit.{module}")).items():
+        members = value if isinstance(value, (tuple, list)) else (value,)
+        writable += [name for m in members if isinstance(m, np.ndarray) and m.flags.writeable]
+    assert not writable, f"{module}.py holds writable arrays: {writable}"
+
+
+@pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+def test_cached_grid_factors_are_read_only(mode):
+    factors = _grid_factors(mode)
+    assert factors is _grid_factors(mode)
+    assert not factors.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        factors[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("module", ["sweep", "dataset"])

@@ -14,7 +14,9 @@ from qcorrkit.measures import (
     x_entries,
 )
 from qcorrkit.states import (
+    X_STATE_TOL,
     bell_state,
+    is_x_state,
     mems_state,
     nme_state,
     random_x_state,
@@ -27,7 +29,78 @@ GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 PLUS_ZERO = np.kron(np.full((2, 2), 0.5, dtype=complex), np.diag([1.0, 0.0]).astype(complex))
 
 
+def three_step_x_entries(rho):
+    """``x_entries`` as three whole-matrix passes: the Hermitian deviation
+    over all 16 entries, ``is_x_state`` per state, then the coherences'
+    imaginary parts."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise NumericalContractError(f"expected (..., 4, 4) states, got shape {rho.shape}")
+    herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
+    if herm_dev > X_STATE_TOL:
+        raise NumericalContractError(f"non-Hermitian input (deviation {herm_dev:.3e})")
+    if not np.all(is_x_state(rho)):
+        raise UnsupportedStateError("X-state formula fed a non-X state")
+    z, w = rho[..., 0, 3], rho[..., 1, 2]
+    imag = np.abs(rho[..., [0, 1], [3, 2]].imag).max()
+    if imag > X_STATE_TOL:
+        raise UnsupportedStateError(f"X-state coherences must be real (imaginary part {imag:.3e})")
+    a, b, c, d = (rho[..., i, i].real for i in range(4))
+    return tuple(e[()] for e in (a, b, c, d, z.real, w.real))
+
+
+def _outcome(extract, rho):
+    """What ``extract`` does with rho: the exception's type and message, or
+    the type, shape and bytes of each returned number."""
+    try:
+        entries = extract(rho)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    return [(type(e), np.shape(e), np.asarray(e).tobytes()) for e in entries]
+
+
+def _edited(edit):
+    rho = werner_state(0.8)
+    edit(rho)
+    return rho
+
+
+_BAD_STATES = {
+    "non_hermitian": lambda r: r.__setitem__((0, 3), r[0, 3] + 1e-6),
+    "imaginary_diagonal": lambda r: r.__setitem__((1, 1), r[1, 1] + 1e-6j),
+    "off_x": lambda r: (r.__setitem__((0, 1), 1e-6), r.__setitem__((1, 0), 1e-6)),
+    "imaginary_coherence": lambda r: (r.__setitem__((1, 2), 1e-9j),
+                                      r.__setitem__((2, 1), -1e-9j)),
+    "nan_off_x": lambda r: r.__setitem__((0, 2), np.nan),
+    "nan_diagonal": lambda r: r.__setitem__((2, 2), np.nan),
+    "nan_coherence": lambda r: r.__setitem__((0, 3), complex(np.nan, 0.0)),
+    "nan_and_non_hermitian": lambda r: (r.__setitem__((3, 1), np.nan),
+                                        r.__setitem__((0, 3), 1.0)),
+    "just_inside_tolerance": lambda r: (r.__setitem__((1, 3), X_STATE_TOL),
+                                        r.__setitem__((3, 1), X_STATE_TOL)),
+}
+
+
 class TestXEntries:
+    @pytest.mark.parametrize("edit", list(_BAD_STATES.values()), ids=list(_BAD_STATES))
+    @pytest.mark.parametrize("stacked", [False, True], ids=["state", "stack"])
+    def test_checks_match_the_three_step_check(self, rng, edit, stacked):
+        rho = _edited(edit)
+        if stacked:
+            rho = np.stack([random_x_state(rng), rho, random_x_state(rng)]).reshape(3, 1, 4, 4)
+        assert _outcome(x_entries, rho) == _outcome(three_step_x_entries, rho)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3), (3, 4, 2), (2, 16)])
+    def test_shape_check_matches_the_three_step_check(self, shape):
+        rho = np.zeros(shape)
+        assert _outcome(x_entries, rho) == _outcome(three_step_x_entries, rho)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (40,), (2, 3, 5)])
+    def test_six_numbers_match_the_three_step_check(self, rng, shape):
+        states = [random_x_state(rng) for _ in range(int(np.prod(shape)))]
+        rho = np.stack(states).reshape(shape + (4, 4))
+        assert _outcome(x_entries, rho) == _outcome(three_step_x_entries, rho)
+
     def test_six_numbers_of_one_state_and_of_a_stack(self, rng):
         assert x_entries(mems_state(0.8)) == pytest.approx((0.4, 0.2, 0.0, 0.4, 0.4, 0.0))
         stack = np.stack([random_x_state(rng) for _ in range(6)]).reshape(2, 3, 4, 4)

@@ -11,7 +11,7 @@ from qcorrkit.channels import (
     wmr_pipeline,
 )
 from qcorrkit.measures import concurrence
-from qcorrkit.optimize import _GRID_STEP, _R_MAX, optimal_qmr
+from qcorrkit.optimize import _GRID_STEP, _R_MAX, OptimizationResult, optimal_qmr
 from qcorrkit.states import StateFamily, make_state
 
 from conftest import closed_form_optimum, closed_form_u_star
@@ -44,6 +44,81 @@ def exhaustive_grid_oracle(family, ch, q, mode, n=1_000_001):
     ) / trace
     i = int(conc.argmax())
     return float(rs[i]), float(conc[i])
+
+
+def per_call_grid_oracle(family, ch, q, mode):
+    """The optimizer with its guard grid rebuilt and reversed on every call.
+
+    This is the per-call path the cached grid factors replaced: the grid
+    built by ``arange``/``append``, reversed by ``apply_qmr`` and scored by
+    one ``concurrence`` call, then the same stationary point and tie rule.
+    Returns the result and the branch that set r*: "plateau", "closed"
+    (the stationary point) or "grid" (the tie rule).
+    """
+    measured, t_wm = apply_wm(make_state(family), q, mode)
+    sigma = apply_cad(measured, ch)
+    grid = np.arange(0.0, _R_MAX, _GRID_STEP)
+    if grid[-1] < _R_MAX:
+        grid = np.append(grid, _R_MAX)
+    values = concurrence(apply_qmr(sigma, grid, mode)[0])
+    evaluations = len(grid)
+    best = int(values.argmax())
+    if values[best] <= 0.0:
+        branch, r_star, c_star = "plateau", 0.0, 0.0
+        state, t_qmr = apply_qmr(sigma, r_star, mode)
+    else:
+        s11, s22, s33, s44 = sigma.diagonal().real
+        u = np.sqrt(s44 / s11) if mode is WmrMode.TWO_QUBIT else (s22 + s44) / (s11 + s33)
+        branch, r_star = "closed", 1.0 - min(max(float(u), 1.0 - _R_MAX), 1.0)
+        state, t_qmr = apply_qmr(sigma, r_star, mode)
+        c_star = float(concurrence(state))
+        evaluations += 1
+        if c_star < values[best] or (c_star - values[best] <= 1e-12 and grid[best] < r_star):
+            branch, r_star, c_star = "grid", float(grid[best]), float(values[best])
+            state, t_qmr = apply_qmr(sigma, r_star, mode)
+    result = OptimizationResult(r_star, c_star, float(t_wm * t_qmr), evaluations, state)
+    return result, branch
+
+
+_FAMILIES = [StateFamily("bell"), StateFamily("werner", 0.8), StateFamily("mems", 0.8),
+             StateFamily("nme", 0.3)]
+
+
+class TestAgainstPerCallGrid:
+    def _assert_same(self, family, ch, q, mode):
+        expected, branch = per_call_grid_oracle(family, ch, q, mode)
+        res = optimal_qmr(family, ch, q, mode)
+        for name in OptimizationResult.__dataclass_fields__:
+            if name != "state":
+                assert getattr(res, name) == getattr(expected, name), name
+        assert res.state.dtype == expected.state.dtype
+        assert res.state.tobytes() == expected.state.tobytes()
+        return branch
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("family", _FAMILIES, ids=["bell", "werner08", "mems08", "nme03"])
+    def test_every_family_memory_and_mode(self, family, eta, mode):
+        branches = set()
+        for p in (0.0, 0.3, 0.8, 1.0):
+            for q in (0.0, 0.5, 0.9):
+                branches.add(self._assert_same(family, ChannelParams(p, eta), q, mode))
+        assert "closed" in branches
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    def test_dead_plateau(self, eta, mode):
+        branch = self._assert_same(StateFamily("werner", 0.43), ChannelParams(0.8, eta), 0.5, mode)
+        assert branch == "plateau"
+
+    @pytest.mark.parametrize(
+        "family, ch, q, mode",
+        [(StateFamily("bell"), ChannelParams(0.05, 0.0), 0.25, WmrMode.TWO_QUBIT),
+         (StateFamily("bell"), ChannelParams(0.25, 0.0), 0.2, WmrMode.ONE_QUBIT)],
+        ids=["wm2", "wm1"],
+    )
+    def test_tie_resolved_to_the_grid(self, family, ch, q, mode):
+        assert self._assert_same(family, ch, q, mode) == "grid"
 
 
 class TestOptimalQmr:
