@@ -61,7 +61,7 @@ from .states import (
     random_x_state,
     werner_state,
 )
-from .sweep import SweepConfig, find_zero_crossing, run_sweep
+from .sweep import SweepConfig, run_sweep
 from .training import TrainReport, lm_train, restart_search
 
 __version__ = "0.1.0"

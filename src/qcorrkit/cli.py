@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -127,13 +128,22 @@ def cmd_train(args) -> int:
     net, report = restart_search(
         data, restarts=args.restarts, seed=args.seed, max_epochs=args.max_epochs
     )
-    # written with the other outputs, so a run that fails writes none of them
-    if args.dataset_out:
-        write_dataset_csv(args.dataset_out, data)
-    if args.model_out:
-        save_mlp(net, args.model_out)
-    if args.summary_out:
-        _write_text(args.summary_out, _weight_summary_text(net))
+    # written after training, and removed again if a later one cannot be
+    # written, so a run that fails leaves none of them
+    written = []
+    try:
+        if args.dataset_out:
+            write_dataset_csv(args.dataset_out, data)
+            written.append(args.dataset_out)
+        if args.model_out:
+            save_mlp(net, args.model_out)
+            written.append(args.model_out)
+        if args.summary_out:
+            _write_text(args.summary_out, _weight_summary_text(net))
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
     summary = report.as_dict()
     del summary["mse_history"]
     print(json.dumps(summary, indent=2, sort_keys=True))

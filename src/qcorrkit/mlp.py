@@ -1,26 +1,26 @@
-"""Small dense feed-forward network with explicit weights and scaling.
+"""The paper's network, with explicit weights and scaling.
 
-The architecture used throughout is 5-40-24-16-1 with a log-sigmoid
+The one architecture is ``LAYER_SIZES`` = 5-40-24-16-1 with a log-sigmoid
 first hidden layer, a tangent-sigmoid second, and linear third hidden
-and output layers.  Inputs are min-max scaled to [-1, 1] with anchors
-stored on the model; the target is left unscaled.  Every weight and
-bias lives in one flat vector, ``Mlp.params``, which the LM trainer
+and output layers (``ACTIVATIONS``); every function reads the two
+constants when it runs.  Inputs are min-max scaled to [-1, 1] with
+anchors stored on the model; the target is left unscaled.  Every weight
+and bias lives in one flat vector, ``Mlp.params``, which the LM trainer
 updates as a whole; the per-layer ``weights`` and ``biases`` are views
-into it.  The whole model round-trips through a self-describing JSON
-document.
+into it, also in a model that was pickled.  The whole model round-trips
+through a self-describing JSON document, whose reader takes no other
+network.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .measures import CorrelationVector
-
-DEFAULT_LAYER_SIZES = (5, 40, 24, 16, 1)
-DEFAULT_ACTIVATIONS = ("logsig", "tansig", "linear", "linear")
 
 # each measure field holding its own name, so a renamed field fails here at import
 _NAMES = CorrelationVector(*CorrelationVector._fields)
@@ -29,6 +29,11 @@ _NAMES = CorrelationVector(*CorrelationVector._fields)
 #: dataset CSV's measure columns
 FEATURE_NAMES = (_NAMES.jsd, _NAMES.concurrence, _NAMES.fidelity, _NAMES.qs, _NAMES.chi)
 TARGET_NAME = _NAMES.tdd
+
+#: the network: one input per feature, three hidden layers, one output
+LAYER_SIZES = (len(FEATURE_NAMES), 40, 24, 16, 1)
+#: the activation of each weight layer, first hidden layer first
+ACTIVATIONS = ("logsig", "tansig", "linear", "linear")
 
 
 def _logsig(z: np.ndarray) -> np.ndarray:
@@ -47,22 +52,13 @@ _ACTIVATIONS = {
 }
 
 
-def _check_architecture(layer_sizes, activations) -> None:
-    if len(layer_sizes) < 2:
-        raise ValueError("need at least one weight layer")
-    if len(activations) != len(layer_sizes) - 1:
-        raise ValueError("need one activation per weight layer")
-    if layer_sizes[-1] != 1:
-        raise ValueError(f"the network predicts one value, got {layer_sizes[-1]} outputs")
-    unknown = set(activations) - set(_ACTIVATIONS)
-    if unknown:
-        raise ValueError(f"unknown activations {sorted(unknown)}")
+def _layer_shapes() -> list[tuple[int, int]]:
+    """(n_out, n_in) of each weight layer, in order."""
+    return list(zip(LAYER_SIZES[1:], LAYER_SIZES[:-1]))
 
 
 @dataclass
 class Mlp:
-    layer_sizes: tuple[int, ...]
-    activations: tuple[str, ...]
     params: np.ndarray               # every parameter: per layer, W row-major, then b
     input_min: np.ndarray            # per feature scaling anchors
     input_max: np.ndarray
@@ -73,7 +69,7 @@ class Mlp:
 
     def __post_init__(self):
         self.weights, self.biases, pos = [], [], 0
-        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+        for n_out, n_in in _layer_shapes():
             self.weights.append(self.params[pos : pos + n_out * n_in].reshape(n_out, n_in))
             pos += n_out * n_in
             self.biases.append(self.params[pos : pos + n_out])
@@ -81,12 +77,13 @@ class Mlp:
         if pos != self.params.size:
             raise ValueError(f"parameter vector size {self.params.size}, expected {pos}")
 
+    def __reduce__(self):
+        # unpickling field by field would leave weights and biases as copies;
+        # the constructor makes them views into params again
+        return Mlp, (self.params, self.input_min, self.input_max, self.seed, self.train_report)
 
-def init_mlp(
-    layer_sizes: tuple[int, ...] = DEFAULT_LAYER_SIZES,
-    activations: tuple[str, ...] = DEFAULT_ACTIVATIONS,
-    seed: int = 0,
-) -> Mlp:
+
+def init_mlp(seed: int) -> Mlp:
     """Fresh network with weights and biases uniform in [-0.5, 0.5].
 
     The parameters are one draw in storage order, which is the stream of
@@ -94,12 +91,9 @@ def init_mlp(
     The initial scaling anchors are (-1, 1) per feature, which makes the
     scaler the identity until a trainer fits real anchors.
     """
-    _check_architecture(layer_sizes, activations)
-    size = sum(n_out * (n_in + 1) for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]))
-    n_feat = layer_sizes[0]
+    size = sum(n_out * (n_in + 1) for n_out, n_in in _layer_shapes())
+    n_feat = LAYER_SIZES[0]
     return Mlp(
-        layer_sizes=tuple(layer_sizes),
-        activations=tuple(activations),
         params=np.random.default_rng(seed).uniform(-0.5, 0.5, size=size),
         input_min=-np.ones(n_feat),
         input_max=np.ones(n_feat),
@@ -137,7 +131,7 @@ def layer_outputs(net: Mlp, scaled: np.ndarray) -> list[np.ndarray]:
     :func:`forward_scaled` and the trainer both run it.
     """
     outputs = [np.atleast_2d(scaled)]
-    for w, b, act in zip(net.weights, net.biases, net.activations):
+    for w, b, act in zip(net.weights, net.biases, ACTIVATIONS):
         outputs.append(_ACTIVATIONS[act][0](outputs[-1] @ w.T + b))
     return outputs
 
@@ -150,9 +144,9 @@ def forward_scaled(net: Mlp, scaled: np.ndarray) -> np.ndarray:
 def forward(net: Mlp, features: np.ndarray) -> float | np.ndarray:
     """Scale one feature vector (or a stack of rows) and propagate it."""
     features = np.asarray(features, dtype=float)
-    if features.shape[-1] != net.layer_sizes[0]:
+    if features.shape[-1] != LAYER_SIZES[0]:
         raise ValueError(
-            f"the model takes {net.layer_sizes[0]} features per row, got {features.shape[-1]}"
+            f"the model takes {LAYER_SIZES[0]} features per row, got {features.shape[-1]}"
         )
     single = features.ndim == 1
     out = forward_scaled(net, scale_inputs(net, np.atleast_2d(features)))
@@ -168,7 +162,7 @@ def layer_deltas(net: Mlp, outputs: list[np.ndarray]) -> list[np.ndarray]:
     Δ_l[i] A_l[i] (weights, row-major) followed by Δ_l[i] (biases), so
     :func:`factor_gram` and :func:`factor_jt_vector` need no Jacobian.
     """
-    derivative = [_ACTIVATIONS[act][1] for act in net.activations]
+    derivative = [_ACTIVATIONS[act][1] for act in ACTIVATIONS]
     deltas = [derivative[-1](outputs[-1])]
     for layer in range(len(net.weights) - 1, 0, -1):
         deltas.append((deltas[-1] @ net.weights[layer]) * derivative[layer - 1](outputs[layer]))
@@ -216,11 +210,11 @@ def network_jacobian(net: Mlp, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     a = np.atleast_2d(scaled)
     outputs = [a]
-    for w, b, act in zip(net.weights, net.biases, net.activations):
+    for w, b, act in zip(net.weights, net.biases, ACTIVATIONS):
         a = _ACTIVATIONS[act][0](a @ w.T + b)
         outputs.append(a)
     n = a.shape[0]
-    derivative = [_ACTIVATIONS[act][1] for act in net.activations]
+    derivative = [_ACTIVATIONS[act][1] for act in ACTIVATIONS]
 
     blocks: list[np.ndarray | None] = [None] * len(net.weights)
     # d output / d (output-layer preactivation); ones for a linear head
@@ -240,20 +234,16 @@ def weight_summary(net: Mlp) -> list[tuple[str, float, float]]:
     One row per input feature, aggregated over the first hidden layer's
     neurons.  It reads no deeper layer, so it is not an attribution.
     """
-    w = net.weights[0]
-    names = FEATURE_NAMES if w.shape[1] == len(FEATURE_NAMES) else tuple(
-        f"input{i}" for i in range(w.shape[1])
-    )
     return [
-        (names[i], float(w[:, i].mean()), float(w[:, i].std()))
-        for i in range(w.shape[1])
+        (name, float(column.mean()), float(column.std()))
+        for name, column in zip(FEATURE_NAMES, net.weights[0].T, strict=True)
     ]
 
 
 def mlp_to_json(net: Mlp) -> str:
     doc = {
-        "layer_sizes": list(net.layer_sizes),
-        "activations": list(net.activations),
+        "layer_sizes": list(LAYER_SIZES),
+        "activations": list(ACTIVATIONS),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
         "input_scaling": {
@@ -266,49 +256,69 @@ def mlp_to_json(net: Mlp) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _numbers(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``value`` as a float array, if it is finite JSON numbers nested to ``shape``.
+
+    numpy's own conversion would also take a string that spells a number,
+    and JSON's true as 1.
+    """
+    array = np.array(value, dtype=object)
+    if array.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {array.shape}")
+    try:
+        finite = all(type(x) in (int, float) and math.isfinite(x) for x in array.flat)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} must be finite numbers")
+    return array.astype(float)
+
+
 def mlp_from_json(text: str) -> Mlp:
     """Rebuild a model from :func:`mlp_to_json` output.
 
     Raises ``ValueError`` unless the document has every required key,
-    integer layer sizes, one known activation per layer, weights and
-    biases whose shapes chain ``layer_sizes``, one scaling anchor pair
-    per input with max above min, finite numbers throughout, and, if
-    present, a ``train_report`` object.
+    describes the network of ``LAYER_SIZES`` (as JSON integers) and
+    ``ACTIVATIONS``, holds each layer's weights and biases and one scaling
+    anchor pair per input as finite JSON numbers in their shapes, with
+    max above min, has an integer seed and, if present, a
+    ``train_report`` object.
     """
     doc = json.loads(text)
     try:
-        sizes = tuple(doc["layer_sizes"])
-        activations = tuple(doc["activations"])
-        weights = [np.array(w, dtype=float) for w in doc["weights"]]
-        biases = [np.array(b, dtype=float) for b in doc["biases"]]
-        input_min = np.array(doc["input_scaling"]["min"], dtype=float)
-        input_max = np.array(doc["input_scaling"]["max"], dtype=float)
-        seed = int(doc["seed"])
+        sizes, activations = doc["layer_sizes"], doc["activations"]
+        weights, biases = list(doc["weights"]), list(doc["biases"])
+        input_min, input_max = doc["input_scaling"]["min"], doc["input_scaling"]["max"]
+        seed = doc["seed"]
         train_report = doc.get("train_report", {})
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: missing or mistyped {exc}") from exc
     # bool is an int subclass, and JSON's true is no layer width
-    if not all(type(n) is int for n in sizes):
-        raise ValueError(f"layer_sizes must be integers, got {list(sizes)}")
+    if not isinstance(sizes, list) or not all(type(n) is int for n in sizes):
+        raise ValueError(f"layer_sizes must be integers, got {sizes!r}")
+    if sizes != list(LAYER_SIZES) or activations != list(ACTIVATIONS):
+        raise ValueError(
+            f"the model must be the {'-'.join(map(str, LAYER_SIZES))} network with activations "
+            f"{list(ACTIVATIONS)}, got layer_sizes {sizes} and activations {activations!r}"
+        )
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not isinstance(train_report, dict):
         raise ValueError(f"train_report must be an object, got {train_report!r}")
-    _check_architecture(sizes, activations)
+    shapes = _layer_shapes()
+    if len(weights) != len(shapes) or len(biases) != len(shapes):
+        raise ValueError(f"the model needs {len(shapes)} weight and bias layers")
     # shapes are checked per layer before flattening: a transposed layer
     # has the right element count and would load as a scrambled one
-    weight_shapes = list(zip(sizes[1:], sizes[:-1]))
-    bias_shapes = [(n,) for n in sizes[1:]]
-    if [w.shape for w in weights] != weight_shapes or [b.shape for b in biases] != bias_shapes:
-        raise ValueError(f"weight and bias shapes do not chain layer_sizes {list(sizes)}")
-    if input_min.shape != (sizes[0],) or input_max.shape != (sizes[0],):
-        raise ValueError(f"input scaling needs {sizes[0]} anchors per side")
-    if not all(np.isfinite(a).all() for a in (*weights, *biases, input_min, input_max)):
-        raise ValueError("model weights, biases and scaling anchors must be finite")
+    layers = []
+    for i, (w, b, shape) in enumerate(zip(weights, biases, shapes)):
+        layers += [_numbers(w, shape, f"weights[{i}]"), _numbers(b, shape[:1], f"biases[{i}]")]
+    input_min = _numbers(input_min, LAYER_SIZES[:1], "input_scaling min")
+    input_max = _numbers(input_max, LAYER_SIZES[:1], "input_scaling max")
     if not (input_max > input_min).all():
         raise ValueError("each input scaling anchor pair needs max above min")
     return Mlp(
-        layer_sizes=sizes,
-        activations=activations,
-        params=np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(weights, biases)]),
+        params=np.concatenate([a.ravel() for a in layers]),
         input_min=input_min,
         input_max=input_max,
         seed=seed,

@@ -149,12 +149,3 @@ def sweep_csv_text(result: SweepResult) -> str:
     write_sweep_csv(result, buf)
     return buf.getvalue()
 
-
-def find_zero_crossing(x: np.ndarray, y: np.ndarray) -> float | None:
-    """First downward sign change of y, located by linear interpolation."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for i in range(len(y) - 1):
-        if y[i] > 0.0 >= y[i + 1]:
-            return float(x[i] + (0.0 - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i]))
-    return None

@@ -10,13 +10,14 @@ layer from the same factors (``docs/decisions.md`` section 3).  A step
 is accepted only if the training MSE drops; rejected steps raise the
 damping and retry with the same factors.  Validation MSE is watched for
 early stopping.  A restart search trains several independently seeded
-default-architecture networks and keeps the one with the lowest test
-MSE.  The recipe is fixed: only the epoch cap is a parameter, and the
-gradient stop is the constant ``_GRAD_TOL``.  Every run is
-deterministic in its seed: the network seed drives both the weight draw
-and the train/val/test shuffle.  Restarts share nothing, so when BLAS
-leaves cores free the search trains them in forked worker processes
-(``docs/decisions.md`` section 6), with the same result.
+networks and keeps the one with the lowest test MSE.  The recipe is
+fixed: only the epoch cap is a parameter, and the gradient stop is the
+constant ``_GRAD_TOL``.  Every run is deterministic in its seed: the
+network seed drives both the weight draw and the train/val/test
+shuffle.  Restarts share nothing, so when BLAS leaves cores free the
+search trains them in forked worker processes (``docs/decisions.md``
+section 6), with the same result: a worker sends back its trained net
+and report whole.
 """
 
 from __future__ import annotations
@@ -220,18 +221,13 @@ def _worker_count(environ, cores: int, restarts: int) -> int:
 
 
 def _train_restart(data: Dataset, seed: int, max_epochs: int):
-    """Restart ``seed``: its trained params, scaling anchors and report.
-
-    Returns None when its loss turns non-finite.  A worker sends these
-    back, not the net: an unpickled net's weights and biases would be
-    copies, no longer views into its params.
-    """
+    """Restart ``seed``: its trained net and report, None when its loss turns non-finite."""
     net = init_mlp(seed=seed)
     try:
         report = lm_train(net, data, max_epochs=max_epochs)
     except TrainingFailure:
         return None
-    return net.params, net.input_min, net.input_max, report
+    return net, report
 
 
 def _train_restarts(data: Dataset, seeds: list[int], max_epochs: int):
@@ -267,7 +263,7 @@ def restart_search(
 ) -> tuple[Mlp, TrainReport]:
     """Train ``restarts`` independently seeded networks, keep the best.
 
-    Each restart is a default :func:`init_mlp` network trained by
+    Each restart is an :func:`init_mlp` network trained by
     :func:`lm_train` with the same ``max_epochs``.  Restart k gets a
     deterministic child seed of ``seed``; the winner is the restart with
     the lowest test MSE (first on ties).  Runs whose loss turns
@@ -283,17 +279,12 @@ def restart_search(
     ]
     best_index, best = -1, None
     for k, result in enumerate(_train_restarts(data, child_seeds, max_epochs)):
-        # result: (params, input_min, input_max, report), None for a failed restart
-        if result is not None and (best is None or result[-1].mse_test < best[-1].mse_test):
+        # result: (net, report), None for a failed restart
+        if result is not None and (best is None or result[1].mse_test < best[1].mse_test):
             best_index, best = k, result
     if best is None:
         raise TrainingFailure("all restarts produced non-finite losses")
-    params, input_min, input_max, report = best
-    # Mlp's __post_init__ makes the winner's weights and biases views into params
-    net = replace(
-        init_mlp(seed=child_seeds[best_index]),
-        params=params, input_min=input_min, input_max=input_max,
-    )
+    net, report = best
     report.restarts_run = restarts
     report.best_restart = best_index
     net.train_report = report.as_dict()

@@ -1,9 +1,27 @@
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
+from qcorrkit import mlp
 from qcorrkit.channels import WmrMode
+
+# every run draws the same examples and keeps no example database on disk;
+# max_examples stays hypothesis's default, which the tests override per test
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    # even with no database, hypothesis caches the constants it reads from
+    # the package's source in its home directory, ./.hypothesis by default,
+    # and does so while collecting: give it a directory this run removes
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture
@@ -61,3 +79,22 @@ def readme_commands() -> list[str]:
     block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [line for line in lines if line.startswith("qcorrkit ")]
+
+
+def find_zero_crossing(x: np.ndarray, y: np.ndarray) -> float | None:
+    """First downward sign change of y, located by linear interpolation."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    for i in range(len(y) - 1):
+        if y[i] > 0.0 >= y[i + 1]:
+            return float(x[i] + (0.0 - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i]))
+    return None
+
+
+def use_network(monkeypatch, layer_sizes, activations):
+    """Make ``mlp`` build, run, write and read this architecture in place of the paper's.
+
+    Forked restart workers inherit the patch.
+    """
+    monkeypatch.setattr(mlp, "LAYER_SIZES", tuple(layer_sizes))
+    monkeypatch.setattr(mlp, "ACTIVATIONS", tuple(activations))

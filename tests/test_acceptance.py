@@ -39,10 +39,10 @@ from qcorrkit.states import (
     random_x_state,
     werner_state,
 )
-from qcorrkit.sweep import SweepConfig, find_zero_crossing, run_sweep
+from qcorrkit.sweep import SweepConfig, run_sweep
 from qcorrkit.training import lm_train, restart_search
 
-from conftest import closed_form_optimum
+from conftest import closed_form_optimum, find_zero_crossing, use_network
 
 GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
@@ -325,7 +325,8 @@ def test_criterion_8_discord_oracle_equivalence():
 
 
 def test_criterion_9_lm_correctness(rng, monkeypatch):
-    net = init_mlp(layer_sizes=(2, 2, 1), activations=("logsig", "tansig"), seed=17)
+    use_network(monkeypatch, (2, 2, 1), ("logsig", "tansig"))
+    net = init_mlp(seed=17)
     x = rng.normal(size=(6, 2))
     _, jac = network_jacobian(net, x)
     theta = net.params.copy()
@@ -352,7 +353,8 @@ def test_criterion_9_lm_correctness(rng, monkeypatch):
         sweep_var="p",
         sweep_values=np.linspace(0, 1, 100),
     )
-    linear_net = init_mlp(layer_sizes=(3, 1), activations=("linear",), seed=4)
+    use_network(monkeypatch, (3, 1), ("linear",))
+    linear_net = init_mlp(seed=4)
     monkeypatch.setattr(training, "_GRAD_TOL", 0.0)
     report = lm_train(linear_net, data, max_epochs=40)
     ok = rel <= 1e-5 and report.mse_train < 1e-20

@@ -15,7 +15,7 @@ from qcorrkit.dataset import CSV_HEADER, build_dataset, write_dataset_csv
 from qcorrkit.mlp import init_mlp, mlp_to_json
 from qcorrkit.states import StateFamily
 
-from conftest import readme_commands
+from conftest import readme_commands, use_network
 
 
 class TestSweepCommand:
@@ -302,16 +302,17 @@ class TestTrainPredictWeights:
 
     @pytest.mark.parametrize(
         "sizes, message",
-        [((5, 3, 2), "predicts one value, got 2 outputs"),
-         ((3, 4, 1), "takes 3 features per row, got 5")],
+        [((5, 3, 2), "got layer_sizes [5, 3, 2]"),
+         ((3, 4, 1), "got layer_sizes [3, 4, 1]")],
         ids=["two_outputs", "three_inputs"],
     )
-    def test_model_of_another_shape_is_usage_error(self, tmp_path, capsys, sizes, message):
-        # a model that is well formed in itself but does not fit the five
-        # features and one discord target of a dataset is refused, not read
-        # through its first output column or numpy's broadcasting error
-        net = init_mlp(layer_sizes=(*sizes[:-1], 1), activations=("logsig", "linear"), seed=3)
-        doc = json.loads(mlp_to_json(net))
+    def test_model_of_another_shape_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                   sizes, message):
+        # a model that is well formed in itself but is not the paper's network
+        # is refused when it is read, before a dataset is read or a file written
+        with monkeypatch.context() as patch:
+            use_network(patch, (*sizes[:-1], 1), ("logsig", "linear"))
+            doc = json.loads(mlp_to_json(init_mlp(seed=3)))
         doc["layer_sizes"] = list(sizes)
         doc["weights"][-1] *= sizes[-1]  # the output layer's row, once per output
         doc["biases"][-1] *= sizes[-1]
@@ -320,8 +321,10 @@ class TestTrainPredictWeights:
         write_dataset_csv(data, build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=50))
         out = tmp_path / "pred.csv"
         assert main(["predict", "--model", str(model), "--data", str(data), "-o", str(out)]) == 1
+        assert main(["weights", "--model", str(model), "-o", str(out)]) == 1
         captured = capsys.readouterr()
-        assert message in captured.err
+        assert captured.err.count("must be the 5-40-24-16-1 network") == 2
+        assert captured.err.count(message) == 2
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("epochs", ["0", "-3"])
@@ -344,6 +347,20 @@ class TestTrainPredictWeights:
         assert code == 1
         assert "max_epochs=0" in capsys.readouterr().err
         assert not model.exists() and not dataset.exists()
+
+    @pytest.mark.parametrize("unwritable", ["--model-out", "--summary-out"])
+    def test_failed_write_leaves_no_output(self, tmp_path, capsys, unwritable):
+        # the outputs written before the one that fails are removed again
+        outputs = {"--dataset-out": tmp_path / "data.csv", "--model-out": tmp_path / "model.json",
+                   "--summary-out": tmp_path / "summary.csv"}
+        outputs[unwritable] = tmp_path / "nodir" / "out"
+        code = main(["train", "--rows", "60", "--restarts", "1", "--max-epochs", "2",
+                     *(word for flag, path in outputs.items() for word in (flag, str(path)))])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "No such file or directory" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_data_with_dataset_out_is_usage_error(self, trained, tmp_path, capsys):
         # a loaded dataset is never written back, so asking for both is refused

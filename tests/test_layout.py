@@ -161,14 +161,6 @@ CALLED_MODULES = sorted(
     p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "oracles")
 )
 
-#: public names kept without a caller in src/, scripts/ or bench/, each with its reason
-UNCALLED_ALLOWLIST = {
-    # acceptance criteria 2 and 6 locate their thresholds with it, until an
-    # exact root finder on the closed forms replaces it
-    "sweep.find_zero_crossing",
-}
-
-
 def _public_definitions(tree: ast.Module):
     """(name, node) of each public top-level function, class and assigned name,
     and of each public method and property of a public class, named ``Class.member``."""
@@ -227,18 +219,9 @@ def test_every_public_name_has_a_caller(module):
         own = range(node.lineno, node.end_lineno + 1)
         found = references.get(name.rsplit(".", 1)[-1], [])
         called = any(not (p == path and line in own) for p, line in found)
-        if not called and f"{module}.{name}" not in UNCALLED_ALLOWLIST:
+        if not called:
             uncalled.append(name)
     assert not uncalled, f"{module}.py names with no caller in src/, scripts/ or bench/: {uncalled}"
-
-
-#: defaulted parameters kept without a caller that sets them, each with its reason
-UNSET_ALLOWLIST = {
-    # the model format takes any architecture (mlp_from_json), and tests
-    # build small networks through these two
-    "mlp.init_mlp(layer_sizes)",
-    "mlp.init_mlp(activations)",
-}
 
 
 @functools.cache
@@ -279,9 +262,8 @@ def test_every_defaulted_parameter_is_set_by_a_caller(module):
         own = range(node.lineno, node.end_lineno + 1)
         calls = [c for p, c in _calls().get(node.name, []) if not (p == path and c.lineno in own)]
         for param in defaulted:
-            key = f"{module}.{node.name}({param})"
-            if key not in UNSET_ALLOWLIST and not any(_passes(c, param, positional) for c in calls):
-                unset.append(key)
+            if not any(_passes(c, param, positional) for c in calls):
+                unset.append(f"{module}.{node.name}({param})")
     assert not unset, f"defaulted parameters no caller in src/, scripts/ or bench/ sets: {unset}"
 
 
@@ -340,7 +322,6 @@ def test_every_defaulted_field_is_set_by_a_caller(module):
             key = f"{module}.{node.name}.{name}"
             if (
                 _has_default(value)
-                and key not in UNSET_ALLOWLIST
                 and name not in _assigned_attributes()
                 and not any(_passes(c, name, positional) for c in calls)
             ):

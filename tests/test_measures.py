@@ -22,7 +22,8 @@ from qcorrkit.states import (
     random_x_state,
     werner_state,
 )
-from qcorrkit.sweep import find_zero_crossing
+
+from conftest import find_zero_crossing
 
 MIXED = np.eye(4, dtype=complex) / 4
 GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)

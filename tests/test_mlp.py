@@ -1,10 +1,13 @@
 import hashlib
+import json
+import pickle
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qcorrkit import mlp
 from qcorrkit.measures import CorrelationVector
 from qcorrkit.mlp import (
     FEATURE_NAMES,
@@ -25,6 +28,8 @@ from qcorrkit.mlp import (
     weight_summary,
 )
 
+from conftest import use_network
+
 
 def reference_forward(net, features):
     """Independent straightforward re-implementation with explicit loops
@@ -33,7 +38,7 @@ def reference_forward(net, features):
         2.0 * (features[i] - net.input_min[i]) / (net.input_max[i] - net.input_min[i]) - 1.0
         for i in range(len(features))
     ]
-    for w, b, act in zip(net.weights, net.biases, net.activations):
+    for w, b, act in zip(net.weights, net.biases, mlp.ACTIVATIONS):
         out = []
         for j in range(w.shape[0]):
             z = b[j] + sum(w[j, k] * x[k] for k in range(w.shape[1]))
@@ -138,8 +143,9 @@ class TestJacobian:
             ((5, 4, 3, 2, 1), ("logsig", "tansig", "linear", "linear")),
         ],
     )
-    def test_matches_central_differences(self, sizes, acts, rng):
-        net = init_mlp(layer_sizes=sizes, activations=acts, seed=17)
+    def test_matches_central_differences(self, sizes, acts, rng, monkeypatch):
+        use_network(monkeypatch, sizes, acts)
+        net = init_mlp(seed=17)
         x = rng.normal(size=(6, sizes[0]))
         _, jac = network_jacobian(net, x)
         theta = net.params.copy()
@@ -176,8 +182,9 @@ class TestFactorRoute:
             ((3, 1), ("linear",), 70),
         ],
     )
-    def test_matches_network_jacobian(self, sizes, acts, n, rng):
-        net = init_mlp(layer_sizes=sizes, activations=acts, seed=17)
+    def test_matches_network_jacobian(self, sizes, acts, n, rng, monkeypatch):
+        use_network(monkeypatch, sizes, acts)
+        net = init_mlp(seed=17)
         x = rng.uniform(-1.0, 1.0, size=(n, sizes[0]))
         v = rng.normal(size=n)
         pred_ref, jac = network_jacobian(net, x)
@@ -205,12 +212,13 @@ class TestFactorRoute:
             ((3, 1), ("linear",), 70),
         ],
     )
-    def test_gram_bytes_equal_the_layer_sum(self, sizes, acts, n):
+    def test_gram_bytes_equal_the_layer_sum(self, sizes, acts, n, monkeypatch):
         # the in-place Gram must round exactly as the plain sum over the layers,
         # or every trained model moves; it must also leave the factors alone
+        use_network(monkeypatch, sizes, acts)
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            net = init_mlp(layer_sizes=sizes, activations=acts, seed=seed)
+            net = init_mlp(seed=seed)
             outputs = layer_outputs(net, rng.uniform(-1.0, 1.0, size=(n, sizes[0])))
             inputs, deltas = outputs[:-1], layer_deltas(net, outputs)
             kept = [f.copy() for f in inputs + deltas]
@@ -244,7 +252,8 @@ class TestParamsAndSummary:
         lambda: init_mlp(seed=4),
         lambda: mlp_from_json(mlp_to_json(init_mlp(seed=4))),
         lambda: replace(init_mlp(seed=4), params=np.linspace(-1.0, 1.0, 1641)),
-    ], ids=["init_mlp", "mlp_from_json", "replace"])
+        lambda: pickle.loads(pickle.dumps(init_mlp(seed=4))),
+    ], ids=["init_mlp", "mlp_from_json", "replace", "pickle"])
     def test_layers_are_views_into_params(self, make):
         # params is the only storage: the layers are its slices in order,
         # and a write through either side shows on the other
@@ -256,16 +265,38 @@ class TestParamsAndSummary:
         net.params[-1] = 9.0
         assert net.params[5 * 40 + 40 + 2 * 40 + 3] == 7.0 and net.biases[-1][0] == 9.0
 
+    def test_pickled_model_forwards_to_the_same_bytes(self, rng):
+        # a restart worker sends its trained net back pickled
+        net = init_mlp(seed=6)
+        set_input_scaling(net, rng.uniform(-2.0, 3.0, (30, 5)))
+        net.train_report = {"mse_test": 2e-4}
+        back = pickle.loads(pickle.dumps(net))
+        assert back.params.tobytes() == net.params.tobytes()
+        assert back.input_min.tobytes() == net.input_min.tobytes()
+        assert back.input_max.tobytes() == net.input_max.tobytes()
+        assert (back.seed, back.train_report) == (net.seed, net.train_report)
+        x = rng.uniform(-2.0, 3.0, (40, 5))
+        assert forward(back, x).tobytes() == forward(net, x).tobytes()
+        assert mlp_to_json(back) == mlp_to_json(net)
+
+    def test_forward_refuses_another_feature_count(self):
+        # one column would broadcast against the five anchors without an error
+        net = init_mlp(seed=0)
+        for width in (1, 3, 6):
+            with pytest.raises(ValueError, match=f"takes 5 features per row, got {width}"):
+                forward(net, np.zeros((4, width)))
+
     @pytest.mark.parametrize("sizes, acts, seed, digest", [
         ((5, 40, 24, 16, 1), ("logsig", "tansig", "linear", "linear"), 0,
          "d7f38d9e245d4458692ca95ffa00df942860b0a046ac193d9fbdff2d2b24dcd6"),
         ((3, 4, 1), ("logsig", "linear"), 5,
          "54f9ca29dfef110186cf5c1cf5aa41697ed9ef522d856f5384b999b663d33f55"),
     ], ids=["default", "small"])
-    def test_initial_model_bytes_are_pinned(self, sizes, acts, seed, digest):
+    def test_initial_model_bytes_are_pinned(self, sizes, acts, seed, digest, monkeypatch):
         # the model file's bytes across versions; uniform draws and repr,
         # no exp, so the digest holds on any CPU
-        text = mlp_to_json(init_mlp(layer_sizes=sizes, activations=acts, seed=seed))
+        use_network(monkeypatch, sizes, acts)
+        text = mlp_to_json(init_mlp(seed=seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_constant_weights_summary(self):
@@ -292,8 +323,9 @@ class TestParamsAndSummary:
         net.train_report = {"mse_test": 1e-4}
         text = mlp_to_json(net)
         back = mlp_from_json(text)
-        assert back.layer_sizes == net.layer_sizes
-        assert back.activations == net.activations
+        doc = json.loads(text)
+        assert doc["layer_sizes"] == [5, 40, 24, 16, 1]
+        assert doc["activations"] == ["logsig", "tansig", "linear", "linear"]
         assert back.seed == net.seed
         for w1, w2 in zip(net.weights, back.weights):
             np.testing.assert_array_equal(w1, w2)

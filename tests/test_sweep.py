@@ -16,13 +16,12 @@ from qcorrkit.optimize import optimal_qmr
 from qcorrkit.states import StateFamily, make_state
 from qcorrkit.sweep import (
     SweepConfig,
-    find_zero_crossing,
     run_sweep,
     sweep_csv_text,
     write_sweep_csv,
 )
 
-from conftest import closed_form_optimum
+from conftest import closed_form_optimum, find_zero_crossing
 
 
 class TestConfigValidation:

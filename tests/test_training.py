@@ -1,4 +1,3 @@
-import functools
 import multiprocessing
 import os
 
@@ -31,6 +30,8 @@ from qcorrkit.training import (
     restart_search,
     split_indices,
 )
+
+from conftest import use_network
 
 
 def synthetic_dataset(rng, n=120, n_features=3, fn=None):
@@ -66,7 +67,8 @@ class TestLmTrain:
         # exact solution to below 1e-20 in MSE
         w_true = np.array([0.7, -1.2, 0.4])
         data = synthetic_dataset(rng, n=100, fn=lambda x: x @ w_true + 0.25)
-        net = init_mlp(layer_sizes=(3, 1), activations=("linear",), seed=4)
+        use_network(monkeypatch, (3, 1), ("linear",))
+        net = init_mlp(seed=4)
         monkeypatch.setattr(training, "_GRAD_TOL", 0.0)
         report = lm_train(net, data, max_epochs=40)
         assert report.mse_history[3] < 1e-20
@@ -90,23 +92,26 @@ class TestLmTrain:
         step = jac.T @ np.linalg.solve(jac @ jac.T + mu * np.eye(len(x)), err)
         np.testing.assert_allclose(net.params, ref.params + step, rtol=0, atol=1e-12)
 
-    def test_constant_target_learned_by_bias(self, rng):
+    def test_constant_target_learned_by_bias(self, rng, monkeypatch):
         data = synthetic_dataset(rng, n=100, fn=lambda x: np.full(len(x), 0.37))
-        net = init_mlp(layer_sizes=(3, 4, 1), activations=("logsig", "linear"), seed=8)
+        use_network(monkeypatch, (3, 4, 1), ("logsig", "linear"))
+        net = init_mlp(seed=8)
         report = lm_train(net, data)
         assert report.mse_train < 1e-12
 
-    def test_accepted_steps_never_increase_training_mse(self, rng):
+    def test_accepted_steps_never_increase_training_mse(self, rng, monkeypatch):
         data = synthetic_dataset(rng, n=150, fn=lambda x: np.sin(x[:, 0]) * x[:, 1] ** 2)
-        net = init_mlp(layer_sizes=(3, 8, 4, 1), activations=("logsig", "tansig", "linear"), seed=2)
+        use_network(monkeypatch, (3, 8, 4, 1), ("logsig", "tansig", "linear"))
+        net = init_mlp(seed=2)
         report = lm_train(net, data, max_epochs=60)
         diffs = np.diff(report.mse_history)
         assert (diffs < 0).all()
 
-    def test_non_finite_targets_raise(self, rng):
+    def test_non_finite_targets_raise(self, rng, monkeypatch):
         data = synthetic_dataset(rng, n=80)
         data.targets[5] = np.nan
-        net = init_mlp(layer_sizes=(3, 4, 1), activations=("logsig", "linear"), seed=0)
+        use_network(monkeypatch, (3, 4, 1), ("logsig", "linear"))
+        net = init_mlp(seed=0)
         with pytest.raises(TrainingFailure):
             lm_train(net, data)
 
@@ -115,7 +120,8 @@ class TestLmTrain:
         data = synthetic_dataset(
             rng, n=90, fn=lambda x: x[:, 0] + 0.05 * rng.normal(size=len(x))
         )
-        net = init_mlp(layer_sizes=(3, 12, 1), activations=("tansig", "linear"), seed=6)
+        use_network(monkeypatch, (3, 12, 1), ("tansig", "linear"))
+        net = init_mlp(seed=6)
         monkeypatch.setattr(training, "_GRAD_TOL", 0.0)
         report = lm_train(net, data, max_epochs=400)
         if report.stop_reason == "validation":
@@ -139,10 +145,10 @@ def _reference_factors(net, x):
     """One forward and one backward pass of its own, kept in per-layer factors."""
     a = np.atleast_2d(x)
     inputs = []
-    for w, b, act in zip(net.weights, net.biases, net.activations):
+    for w, b, act in zip(net.weights, net.biases, mlp.ACTIVATIONS):
         inputs.append(a)
         a = mlp._ACTIVATIONS[act][0](a @ w.T + b)
-    derivative = [mlp._ACTIVATIONS[act][1] for act in net.activations]
+    derivative = [mlp._ACTIVATIONS[act][1] for act in mlp.ACTIVATIONS]
     deltas = []
     delta = derivative[-1](a)
     for layer in range(len(net.weights) - 1, -1, -1):
@@ -244,22 +250,13 @@ def test_lm_train_equals_the_reference_loop_bit_for_bit(bell_100, seed, max_epoc
     assert [w.shape for w in net.weights] == [w.shape for w in ref.weights]
 
 
-def use_network(monkeypatch, layer_sizes, activations):
-    """Make the restart search draw this small architecture instead of the default."""
-    monkeypatch.setattr(
-        training,
-        "init_mlp",
-        functools.partial(init_mlp, layer_sizes=layer_sizes, activations=activations),
-    )
-
-
 class TestRestartSearch:
     def test_single_restart_equals_plain_training(self, rng, monkeypatch):
         data = synthetic_dataset(rng, n=100, fn=lambda x: x[:, 0] ** 2)
         use_network(monkeypatch, (3, 6, 1), ("logsig", "linear"))
         net, report = restart_search(data, restarts=1, seed=42)
         child = int(np.random.SeedSequence(42).spawn(1)[0].generate_state(1)[0])
-        direct = init_mlp(layer_sizes=(3, 6, 1), activations=("logsig", "linear"), seed=child)
+        direct = init_mlp(seed=child)
         direct_report = lm_train(direct, data)
         assert report.mse_test == direct_report.mse_test
         np.testing.assert_array_equal(net.params, direct.params)
@@ -282,7 +279,7 @@ class TestRestartSearch:
         ]
         all_tests = []
         for s in seeds:
-            net = init_mlp(layer_sizes=(3, 6, 1), activations=("logsig", "linear"), seed=s)
+            net = init_mlp(seed=s)
             all_tests.append(lm_train(net, data).mse_test)
         assert best.mse_test == min(all_tests)
         assert best.best_restart == int(np.argmin(all_tests))
@@ -359,8 +356,10 @@ class TestWorkerPool:
         data = synthetic_dataset(rng, n=100, fn=lambda x: np.abs(x[:, 1]))
         first = int(np.random.SeedSequence(5).spawn(3)[0].generate_state(1)[0])
 
+        use_network(monkeypatch, (3, 6, 1), ("logsig", "linear"))
+
         def init(seed):  # restart 0 starts with weights so large its loss is not finite
-            net = init_mlp(layer_sizes=(3, 6, 1), activations=("logsig", "linear"), seed=seed)
+            net = init_mlp(seed=seed)
             if seed == first:
                 net.params[:] = 1e300
             return net
