@@ -19,23 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import DegenerateMeasurementError
+from .exceptions import DegenerateMeasurementError, _unit_interval
 
 _DEGENERATE_TRACE = 1e-14
-
-
-def _unit_interval(name: str, value, closed: bool) -> np.ndarray:
-    """``value`` as floats, every entry checked to lie in [0, 1] (closed) or [0, 1).
-
-    A scalar comes back as a numpy scalar, which takes the same array
-    operations as a 0-d array at a fraction of their cost.
-    """
-    value = np.asarray(value, dtype=float)[()]
-    inside = (0.0 <= value) & ((value <= 1.0) if closed else (value < 1.0))
-    if np.count_nonzero(inside) != value.size:  # a NaN is never inside
-        bad = np.extract(~inside, value)[0]
-        raise ValueError(f"{name}={bad} outside [0, 1{']' if closed else ')'}")
-    return value
 
 
 class WmrMode(str, Enum):

@@ -28,12 +28,16 @@ from .exceptions import NumericalContractError, TrainingFailure
 from .mlp import TARGET_NAME, forward, load_mlp, save_mlp, weight_summary
 from .optimize import optimal_qmr
 from .states import FAMILY_DEFAULTS, StateFamily
-from .sweep import SweepConfig, csv_text, run_sweep, sweep_csv_text
+from .sweep import AXES, SweepConfig, csv_text, run_sweep, sweep_csv_text
 from .training import mean_squared_error, restart_search
 from .verification import full_verification
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on bad flags; the contract here says 1."""
+    """argparse exits with code 2 on bad flags; the contract here says 1.
+    A flag counts only in full: ``train --p`` is no prefix of ``--param``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -124,7 +128,7 @@ def cmd_train(args) -> int:
         data = read_dataset_csv(args.data)
     else:
         family = StateFamily(args.family, args.param)
-        data = build_dataset(family, args.scenario, args.eta, points=args.rows, p_fixed=args.p)
+        data = build_dataset(family, args.scenario, args.eta, points=args.rows)
     net, report = restart_search(
         data, restarts=args.restarts, seed=args.seed, max_epochs=args.max_epochs
     )
@@ -160,7 +164,8 @@ def cmd_predict(args) -> int:
         raise NumericalContractError(f"prediction MSE is not finite ({mse})")
     header = ("sweep_var", "sweep_value", TARGET_NAME, f"{TARGET_NAME}_predicted")
     rows = np.column_stack([data.sweep_values, data.targets, predictions])
-    _write_text(args.output, csv_text(header, [(data.sweep_var,)] * len(data), rows))
+    labels = [(SCENARIOS[data.scenario]["var"],)] * len(data)
+    _write_text(args.output, csv_text(header, labels, rows))
     print(json.dumps({"rows": len(data), "mse": mse}, sort_keys=True))
     return 0
 
@@ -182,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--mode", choices=[m.value for m in WmrMode], default="none")
-    p.add_argument("--var", choices=["p", "q", "alpha2"], default="p")
+    p.add_argument("--var", choices=AXES, default="p")
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--p", type=float, default=0.5, help="fixed damping for q/alpha2 sweeps")
     p.add_argument("--q", type=float, default=0.5, help="fixed measurement strength")
@@ -209,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=list(SCENARIOS), default="no_wmr")
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--rows", type=int, default=500)
-    p.add_argument("--p", type=float, default=0.5, help="fixed damping for wmr2 datasets")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--data", default=None, help="load this dataset CSV instead of generating")
     source.add_argument("--dataset-out", default=None, help="also write the generated dataset CSV")

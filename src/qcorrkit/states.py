@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import _unit_interval
+
 #: entries allowed to be nonzero in an X-form state: diagonal + anti-diagonal
 _X_MASK = np.array(
     [
@@ -56,8 +58,7 @@ class StateFamily:
             raise ValueError(f"unknown state family {self.kind!r}")
         if self.param is None:
             object.__setattr__(self, "param", FAMILY_DEFAULTS[self.kind])
-        if not 0.0 <= self.param <= 1.0:
-            raise ValueError(f"family parameter {self.param} outside [0, 1]")
+        _unit_interval("param", self.param, closed=True)
 
 
 def bell_state() -> np.ndarray:
@@ -68,8 +69,7 @@ def bell_state() -> np.ndarray:
 
 def werner_state(r_b: float) -> np.ndarray:
     """Mixture (1 - r_b)/4 * I + r_b * Bell; r_b sets the purity."""
-    if not 0.0 <= r_b <= 1.0:
-        raise ValueError(f"r_b={r_b} outside [0, 1]")
+    _unit_interval("r_b", r_b, closed=True)
     return (1.0 - r_b) / 4.0 * np.eye(4, dtype=complex) + r_b * bell_state()
 
 
@@ -80,8 +80,7 @@ def mems_state(gamma: float) -> np.ndarray:
     gamma = 2/3 and gamma/2 above, which maximizes entanglement at fixed
     linear entropy.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma={gamma} outside [0, 1]")
+    _unit_interval("gamma", gamma, closed=True)
     g = 1.0 / 3.0 if gamma < 2.0 / 3.0 else gamma / 2.0
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[3, 3] = g
@@ -98,10 +97,7 @@ def nme_state(alpha2: float | np.ndarray) -> np.ndarray:
     that entry built on its own (the same ``psi ⊗ psi*`` products).
     Every entry must lie in [0, 1]; a NaN is rejected.
     """
-    alpha2 = np.asarray(alpha2, dtype=float)
-    bad = ~((alpha2 >= 0.0) & (alpha2 <= 1.0))
-    if bad.any():
-        raise ValueError(f"alpha2={alpha2[bad].flat[0]} outside [0, 1]")
+    alpha2 = _unit_interval("alpha2", alpha2, closed=True)
     psi = np.zeros((*alpha2.shape, 4), dtype=complex)
     psi[..., 0] = np.sqrt(alpha2)
     psi[..., 3] = np.sqrt(1.0 - alpha2)

@@ -35,11 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelParams, WmrMode, apply_cad
+from .exceptions import _unit_interval
 from .measures import CorrelationVector, correlation_vector, normalize
 from .optimize import optimal_qmr
 from .states import StateFamily, make_state, nme_state
 
 MEASURE_COLUMNS = CorrelationVector._fields
+#: the parameters a sweep can run along
+AXES = ("p", "q", "alpha2")
 
 
 @dataclass(frozen=True)
@@ -55,20 +58,17 @@ class SweepConfig:
     q_fixed: float = 0.5    # measurement strength when sweeping p or alpha2 under protection
 
     def __post_init__(self):
-        if self.var not in ("p", "q", "alpha2"):
-            raise ValueError(f"sweep variable must be p, q or alpha2, got {self.var!r}")
+        if self.var not in AXES:
+            raise ValueError(f"sweep variable must be one of {AXES}, got {self.var!r}")
         if self.var == "q" and self.mode is WmrMode.NONE:
             raise ValueError("sweeping q requires a measurement mode")
         if self.var == "alpha2" and self.family.kind != "nme":
             raise ValueError("alpha2 sweeps apply to the nme family")
         if self.points < 2:
             raise ValueError("need at least 2 sweep points")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta={self.eta} outside [0, 1]")
-        if not 0.0 <= self.p_fixed <= 1.0:
-            raise ValueError(f"p={self.p_fixed} outside [0, 1]")
-        if not 0.0 <= self.q_fixed < 1.0:
-            raise ValueError(f"q={self.q_fixed} outside [0, 1)")
+        _unit_interval("eta", self.eta, closed=True)
+        _unit_interval("p", self.p_fixed, closed=True)
+        _unit_interval("q", self.q_fixed, closed=False)
 
 
 @dataclass

@@ -119,7 +119,8 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
     # the weights are the flat vector theta, the params of the net `current`;
     # candidates are scored on `spare`, whose vector is overwritten by each
     # attempt, and the two swap on an accepted step; theta is written back
-    # into net once, after the last epoch
+    # into net once, after the last epoch.  The best-validation weights are
+    # a copy, so no attempt overwrites them
     theta, current = net.params, net
     spare = replace(net, params=np.empty_like(theta))
     outputs = layer_outputs(current, x_train)
@@ -129,7 +130,7 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
     history = [mse]
 
     best_val = mean_squared_error(forward_scaled(current, x_val), y_val)
-    best_val_params = theta
+    best_val_params = theta.copy()
     val_fails = 0
     epochs = 0
     stop_reason = "epoch_limit"
@@ -144,8 +145,6 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
             stop_reason = "gradient"
             break
 
-        if spare.params is best_val_params:  # still needed for a validation stop
-            spare = replace(net, params=np.empty_like(theta))
         jjt = factor_gram(inputs, deltas)
         accepted = False
         while mu <= _MU_MAX:
@@ -176,7 +175,7 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
         val_mse = mean_squared_error(forward_scaled(current, x_val), y_val)
         if val_mse < best_val:
             best_val = val_mse
-            best_val_params = theta
+            best_val_params = theta.copy()
             val_fails = 0
         else:
             val_fails += 1

@@ -350,7 +350,6 @@ def test_criterion_9_lm_correctness(rng, monkeypatch):
         targets=feats @ w_true + 0.25,
         scenario="no_wmr",
         eta=0.0,
-        sweep_var="p",
         sweep_values=np.linspace(0, 1, 100),
     )
     use_network(monkeypatch, (3, 1), ("linear",))

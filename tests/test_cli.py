@@ -238,6 +238,32 @@ class TestTrainPredictWeights:
         assert captured.err.count(f"row 2, column '{column}'") == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
+    @pytest.mark.parametrize(
+        "rows, column, cell, message",
+        [(slice(None), 1, "7.5", "row 2, column 'eta': eta=7.5 outside [0, 1]"),
+         (slice(3, 4), 3, "-4.0", "row 5, column 'sweep_value': p=-4.0 outside [0, 1]")],
+        ids=["eta", "sweep_value"],
+    )
+    def test_value_outside_its_domain_is_usage_error(self, trained, tmp_path, capsys,
+                                                     rows, column, cell, message):
+        # eta is edited on every row, so that the rows still agree
+        header, *lines = (trained / "data.csv").read_text().splitlines()
+        cells = [line.split(",") for line in lines]
+        for row in cells[rows]:
+            row[column] = cell
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+        model, out = tmp_path / "model.json", tmp_path / "pred.csv"
+        train = ["train", "--data", str(data), "--restarts", "1", "--max-epochs", "2",
+                 "--model-out", str(model), "--summary-out", str(tmp_path / "summary.csv")]
+        predict = ["predict", "--model", str(trained / "model.json"), "--data", str(data),
+                   "-o", str(out)]
+        assert main(train) == 1 and main(predict) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {data}: {message}\n" * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
     def test_missing_model_is_usage_error(self, tmp_path):
         assert main(["weights", "--model", str(tmp_path / "nope.json")]) == 1
 
@@ -447,6 +473,16 @@ class TestExitCodeContract:
         captured = capsys.readouterr()
         assert "MSE is not finite" in captured.err
         assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--p", "--par"])
+def test_a_flag_counts_only_in_full(tmp_path, capsys, flag):
+    # train has no --p: neither it nor any other prefix stands for --param
+    model = tmp_path / "model.json"
+    assert main(["train", flag, "0.5", "--rows", "50", "--model-out", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: unrecognized arguments: {flag} 0.5\n")
+    assert captured.out == "" and not model.exists()
 
 
 def test_readme_commands_parse():

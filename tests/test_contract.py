@@ -1,4 +1,11 @@
-"""Wrong input fails loudly: a mutated model file exits 1 and writes nothing.
+"""Wrong input fails loudly: a parameter outside its unit interval, and a
+mutated model file, each exit 1 and write nothing.
+
+Every parameter goes through one check, ``exceptions._unit_interval``:
+p, eta and the state-family parameters lie in [0, 1], the strengths q
+and r in [0, 1).  Each entry point is tried on NaN, ±inf, the negative
+subnormal -5e-324, both ends and the next double above 1, and must raise
+``name=value outside [0, 1]`` (or ``[0, 1)``) or accept the value.
 
 Hypothesis mutates a saved model of the paper's network, one change per
 example: a layer size, an activation, the shape of a weight, bias or
@@ -17,14 +24,24 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qcorrkit.channels import (
+    ChannelParams,
+    WmrMode,
+    WmrParams,
+    apply_ad_uncorrelated,
+    apply_qmr,
+    apply_wm,
+)
 from qcorrkit.cli import main
 from qcorrkit.dataset import build_dataset, write_dataset_csv
 from qcorrkit.mlp import init_mlp, mlp_to_json, set_input_scaling
-from qcorrkit.states import StateFamily
+from qcorrkit.states import FAMILY_DEFAULTS, StateFamily, bell_state, mems_state, nme_state, werner_state
+from qcorrkit.sweep import SweepConfig
 
 DATA = build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=50)
 
@@ -202,3 +219,57 @@ def test_a_mutated_model_exits_1_and_writes_nothing(data_csv, mutant):
             assert out == "" and caught == [], (what, argv[0], out, caught)
             assert err.startswith("error: ") and err.count("\n") == 1, (what, argv[0], err)
         assert [p.name for p in tmp.iterdir()] == ["model.json"], what
+
+
+BELL = bell_state()
+#: every entry point of the unit-interval rule: (parameter name, closed, call);
+#: werner_state and mems_state build one state, so their array is 0-d, while
+#: nme_state stacks, so its array holds the value between two valid entries
+ENTRY_POINTS = {
+    **{f"StateFamily-{kind}": ("param", True, lambda v, kind=kind: StateFamily(kind, v))
+       for kind in FAMILY_DEFAULTS},
+    "werner_state": ("r_b", True, werner_state),
+    "werner_state-array": ("r_b", True, lambda v: werner_state(np.array(v))),
+    "mems_state": ("gamma", True, mems_state),
+    "mems_state-array": ("gamma", True, lambda v: mems_state(np.array(v))),
+    "nme_state": ("alpha2", True, nme_state),
+    "nme_state-array": ("alpha2", True, lambda v: nme_state(np.array([0.5, v, 0.25]))),
+    "ChannelParams-p": ("p", True, lambda v: ChannelParams(v, 0.0)),
+    "ChannelParams-eta": ("eta", True, lambda v: ChannelParams(0.5, v)),
+    "apply_ad_uncorrelated": ("p", True, lambda v: apply_ad_uncorrelated(BELL, v)),
+    "WmrParams-q": ("q", False, lambda v: WmrParams(v, 0.0)),
+    "WmrParams-r": ("r", False, lambda v: WmrParams(0.0, v)),
+    "apply_wm": ("q", False, lambda v: apply_wm(BELL, v, WmrMode.TWO_QUBIT)),
+    "apply_qmr": ("r", False, lambda v: apply_qmr(BELL, v, WmrMode.ONE_QUBIT)),
+    "SweepConfig-eta": ("eta", True, lambda v: SweepConfig(StateFamily("bell"), eta=v)),
+    "SweepConfig-p": ("p", True, lambda v: SweepConfig(StateFamily("bell"), p_fixed=v)),
+    "SweepConfig-q": ("q", False, lambda v: SweepConfig(StateFamily("bell"), q_fixed=v)),
+}
+EDGE_VALUES = [float("nan"), float("inf"), float("-inf"), -5e-324, 0.0, 1.0, 1.0 + 2.0**-52]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_parameter_goes_through_the_one_unit_interval_rule(entry, value):
+    name, closed, call = ENTRY_POINTS[entry]
+    if 0.0 <= value < 1.0 or (closed and value == 1.0):
+        call(value)
+        return
+    with pytest.raises(ValueError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == f"{name}={value} outside [0, 1{']' if closed else ')'}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["sweep", "--eta", "1.5", "--points", "3"], "eta=1.5 outside [0, 1]"),
+     (["optimize", "--p", "0.5", "--q", "1"], "q=1.0 outside [0, 1)"),
+     (["train", "--param", "nan", "--rows", "50", "--restarts", "1"], "param=nan outside [0, 1]")],
+    ids=["sweep-eta", "optimize-q", "train-param"],
+)
+def test_a_parameter_outside_its_interval_is_a_usage_error(tmp_path, argv, message):
+    out = tmp_path / "out"
+    flag = "--model-out" if argv[0] == "train" else "-o"
+    code, stdout, err, caught = _run([*argv, flag, str(out)])
+    assert (code, stdout, err, caught) == (1, "", f"error: {message}\n", [])
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qcorrkit.states import StateFamily
 class TestBuildDataset:
     def test_bell_sweep_endpoints(self):
         data = build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=101)
-        assert len(data) == 101 and data.sweep_var == "p"
+        assert len(data) == 101 and SCENARIOS[data.scenario]["var"] == "p"
         # p = 0 row: the pristine Bell vector [jsd, C, F, QS, chi], target 1/2
         np.testing.assert_allclose(
             data.features[0],
@@ -32,7 +33,7 @@ class TestBuildDataset:
 
     def test_protected_sweep_is_finite_and_monotone_in_q(self):
         data = build_dataset(StateFamily("werner", 0.8), "wmr2", 1.0, points=60)
-        assert data.sweep_var == "q"
+        assert SCENARIOS[data.scenario]["var"] == "q"
         assert np.isfinite(data.features).all() and np.isfinite(data.targets).all()
         assert (np.diff(data.sweep_values) > 0).all()
         assert data.sweep_values[0] == 0.0 and data.sweep_values[-1] == pytest.approx(0.99)
@@ -49,12 +50,12 @@ class TestBuildDataset:
 class TestCsvRoundTrip:
     def test_write_read(self, tmp_path):
         for scenario in SCENARIOS:
-            # build_dataset sets each scenario's own axis, which the reader requires
+            # the writer labels each row with the scenario's own axis, which the reader requires
             data = build_dataset(StateFamily("mems", 0.8), scenario, 1.0, points=55)
-            assert data.sweep_var == SCENARIOS[scenario]
             path = tmp_path / f"{scenario}.csv"
             write_dataset_csv(path, data)
-            header = path.read_text().splitlines()[0]
+            header, first = path.read_text().splitlines()[:2]
+            assert first.split(",")[2] == SCENARIOS[scenario]["var"]
             # the measure names come from the CorrelationVector fields; the
             # header stays the documented one
             assert header == "scenario,eta,sweep_var,sweep_value,jsd,concurrence,fidelity,qs,chi,tdd"
@@ -62,7 +63,7 @@ class TestCsvRoundTrip:
             np.testing.assert_array_equal(back.features, data.features)
             np.testing.assert_array_equal(back.targets, data.targets)
             np.testing.assert_array_equal(back.sweep_values, data.sweep_values)
-            assert (back.scenario, back.eta, back.sweep_var) == (scenario, 1.0, data.sweep_var)
+            assert (back.scenario, back.eta) == (scenario, 1.0)
 
     def test_parse_error_names_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -81,6 +82,23 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_HEADER) + "\n" + ",".join(row) + "\n")
         with pytest.raises(ValueError, match=rf"row 2, column '{col}'.*{cell}"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("no_wmr,-5e-324,p,0.0", "column 'eta': eta=-5e-324 outside [0, 1]"),
+         ("no_wmr,0.0,p,1.0000000000000002", "column 'sweep_value': p=1.0000000000000002 outside [0, 1]"),
+         ("wmr2,1.0,q,1.0", "column 'sweep_value': q=1.0 outside [0, 1)"),
+         ("no_wmr,1.0,p,1.0", None), ("wmr2,0.0,q,0.9999999999999999", None)],
+        ids=["eta", "p", "q", "p_one", "q_below_one"],
+    )
+    def test_eta_and_sweep_value_lie_in_their_domains(self, tmp_path, row, message):
+        path = tmp_path / "data.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + row + ",0.1,0.2,0.3,0.4,0.5,0.6\n")
+        if message is None:
+            assert len(read_dataset_csv(path)) == 1
+            return
+        with pytest.raises(ValueError, match=re.escape(f"{path}: row 2, {message}")):
             read_dataset_csv(path)
 
     def test_header_mismatch(self, tmp_path):

@@ -9,8 +9,9 @@ and so does every defaulted parameter of a public function, every
 defaulted field of a public dataclass and every CLI flag; tests alone
 do not keep a name or a setting alive.  No module
 imports scipy, which only the tests use, and ``sweep.csv_text`` is the
-only CSV writer.  Every array a module holds for all its callers is
-read-only.
+only CSV writer, and ``exceptions._unit_interval`` the only function
+that spells the unit-interval message.  Every array a module holds for
+all its callers is read-only.
 """
 
 import argparse
@@ -95,6 +96,28 @@ def test_no_csv_writer_outside_csv_text():
                 found += [f"{path.name} line {node.lineno}: from csv import {a.name}"
                           for a in node.names if a.name in writers]
     assert not found, f"CSV writers outside sweep.csv_text: {found}"
+
+
+def _strings_by_function(node: ast.AST, owner: str | None = None):
+    """(innermost enclosing function or None, text) of every string constant under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield owner, node.value
+    for child in ast.iter_child_nodes(node):
+        yield from _strings_by_function(child, owner)
+
+
+def test_one_function_spells_the_unit_interval_message():
+    # every parameter lies in [0, 1] or [0, 1): a second function spelling
+    # the message would be a second copy of the check that raises it
+    spellers = sorted({
+        f"{path.name}: {owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, text in _strings_by_function(_tree(path))
+        if "outside [0, 1" in text
+    })
+    assert len(spellers) == 1, f"unit-interval messages spelled in more than one place: {spellers}"
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))

@@ -9,7 +9,7 @@ import pytest
 from qcorrkit import cli, sweep
 from qcorrkit.channels import ChannelParams, WmrMode, WmrParams, apply_cad, apply_wm, wmr_pipeline
 from qcorrkit.cli import build_parser, main
-from qcorrkit.dataset import CSV_HEADER, Dataset, build_dataset, write_dataset_csv
+from qcorrkit.dataset import CSV_HEADER, SCENARIOS, Dataset, build_dataset, write_dataset_csv
 from qcorrkit.measures import correlation_vector, normalize
 from qcorrkit.mlp import init_mlp, save_mlp
 from qcorrkit.optimize import optimal_qmr
@@ -241,21 +241,22 @@ class TestCsvText:
         data = build_dataset(StateFamily("werner", 0.8), scenario, 0.4, points=50)
         table = np.vstack([np.column_stack([data.sweep_values, data.features, data.targets]),
                            self._special_rows(7)])
-        data = Dataset(table[:, 1:6], table[:, 6], data.scenario, data.eta, data.sweep_var,
-                       table[:, 0])
+        data = Dataset(table[:, 1:6], table[:, 6], data.scenario, data.eta, table[:, 0])
         path = tmp_path / "data.csv"
         write_dataset_csv(path, data)
+        axis = SCENARIOS[scenario]["var"]
         expected = self._writer_text(
-            CSV_HEADER, [[scenario, "0.4", data.sweep_var, *map(repr, row)] for row in table.tolist()]
+            CSV_HEADER, [[scenario, "0.4", axis, *map(repr, row)] for row in table.tolist()]
         )
         assert path.read_bytes() == expected.encode()
 
     def test_predictions_equal_csv_writer(self, tmp_path, monkeypatch, capsys):
-        # the reader takes finite cells only, so the unusual non-finite
-        # floats reach the file as predictions
+        # the reader takes finite cells only, and sweep values in [0, 1)
+        # for q, so the other unusual floats reach the file as predictions
         data = build_dataset(StateFamily("bell"), "wmr2", 1.0, points=50)
         finite = [x for x in self.SPECIAL if math.isfinite(x)]
-        data.sweep_values[: len(finite)] = finite
+        in_domain = [x for x in finite if 0.0 <= x < 1.0]
+        data.sweep_values[: len(in_domain)] = in_domain
         data.targets[-len(finite):] = finite
         predictions = np.resize(self.SPECIAL, len(data))
         model, path, out = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "pred.csv"

@@ -42,7 +42,6 @@ def synthetic_dataset(rng, n=120, n_features=3, fn=None):
         targets=y,
         scenario="no_wmr",
         eta=0.0,
-        sweep_var="p",
         sweep_values=np.linspace(0, 1, n),
     )
 
