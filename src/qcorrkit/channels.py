@@ -146,9 +146,12 @@ def _sandwich_normalized(
     # M rho M^dag for diagonal real M is rho * (m m^T), with ``outer`` = m m^T, which
     # may stack (..., 4, 4).  Where the strength is 0, M is the identity (outer all 1),
     # and weight 1 keeps it so.  numpy divides a complex entry by a real t as
-    # x * (1/t), so one reciprocal per state gives the quotient's value.
+    # x * (1/t), so one reciprocal per state gives the quotient's value.  The trace
+    # is summed as (a + b) + (c + d), numpy's order for a complex trace, which a
+    # float stack would otherwise sum in another order (docs/decisions.md §1.1).
     out = rho * outer
-    t = np.where(strength == 0.0, 1.0, out.trace(axis1=-2, axis2=-1).real)
+    d = out.diagonal(axis1=-2, axis2=-1).real
+    t = np.where(strength == 0.0, 1.0, (d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3]))
     if np.count_nonzero(t < _DEGENERATE_TRACE):
         raise DegenerateMeasurementError(f"post-measurement trace {t.min():.3e}")
     out *= (1.0 / t)[..., None, None]

@@ -77,9 +77,12 @@ def x_entries(rho: np.ndarray) -> tuple[np.ndarray, ...]:
     ``(..., 4, 4)`` or a deviation from Hermiticity, and
     :class:`UnsupportedStateError` for entries off the X pattern or
     imaginary parts of the coherences; each deviation is allowed up to
-    ``X_STATE_TOL``.
+    ``X_STATE_TOL``.  A float64 or complex128 array is read as it is;
+    any other input is converted to complex first.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho)
+    if rho.dtype not in (np.float64, np.complex128):
+        rho = rho.astype(complex)
     if rho.shape[-2:] != (4, 4):
         raise NumericalContractError(f"expected (..., 4, 4) states, got shape {rho.shape}")
     pairs = rho.reshape(rho.shape[:-2] + (16,))[..., _PAIRS]

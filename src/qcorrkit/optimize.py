@@ -5,9 +5,12 @@ pipeline as a function of the reversal strength r at fixed damping,
 memory, and measurement strength.  The state sigma after measurement and
 channel does not depend on r, so it is built once.  A dense coarse grid
 detects the dead plateau and guards the result: the grid and each mode's
-reversal factors are built once per process, so a call reverses sigma on
-the whole grid with one multiply, one trace and one reciprocal per grid
-point, and scores it with one batched ``concurrence`` call.  The optimum
+real reversal factors are built once per process.  A call checks sigma
+once as a real X state, then reverses its real part on the whole grid as
+a float64 stack, with one multiply, one trace and one reciprocal per grid
+point, and scores it with one batched ``concurrence`` call.  The scores
+equal those of the complex stack bit for bit, because the trace keeps
+the complex trace's summation order.  The optimum
 itself is the stationary point of the concurrence in u = 1 - r, which is
 unimodal there (``docs/decisions.md`` section 1.2).
 The result carries the protected state at the optimum, so callers never
@@ -31,7 +34,7 @@ from .channels import (
     apply_wm,
     qmr_diagonal,
 )
-from .measures import concurrence
+from .measures import concurrence, x_entries
 from .states import StateFamily, make_state
 
 _R_MAX = 1.0 - 1e-6
@@ -46,10 +49,10 @@ _GRID.flags.writeable = False
 def _grid_factors(mode: WmrMode) -> np.ndarray:
     """The reversal factors m mᵀ of every grid strength, shape (grid, 4, 4), read-only.
 
-    Complex, so that reversing a complex state casts nothing per call;
-    the products are those of the real factors.
+    Float64, like the real part of the state they reverse: a real X
+    state's grid needs no imaginary parts.
     """
-    factors = _outer(qmr_diagonal(_GRID, mode)).astype(complex)
+    factors = _outer(qmr_diagonal(_GRID, mode))
     factors.flags.writeable = False
     return factors
 
@@ -85,7 +88,9 @@ def optimal_qmr(
     measured, t_wm = apply_wm(make_state(family), q, mode)
     sigma = apply_cad(measured, ch)
 
-    values = concurrence(_sandwich_normalized(sigma, _GRID, _grid_factors(mode))[0])
+    # sigma is checked once as a real X state, so its real part is all the grid needs
+    x_entries(sigma)
+    values = concurrence(_sandwich_normalized(sigma.real, _GRID, _grid_factors(mode))[0])
     evaluations = _GRID.size
 
     best = int(values.argmax())  # argmax takes the first index, i.e. smallest r

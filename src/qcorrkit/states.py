@@ -45,9 +45,11 @@ class StateFamily:
         one of the keys of ``FAMILY_DEFAULTS``
     param
         mixing weight r_b for Werner, anti-diagonal weight for MEMS,
-        |alpha|^2 for the non-maximally entangled pure state.  Ignored
-        for ``"bell"``.  ``None`` (the default) takes the family's
-        entry in ``FAMILY_DEFAULTS``.
+        |alpha|^2 for the non-maximally entangled pure state.  ``None``
+        (the default) takes the family's entry in ``FAMILY_DEFAULTS``.
+        The Bell state has no parameter: a ``"bell"`` value is range
+        checked, then replaced by its default, so ``param`` always names
+        the state that :func:`make_state` builds.
     """
 
     kind: str
@@ -59,6 +61,17 @@ class StateFamily:
         if self.param is None:
             object.__setattr__(self, "param", FAMILY_DEFAULTS[self.kind])
         _unit_interval("param", self.param, closed=True)
+        if self.kind == "bell":
+            object.__setattr__(self, "param", FAMILY_DEFAULTS["bell"])
+
+
+def _one_parameter(name: str, value) -> np.floating:
+    """``value`` checked by the unit-interval rule, and refused unless it is 0-d:
+    the constructors that call this build one state, not a stack."""
+    value = _unit_interval(name, value, closed=True)
+    if np.ndim(value):
+        raise ValueError(f"{name} must be a single number, got shape {np.shape(value)}")
+    return value
 
 
 def bell_state() -> np.ndarray:
@@ -68,8 +81,11 @@ def bell_state() -> np.ndarray:
 
 
 def werner_state(r_b: float) -> np.ndarray:
-    """Mixture (1 - r_b)/4 * I + r_b * Bell; r_b sets the purity."""
-    _unit_interval("r_b", r_b, closed=True)
+    """Mixture (1 - r_b)/4 * I + r_b * Bell; r_b sets the purity.
+
+    ``r_b`` is one number in [0, 1]; an array that is not 0-d raises.
+    """
+    r_b = _one_parameter("r_b", r_b)
     return (1.0 - r_b) / 4.0 * np.eye(4, dtype=complex) + r_b * bell_state()
 
 
@@ -78,9 +94,10 @@ def mems_state(gamma: float) -> np.ndarray:
 
     The (1,1)/(4,4) populations follow the piecewise g(gamma): 1/3 below
     gamma = 2/3 and gamma/2 above, which maximizes entanglement at fixed
-    linear entropy.
+    linear entropy.  ``gamma`` is one number in [0, 1]; an array that is
+    not 0-d raises.
     """
-    _unit_interval("gamma", gamma, closed=True)
+    gamma = _one_parameter("gamma", gamma)
     g = 1.0 / 3.0 if gamma < 2.0 / 3.0 else gamma / 2.0
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[3, 3] = g

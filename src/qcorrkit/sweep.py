@@ -18,8 +18,9 @@ stack.  The alpha^2 axis builds its initial states with one broadcast
 :func:`nme_state` call.  Each stacked row equals the row of that point
 evaluated on its own, bit for bit.  A protected sweep runs point by
 point, because :func:`optimal_qmr` takes one post-channel state per
-call: it scores that state's reversal on the 1001-point guard grid, one
-stack per call, through reversal factors built once per mode.  Either
+call: it checks that state once as a real X state, then scores the
+reversal of its real part on the 1001-point guard grid, one float64
+stack per call, through real reversal factors built once per mode.  Either
 way the table is one :func:`normalize` call and one ``np.column_stack``
 over the measure columns.
 

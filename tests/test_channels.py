@@ -220,9 +220,30 @@ class TestMeasurements:
         states, traces = _sandwich_normalized(rho, strength, outer)
         assert np.array_equal(states, out / t[:, None, None])
         assert np.array_equal(traces, t)
-        # the optimizer passes its cached factors as complex: the same products
+        # complex factors give the same products as real ones
         complex_states, _ = _sandwich_normalized(rho, strength, outer.astype(complex))
         assert complex_states.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    @pytest.mark.parametrize("shape", [(), (7,), (40, 3)])
+    def test_trace_is_the_complex_trace(self, rng, mode, shape):
+        # the sandwich sums its trace as (a + b) + (c + d), numpy's order for a
+        # complex trace: both traces of wmr_pipeline on dense states, as verify
+        # draws them, equal ndarray.trace bit for bit
+        from qcorrkit.channels import _outer, qmr_diagonal, wm_diagonal
+
+        states = [random_density_matrix(rng) for _ in range(int(np.prod(shape)))]
+        rho = np.stack(states).reshape(shape + (4, 4))
+        q, r, p, eta = rng.random((4,) + shape)
+        measured, t_wm = apply_wm(rho, q, mode)
+        damped = apply_cad(measured, ChannelParams(p, eta))
+        _, t_qmr = apply_qmr(damped, r, mode)
+        for state, strength, diagonal, t in ((rho, q, wm_diagonal, t_wm),
+                                             (damped, r, qmr_diagonal, t_qmr)):
+            expected = (state * _outer(diagonal(strength, mode))).trace(axis1=-2, axis2=-1).real
+            assert np.asarray(t).tobytes() == expected.tobytes()
+        piped = wmr_pipeline(rho, ChannelParams(p, eta), WmrParams(q, r, mode))
+        assert np.asarray(piped.success_probability).tobytes() == np.asarray(t_wm * t_qmr).tobytes()
 
     def test_strength_domain(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,16 @@ class TestOptimizeCommand:
         record = json.loads(out.read_text())
         assert record["r_star"] == 0.0
 
+    def test_bell_record_names_the_state_built(self, tmp_path):
+        # Bell ignores --param, so the record carries the Bell value, 1.0,
+        # and matches the record written without the flag
+        argv = ["optimize", "--family", "bell", "--p", "0.4", "--eta", "1", "--q", "0.5"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main([*argv, "--param", "0.3", "--output", str(a)]) == 0
+        assert main([*argv, "--output", str(b)]) == 0
+        assert json.loads(a.read_text())["param"] == 1.0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestVerifyCommand:
     def test_default_grid_passes(self, capsys):

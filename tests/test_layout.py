@@ -138,6 +138,9 @@ def test_cached_grid_factors_are_read_only(mode):
     assert not factors.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         factors[0, 0, 0] = 0.0
+    # real factors for the real part of sigma: a complex cache would double it
+    assert factors.dtype == np.float64
+    assert factors.shape == (1001, 4, 4)
 
 
 @pytest.mark.parametrize("module", ["sweep", "dataset"])

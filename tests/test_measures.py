@@ -82,6 +82,10 @@ _BAD_STATES = {
 }
 
 
+#: the cases above that a real array can hold
+_REAL_BAD_STATES = [name for name, edit in _BAD_STATES.items() if not np.imag(_edited(edit)).any()]
+
+
 class TestXEntries:
     @pytest.mark.parametrize("edit", list(_BAD_STATES.values()), ids=list(_BAD_STATES))
     @pytest.mark.parametrize("stacked", [False, True], ids=["state", "stack"])
@@ -101,6 +105,31 @@ class TestXEntries:
         states = [random_x_state(rng) for _ in range(int(np.prod(shape)))]
         rho = np.stack(states).reshape(shape + (4, 4))
         assert _outcome(x_entries, rho) == _outcome(three_step_x_entries, rho)
+
+    # float64 is read as it is and any other real dtype converted to complex;
+    # either way the six numbers, or the exception, are those of the
+    # complex128 array of the same values
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["state", "stack"])
+    @pytest.mark.parametrize("name", _REAL_BAD_STATES)
+    def test_real_checks_match_the_complex_cast(self, rng, name, stacked, dtype):
+        rho = _edited(_BAD_STATES[name]).real.astype(dtype)
+        if stacked:
+            rho = np.stack([random_x_state(rng).real, rho, random_x_state(rng).real])
+            rho = rho.astype(dtype).reshape(3, 1, 4, 4)
+        assert _outcome(x_entries, rho) == _outcome(x_entries, rho.astype(np.complex128))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "shape", [(4,), (4, 3), (3, 4, 2), (2, 16), (4, 4), (1, 4, 4), (40, 4, 4), (2, 3, 5, 4, 4)]
+    )
+    def test_real_numbers_match_the_complex_cast(self, rng, shape, dtype):
+        rho = np.zeros(shape)
+        if shape[-2:] == (4, 4):
+            states = [random_x_state(rng).real for _ in range(int(np.prod(shape[:-2])))]
+            rho = np.stack(states).reshape(shape)
+        rho = rho.astype(dtype)
+        assert _outcome(x_entries, rho) == _outcome(x_entries, rho.astype(np.complex128))
 
     def test_six_numbers_of_one_state_and_of_a_stack(self, rng):
         assert x_entries(mems_state(0.8)) == pytest.approx((0.4, 0.2, 0.0, 0.4, 0.4, 0.0))

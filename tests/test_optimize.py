@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
 
+import qcorrkit.optimize
 from qcorrkit.channels import (
     ChannelParams,
     WmrMode,
     WmrParams,
+    _sandwich_normalized,
     apply_cad,
     apply_qmr,
     apply_wm,
     wmr_pipeline,
 )
+from qcorrkit.exceptions import NumericalContractError, UnsupportedStateError
 from qcorrkit.measures import concurrence
-from qcorrkit.optimize import _GRID_STEP, _R_MAX, OptimizationResult, optimal_qmr
-from qcorrkit.states import StateFamily, make_state
+from qcorrkit.optimize import (
+    _GRID,
+    _GRID_STEP,
+    _R_MAX,
+    OptimizationResult,
+    _grid_factors,
+    optimal_qmr,
+)
+from qcorrkit.states import StateFamily, make_state, random_x_state, werner_state
 
 from conftest import closed_form_optimum, closed_form_u_star
 
@@ -121,6 +131,26 @@ class TestAgainstPerCallGrid:
         assert self._assert_same(family, ch, q, mode) == "grid"
 
 
+class TestFloatGrid:
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    def test_float_grid_scores_equal_the_complex_route(self, rng, mode):
+        # the optimizer reverses sigma.real on float64 factors; the complex
+        # route reverses the complex sigma and takes ndarray.trace, whose sum
+        # order the float trace keeps, so every trace and score is the same
+        positive = 0
+        for _ in range(300):
+            q, p, eta = rng.random(3)
+            sigma = apply_cad(apply_wm(random_x_state(rng), q, mode)[0], ChannelParams(p, eta))
+            states, traces = _sandwich_normalized(sigma.real, _GRID, _grid_factors(mode))
+            out = sigma * _grid_factors(mode).astype(complex)
+            t = np.where(_GRID == 0.0, 1.0, out.trace(axis1=-2, axis2=-1).real)
+            values = concurrence(out * (1.0 / t)[:, None, None])
+            assert traces.tobytes() == t.tobytes()
+            assert np.array_equal(concurrence(states), values)
+            positive += np.count_nonzero(values > 0.0)
+        assert positive > 0
+
+
 class TestOptimalQmr:
     def test_no_noise_needs_no_reversal(self):
         res = optimal_qmr(StateFamily("bell"), ChannelParams(0.0, 0.0), 0.0, WmrMode.TWO_QUBIT)
@@ -185,6 +215,29 @@ class TestOptimalQmr:
         res = optimal_qmr(fam, ChannelParams(0.9, 0.0), 0.1, WmrMode.TWO_QUBIT)
         assert res.concurrence_at_star == 0.0
         assert res.r_star == 0.0
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    @pytest.mark.parametrize(
+        "edit, error, match",
+        [(lambda r: (r.__setitem__((1, 2), 1e-6j), r.__setitem__((2, 1), -1e-6j)),
+          UnsupportedStateError, "real"),
+         (lambda r: r.__setitem__((0, 3), r[0, 3] + 1e-6j), NumericalContractError, "non-Hermitian"),
+         (lambda r: r.__setitem__((1, 1), r[1, 1] + 1e-6j), NumericalContractError, "non-Hermitian")],
+        ids=["imaginary_coherence", "non_hermitian_coherence", "imaginary_diagonal"],
+    )
+    @pytest.mark.parametrize("r_b, p", [(0.8, 0.3), (0.43, 0.8)], ids=["interior", "plateau"])
+    def test_sigma_off_the_real_x_pattern_raises(self, monkeypatch, mode, edit, error, match, r_b, p):
+        # the grid reverses only sigma's real part, whose coherences are real
+        # and which stays Hermitian here, so sigma itself must be checked; on
+        # the plateau no later step would look at it
+        def make_state(family):
+            rho = werner_state(family.param)
+            edit(rho)
+            return rho
+
+        monkeypatch.setattr(qcorrkit.optimize, "make_state", make_state)
+        with pytest.raises(error, match=match):
+            optimal_qmr(StateFamily("werner", r_b), ChannelParams(p, 0.4), 0.5, mode)
 
     def test_mode_none_rejected(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,23 @@ class TestConstructors:
         with pytest.raises(ValueError):
             StateFamily("ghz")
 
+    @pytest.mark.parametrize("build, name", [(werner_state, "r_b"), (mems_state, "gamma")])
+    @pytest.mark.parametrize("shape", [(1,), (4,), (2, 2)])
+    def test_one_state_constructors_refuse_an_array(self, build, name, shape):
+        # the values lie in [0, 1], so only the shape is wrong; before, a
+        # 1-d r_b built one non-Hermitian "state" without an error
+        values = np.linspace(0.1, 0.4, int(np.prod(shape))).reshape(shape)
+        with pytest.raises(ValueError, match=rf"^{name} must be a single number, got shape"):
+            build(values)
+
+    def test_bell_family_records_the_state_it_builds(self):
+        # the Bell state has no parameter: a given value is range checked,
+        # then replaced by the default, which names the state built
+        assert StateFamily("bell", 0.3) == StateFamily("bell")
+        assert StateFamily("bell", 0.3).param == FAMILY_DEFAULTS["bell"]
+        with pytest.raises(ValueError, match="param=1.5 outside"):
+            StateFamily("bell", 1.5)
+
     def test_nme_stack_equals_scalar_states_bit_for_bit(self):
         values = np.linspace(0.0, 1.0, 151)   # holds the separable ends 0 and 1
         stack = nme_state(values)
