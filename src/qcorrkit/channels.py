@@ -10,6 +10,13 @@ damping scales entries and moves decayed weight onto the ground block, and
 the diagonal, non-unitary measurements rescale entries.  The measured state
 is renormalized and the discarded trace is reported as the success
 probability of the probabilistic protocol.
+
+The same maps also run on the six numbers (a, b, c, d, z, w) of an X state
+with real coherences: :func:`_x_measured` is a diagonal measurement and
+:func:`_x_damped` the channel.  Each takes every step of its entry map on
+each number, in the same order, so both routes give the same bits
+(``docs/decisions.md`` section 1.1); they use arithmetic operators only,
+so Python floats and numpy arrays both pass.
 """
 
 from __future__ import annotations
@@ -123,15 +130,20 @@ def apply_cad(rho: np.ndarray, ch: ChannelParams) -> np.ndarray:
 
 
 def wm_diagonal(q: float | np.ndarray, mode: WmrMode) -> np.ndarray:
-    """Diagonal of the weak-measurement operator; an array q stacks one per entry."""
+    """Diagonal of the weak-measurement operator; an array q stacks one per entry.
+
+    Mode NONE measures nothing and has no diagonal: it raises ``ValueError``.
+    """
     sq = np.sqrt(1.0 - q)
     diag = np.ones(np.shape(q) + (4,))
     if mode is WmrMode.TWO_QUBIT:
         diag[..., 1] = sq
         diag[..., 2] = sq
         diag[..., 3] = 1.0 - q
-    else:
+    elif mode is WmrMode.ONE_QUBIT:
         diag[..., 1::2] = sq[..., None]
+    else:
+        raise ValueError(f"mode {mode!r} has no measurement diagonal")
     return diag
 
 
@@ -152,10 +164,57 @@ def _sandwich_normalized(
     out = rho * outer
     d = out.diagonal(axis1=-2, axis2=-1).real
     t = np.where(strength == 0.0, 1.0, (d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3]))
-    if np.count_nonzero(t < _DEGENERATE_TRACE):
-        raise DegenerateMeasurementError(f"post-measurement trace {t.min():.3e}")
+    _check_trace(t)
     out *= (1.0 / t)[..., None, None]
     return out, t[()]
+
+
+def _check_trace(t) -> None:
+    if np.count_nonzero(t < _DEGENERATE_TRACE):
+        raise DegenerateMeasurementError(f"post-measurement trace {np.min(t):.3e}")
+
+
+def _x_measured(x, g) -> tuple[tuple, float | np.ndarray]:
+    """M rho M^dag / t for M = diag(g), on the six numbers x = (a, b, c, d, z, w).
+
+    Returns the six numbers of the measured state and its trace t.  The
+    steps are those of :func:`_sandwich_normalized`: each number times
+    (g_i g_j), the trace as (a + b) + (c + d), then each number times 1/t,
+    so the result equals the real parts of its entry map bit for bit.  A
+    trace below ``_DEGENERATE_TRACE`` raises :class:`DegenerateMeasurementError`.
+    Strength 0 stays with the caller: the entry maps pass such a state on
+    with weight 1 and do not renormalize it.
+    """
+    a, b, c, d, z, w = x
+    g1, g2, g3, g4 = g
+    a, b, c, d = a * (g1 * g1), b * (g2 * g2), c * (g3 * g3), d * (g4 * g4)
+    z, w = z * (g1 * g4), w * (g2 * g3)
+    t = (a + b) + (c + d)
+    _check_trace(t)
+    k = 1.0 / t
+    return (a * k, b * k, c * k, d * k, z * k, w * k), t
+
+
+def _x_damped(x, p, eta, sqrt) -> tuple:
+    """:func:`apply_cad` on the six numbers x = (a, b, c, d, z, w).
+
+    With s = sqrt(1 - p), where ``sqrt`` is ``math.sqrt`` for floats and
+    ``np.sqrt`` for arrays: the first qubit damps, then the second, as
+    :func:`apply_ad_uncorrelated` does; the result scales by (1 - eta), and
+    where any eta is not 0, eta times the correlated branch of the input
+    is added.  Each number takes its entry's operations in their order.
+    """
+    a, b, c, d, z, w = x
+    s = sqrt(1.0 - p)
+    ss = s * s
+    a1, b1, c1, d1 = a + p * c, b + p * d, c * ss, d * ss
+    a2, b2, c2, d2 = a1 + p * b1, b1 * ss, c1 + p * d1, d1 * ss
+    keep = 1.0 - eta
+    out = (keep * a2, keep * b2, keep * c2, keep * d2, keep * ((z * s) * s), keep * ((w * s) * s))
+    if np.count_nonzero(eta):  # the correlated branch only matters where there is memory
+        corr = (a + p * d, b, c, d * ss, z * s, w)
+        out = tuple(u + eta * v for u, v in zip(out, corr))
+    return out
 
 
 def apply_wm(

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the toolkit, and its one range check.
+"""Exception hierarchy shared across the toolkit, and its two input checks.
 
 p, eta and the state-family parameters lie in [0, 1], the strengths q and
 r in [0, 1): :func:`_unit_interval` checks every one, scalar or array, and
 raises a plain ``ValueError`` naming the parameter and its first bad entry.
+Where a function takes one point, not a stack, :func:`_one_number` refuses
+an array that is not 0-d, with a ``ValueError`` naming the parameter.
 The classes below mark failures that a caller may want to handle
 separately, in particular the CLI, which maps them to distinct exit codes.
 """
@@ -21,6 +23,13 @@ def _unit_interval(name: str, value, closed: bool) -> np.ndarray:
     if np.count_nonzero(inside) != value.size:  # a NaN is never inside
         bad = np.extract(~inside, value)[0]
         raise ValueError(f"{name}={bad} outside [0, 1{']' if closed else ')'}")
+    return value
+
+
+def _one_number(name: str, value):
+    """``value`` as it is, refused unless it is 0-d: the caller takes one point, not a stack."""
+    if np.ndim(value):
+        raise ValueError(f"{name} must be a single number, got shape {np.shape(value)}")
     return value
 
 

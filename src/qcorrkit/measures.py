@@ -74,11 +74,11 @@ def x_entries(rho: np.ndarray) -> tuple[np.ndarray, ...]:
     """The six numbers (a, b, c, d, z, w) of a real X state, or of a stack.
 
     Raises :class:`NumericalContractError` for a shape other than
-    ``(..., 4, 4)`` or a deviation from Hermiticity, and
-    :class:`UnsupportedStateError` for entries off the X pattern or
-    imaginary parts of the coherences; each deviation is allowed up to
-    ``X_STATE_TOL``.  A float64 or complex128 array is read as it is;
-    any other input is converted to complex first.
+    ``(..., 4, 4)``, a NaN or infinite entry (named by its index) or a
+    deviation from Hermiticity, and :class:`UnsupportedStateError` for
+    entries off the X pattern or imaginary parts of the coherences; each
+    deviation is allowed up to ``X_STATE_TOL``.  A float64 or complex128
+    array is read as it is; any other input is converted to complex first.
     """
     rho = np.asarray(rho)
     if rho.dtype not in (np.float64, np.complex128):
@@ -87,14 +87,19 @@ def x_entries(rho: np.ndarray) -> tuple[np.ndarray, ...]:
         raise NumericalContractError(f"expected (..., 4, 4) states, got shape {rho.shape}")
     pairs = rho.reshape(rho.shape[:-2] + (16,))[..., _PAIRS]
     upper = pairs[..., 0, :]
-    # rho - rho^H is anti-Hermitian, so its upper triangle holds its largest modulus
+    # rho - rho^H is anti-Hermitian, so its upper triangle holds its largest
+    # modulus; every entry is in a pair, so a NaN or an inf anywhere makes it
+    # NaN or inf, and each check is written so that a NaN fails it
     herm_dev = np.abs(upper - pairs[..., 1, :].conj()).max()
-    if herm_dev > X_STATE_TOL:
+    if not herm_dev <= X_STATE_TOL:
+        bad = np.argwhere(~np.isfinite(rho))
+        if len(bad):
+            raise NumericalContractError(f"non-finite input at entry {tuple(bad[0].tolist())}")
         raise NumericalContractError(f"non-Hermitian input (deviation {herm_dev:.3e})")
-    if not np.abs(pairs[..., :4]).max() <= X_STATE_TOL:  # a NaN off the pattern fails too
+    if not np.abs(pairs[..., :4]).max() <= X_STATE_TOL:
         raise UnsupportedStateError("X-state formula fed a non-X state")
     imag = np.abs(upper[..., 8:].imag).max()
-    if imag > X_STATE_TOL:
+    if not imag <= X_STATE_TOL:
         raise UnsupportedStateError(f"X-state coherences must be real (imaginary part {imag:.3e})")
     # [()] turns the entries of one state into scalars, and leaves arrays as they are
     return tuple(upper[..., k].real[()] for k in range(4, 10))

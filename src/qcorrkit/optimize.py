@@ -2,24 +2,27 @@
 
 The objective is the concurrence of the full measurement/channel/reversal
 pipeline as a function of the reversal strength r at fixed damping,
-memory, and measurement strength.  The state sigma after measurement and
-channel does not depend on r, so it is built once.  A dense coarse grid
-detects the dead plateau and guards the result: the grid and each mode's
-real reversal factors are built once per process.  A call checks sigma
-once as a real X state, then reverses its real part on the whole grid as
-a float64 stack, with one multiply, one trace and one reciprocal per grid
-point, and scores it with one batched ``concurrence`` call.  The scores
-equal those of the complex stack bit for bit, because the trace keeps
-the complex trace's summation order.  The optimum
-itself is the stationary point of the concurrence in u = 1 - r, which is
-unimodal there (``docs/decisions.md`` section 1.2).
-The result carries the protected state at the optimum, so callers never
-rebuild it.  Everything is deterministic.
+memory, and measurement strength.  A call reads the initial state's six
+numbers (a, b, c, d, z, w) once, with :func:`x_entries`, and runs the
+whole chain on them as Python floats: the weak measurement and the
+channel give sigma, which does not depend on r, and one reversal at the
+optimum gives the protected state.  These six-number maps equal the
+entry maps of ``channels.py`` bit for bit (``docs/decisions.md``
+section 1.1).  The optimum itself is the stationary point of the
+concurrence in u = 1 - r, which is unimodal there (section 1.2).  A
+dense coarse grid detects the dead plateau and guards the result: the
+grid and each mode's real reversal factors are built once per process,
+and a call reverses sigma, as a real 4x4 array, on the whole grid as a
+float64 stack, with one multiply, one trace and one reciprocal per grid
+point, and scores it with one batched ``concurrence`` call.  The result
+carries the protected state at the optimum as a float64 4x4 array, so
+callers never rebuild it.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +32,13 @@ from .channels import (
     WmrMode,
     _outer,
     _sandwich_normalized,
-    apply_cad,
-    apply_qmr,
-    apply_wm,
+    _x_damped,
+    _x_measured,
     qmr_diagonal,
+    wm_diagonal,
 )
-from .measures import concurrence, x_entries
+from .exceptions import _one_number, _unit_interval
+from .measures import _concurrence, concurrence, x_entries
 from .states import StateFamily, make_state
 
 _R_MAX = 1.0 - 1e-6
@@ -68,6 +72,21 @@ class OptimizationResult:
     state: np.ndarray = field(compare=False, repr=False)
 
 
+def _measured(x, strength: float, diagonal, mode: WmrMode):
+    """:func:`apply_wm` (``diagonal`` = :func:`wm_diagonal`) or :func:`apply_qmr`
+    (:func:`qmr_diagonal`) on the six numbers of one state: strength 0
+    passes ``x`` on with weight 1, as they do."""
+    if strength == 0.0:
+        return x, 1.0
+    return _x_measured(x, diagonal(strength, mode).tolist())
+
+
+def _x_matrix(x) -> np.ndarray:
+    """The real 4x4 X state of the six numbers (a, b, c, d, z, w)."""
+    a, b, c, d, z, w = x
+    return np.array([[a, 0.0, 0.0, z], [0.0, b, w, 0.0], [0.0, w, c, 0.0], [z, 0.0, 0.0, d]])
+
+
 def optimal_qmr(
     family: StateFamily, ch: ChannelParams, q: float, mode: WmrMode
 ) -> OptimizationResult:
@@ -80,43 +99,44 @@ def optimal_qmr(
     ``_GRID_STEP`` over [0, ``_R_MAX``] guards it: if no grid point has
     positive concurrence (entanglement already dead everywhere) r* is 0,
     and the best grid point replaces r* if it scores higher, or within
-    1e-12 at a smaller r.
+    1e-12 at a smaller r.  p, eta and q are single numbers; an array
+    raises ``ValueError``.
     """
     if mode is WmrMode.NONE:
         raise ValueError("reversal optimization needs a measurement mode")
+    p, eta = _one_number("p", ch.p), _one_number("eta", ch.eta)
+    q = _one_number("q", _unit_interval("q", q, closed=False))
 
-    measured, t_wm = apply_wm(make_state(family), q, mode)
-    sigma = apply_cad(measured, ch)
+    # the initial state is checked once as a real X state; the chain runs on its six numbers
+    x, t_wm = _measured([float(v) for v in x_entries(make_state(family))], q, wm_diagonal, mode)
+    sigma = _x_damped(x, float(p), float(eta), math.sqrt)
 
-    # sigma is checked once as a real X state, so its real part is all the grid needs
-    x_entries(sigma)
-    values = concurrence(_sandwich_normalized(sigma.real, _GRID, _grid_factors(mode))[0])
+    values = concurrence(_sandwich_normalized(_x_matrix(sigma), _GRID, _grid_factors(mode))[0])
     evaluations = _GRID.size
 
     best = int(values.argmax())  # argmax takes the first index, i.e. smallest r
     if values[best] <= 0.0:
         # plateau: no r recovers any entanglement; report the smallest one
         r_star, c_star = 0.0, 0.0
-        state, t_qmr = apply_qmr(sigma, r_star, mode)
+        state, t_qmr = sigma, 1.0
     else:
         # the concurrence is unimodal in u = 1 - r: take its stationary point
-        s11, s22, s33, s44 = sigma.diagonal().real
-        u = np.sqrt(s44 / s11) if mode is WmrMode.TWO_QUBIT else (s22 + s44) / (s11 + s33)
-        r_star = 1.0 - min(max(float(u), 1.0 - _R_MAX), 1.0)
-        state, t_qmr = apply_qmr(sigma, r_star, mode)
-        c_star = float(concurrence(state))
+        s11, s22, s33, s44 = sigma[:4]
+        u = math.sqrt(s44 / s11) if mode is WmrMode.TWO_QUBIT else (s22 + s44) / (s11 + s33)
+        r_star = 1.0 - min(max(u, 1.0 - _R_MAX), 1.0)
+        state, t_qmr = _measured(sigma, r_star, qmr_diagonal, mode)
+        c_star = float(_concurrence(*state))
         evaluations += 1
         # the closed form must never lose to the best grid candidate, and a
         # tie (flat or boundary maximum) resolves to the smaller r
         if c_star < values[best] or (c_star - values[best] <= 1e-12 and _GRID[best] < r_star):
             r_star, c_star = float(_GRID[best]), float(values[best])
-            state, t_qmr = apply_qmr(sigma, r_star, mode)
+            state, t_qmr = _measured(sigma, r_star, qmr_diagonal, mode)
 
     return OptimizationResult(
         r_star=r_star,
         concurrence_at_star=c_star,
         success_probability=float(t_wm * t_qmr),
         evaluations=evaluations,
-        state=state,
+        state=_x_matrix(state),
     )
-

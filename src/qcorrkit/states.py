@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import _unit_interval
+from .exceptions import _one_number, _unit_interval
 
 #: entries allowed to be nonzero in an X-form state: diagonal + anti-diagonal
 _X_MASK = np.array(
@@ -65,15 +65,6 @@ class StateFamily:
             object.__setattr__(self, "param", FAMILY_DEFAULTS["bell"])
 
 
-def _one_parameter(name: str, value) -> np.floating:
-    """``value`` checked by the unit-interval rule, and refused unless it is 0-d:
-    the constructors that call this build one state, not a stack."""
-    value = _unit_interval(name, value, closed=True)
-    if np.ndim(value):
-        raise ValueError(f"{name} must be a single number, got shape {np.shape(value)}")
-    return value
-
-
 def bell_state() -> np.ndarray:
     """Density matrix of (|00> + |11>)/sqrt(2)."""
     psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -85,7 +76,7 @@ def werner_state(r_b: float) -> np.ndarray:
 
     ``r_b`` is one number in [0, 1]; an array that is not 0-d raises.
     """
-    r_b = _one_parameter("r_b", r_b)
+    r_b = _one_number("r_b", _unit_interval("r_b", r_b, closed=True))
     return (1.0 - r_b) / 4.0 * np.eye(4, dtype=complex) + r_b * bell_state()
 
 
@@ -97,7 +88,7 @@ def mems_state(gamma: float) -> np.ndarray:
     linear entropy.  ``gamma`` is one number in [0, 1]; an array that is
     not 0-d raises.
     """
-    gamma = _one_parameter("gamma", gamma)
+    gamma = _one_number("gamma", _unit_interval("gamma", gamma, closed=True))
     g = 1.0 / 3.0 if gamma < 2.0 / 3.0 else gamma / 2.0
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[3, 3] = g

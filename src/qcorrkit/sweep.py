@@ -17,12 +17,12 @@ on a stack of initial states, and all six measures come from one
 stack.  The alpha^2 axis builds its initial states with one broadcast
 :func:`nme_state` call.  Each stacked row equals the row of that point
 evaluated on its own, bit for bit.  A protected sweep runs point by
-point, because :func:`optimal_qmr` takes one post-channel state per
-call: it checks that state once as a real X state, then scores the
-reversal of its real part on the 1001-point guard grid, one float64
-stack per call, through real reversal factors built once per mode.  Either
-way the table is one :func:`normalize` call and one ``np.column_stack``
-over the measure columns.
+point, because :func:`optimal_qmr` takes one point per call: it runs
+the measurement, the channel and the reversal on the initial state's
+six numbers, scores the reversal on the 1001-point guard grid as one
+float64 stack, and returns the protected state as a float64 4x4 array.
+Either way the table is one :func:`normalize` call and one
+``np.column_stack`` over the measure columns.
 
 :func:`csv_text` writes every CSV of the package: sweeps, datasets,
 predictions and weight summaries.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,18 @@ from qcorrkit.channels import (
     ChannelParams,
     WmrMode,
     WmrParams,
+    _x_damped,
+    _x_measured,
     apply_ad_uncorrelated,
     apply_cad,
     apply_qmr,
     apply_wm,
+    qmr_diagonal,
+    wm_diagonal,
     wmr_pipeline,
 )
 from qcorrkit.exceptions import DegenerateMeasurementError
+from qcorrkit.optimize import _R_MAX
 from qcorrkit.oracles import _reference_pipeline_state, validate_density_matrix
 from qcorrkit.states import bell_state, is_x_state, random_density_matrix, random_x_state
 
@@ -257,6 +264,12 @@ class TestMeasurements:
         with pytest.raises(DegenerateMeasurementError):
             apply_wm(top, 1.0 - 1e-16, WmrMode.TWO_QUBIT)
 
+    @pytest.mark.parametrize("diagonal", [wm_diagonal, qmr_diagonal])
+    def test_mode_none_has_no_diagonal(self, diagonal):
+        # NONE measures nothing; it once got the one-qubit diagonal
+        with pytest.raises(ValueError, match="no measurement diagonal"):
+            diagonal(0.5, WmrMode.NONE)
+
 
 class TestPipeline:
     def test_mode_none_is_bare_channel(self, rng):
@@ -409,3 +422,109 @@ class TestParameterArrays:
             WmrParams(qs, 0.1)
         with pytest.raises(ValueError):
             WmrParams(0.1, qs)
+
+
+_X_CELLS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2))
+
+
+def six_floats(rho):
+    """The six numbers (a, b, c, d, z, w) of one X state, as Python floats."""
+    return tuple(float(rho[i, j].real) for i, j in _X_CELLS)
+
+
+def assert_cells(x, rho):
+    """The six numbers ``x`` are the entry map's output ``rho`` cell by cell:
+    every real part, mirrors and zeros off the pattern included, bit for bit,
+    and every imaginary part zero."""
+    a, b, c, d, z, w = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in x))
+    cells = np.zeros(a.shape + (4, 4))
+    for (i, j), v in zip(_X_CELLS, (a, b, c, d, z, w)):
+        cells[..., i, j] = cells[..., j, i] = v
+    assert not rho.imag.any()
+    assert cells.tobytes() == np.ascontiguousarray(rho.real).tobytes()
+
+
+class TestSixNumberMaps:
+    """The six-number maps against the entry maps they mirror, bit for bit."""
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    def test_random_chains_equal_the_entry_maps(self, rng, mode):
+        for _ in range(2000):
+            rho = random_x_state(rng)
+            q, p, eta, r = rng.random(4)
+            ch = ChannelParams(p, eta)
+            measured, t_wm = apply_wm(rho, q, mode)
+            x, t = _x_measured(six_floats(rho), wm_diagonal(q, mode).tolist())
+            assert_cells(x, measured)
+            assert t == t_wm
+            damped = apply_cad(measured, ch)
+            x = _x_damped(x, p, eta, math.sqrt)
+            assert_cells(x, damped)
+            reversed_, t_qmr = apply_qmr(damped, r, mode)
+            x, t = _x_measured(x, qmr_diagonal(r, mode).tolist())
+            assert_cells(x, reversed_)
+            assert t == t_qmr
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.37])
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 0.4])
+    def test_damping_edges(self, rng, p, eta):
+        for _ in range(50):
+            rho = random_x_state(rng)
+            assert_cells(_x_damped(six_floats(rho), p, eta, math.sqrt),
+                         apply_cad(rho, ChannelParams(p, eta)))
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    @pytest.mark.parametrize("r", [_R_MAX, 0.5, 1e-9])
+    def test_reversal_edges(self, rng, mode, r):
+        for _ in range(50):
+            rho = random_x_state(rng)
+            expected, t_qmr = apply_qmr(rho, r, mode)
+            x, t = _x_measured(six_floats(rho), qmr_diagonal(r, mode).tolist())
+            assert_cells(x, expected)
+            assert t == t_qmr
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    def test_empty_ground_population(self, rng, mode):
+        # rho11 = 0 forces rho14 = 0 in a state
+        for _ in range(50):
+            rho = random_x_state(rng)
+            rho[0, 0] = rho[0, 3] = rho[3, 0] = 0.0
+            rho /= rho.trace().real
+            q, p, eta, r = rng.random(4)
+            measured, _ = apply_wm(rho, q, mode)
+            x, _ = _x_measured(six_floats(rho), wm_diagonal(q, mode).tolist())
+            assert_cells(x, measured)
+            damped = apply_cad(measured, ChannelParams(p, eta))
+            x = _x_damped(x, p, eta, math.sqrt)
+            assert_cells(x, damped)
+            x, _ = _x_measured(x, qmr_diagonal(r, mode).tolist())
+            assert_cells(x, apply_qmr(damped, r, mode)[0])
+
+    def test_degenerate_trace_raises_the_same_error(self):
+        top = np.zeros((4, 4), dtype=complex)
+        top[3, 3] = 1.0
+        q = 1.0 - 1e-16
+        with pytest.raises(DegenerateMeasurementError) as entry:
+            apply_wm(top, q, WmrMode.TWO_QUBIT)
+        with pytest.raises(DegenerateMeasurementError) as six:
+            _x_measured(six_floats(top), wm_diagonal(q, WmrMode.TWO_QUBIT).tolist())
+        assert str(six.value) == str(entry.value)
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    def test_arrays_pass_the_same_maps(self, rng, mode):
+        # one state per entry: the maps take arrays with np.sqrt and unpacked diagonals
+        stack = np.stack([random_x_state(rng) for _ in range(40)])
+        q, p, eta, r = (0.05 + 0.9 * rng.random(40) for _ in range(4))
+        eta[::3] = 0.0
+        x = tuple(stack[:, i, j].real for i, j in _X_CELLS)
+        measured, t_wm = apply_wm(stack, q, mode)
+        x, t = _x_measured(x, wm_diagonal(q, mode).T)
+        assert_cells(x, measured)
+        assert t.tobytes() == t_wm.tobytes()
+        damped = apply_cad(measured, ChannelParams(p, eta))
+        x = _x_damped(x, p, eta, np.sqrt)
+        assert_cells(x, damped)
+        x, t = _x_measured(x, qmr_diagonal(r, mode).T)
+        expected, t_qmr = apply_qmr(damped, r, mode)
+        assert_cells(x, expected)
+        assert t.tobytes() == t_qmr.tobytes()

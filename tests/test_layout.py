@@ -143,6 +143,28 @@ def test_cached_grid_factors_are_read_only(mode):
     assert factors.shape == (1001, 4, 4)
 
 
+def test_optimizer_runs_no_complex_chain():
+    # the optimizer's chain runs on six real numbers: it may not call the
+    # complex entry maps nor build a complex array, whatever the spelling
+    entry_maps = {"apply_wm", "apply_cad", "apply_qmr", "wmr_pipeline"}
+    complex_names = {"complex", "complex64", "complex128", "complexfloating", "cdouble", "csingle"}
+    found = []
+    for node in ast.walk(_tree(PACKAGE / "optimize.py")):
+        if isinstance(node, ast.Call) and _dotted(node.func).rsplit(".", 1)[-1] in entry_maps:
+            found.append(f"line {node.lineno}: calls {_dotted(node.func)}")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: imports {a.name}" for a in node.names
+                      if a.name in entry_maps | complex_names]
+        elif isinstance(node, ast.Name) and node.id in complex_names:
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in complex_names:
+            found.append(f"line {node.lineno}: {_dotted(node)}")
+        elif isinstance(node, ast.Constant) and (isinstance(node.value, complex)
+                                                 or node.value in complex_names):
+            found.append(f"line {node.lineno}: {node.value!r}")
+    assert not found, f"optimize.py runs the complex chain: {found}"
+
+
 @pytest.mark.parametrize("module", ["sweep", "dataset"])
 def test_no_private_measure_names_outside_measures(module):
     # the sweep and the dataset reach the measures through the public

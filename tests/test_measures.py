@@ -31,12 +31,15 @@ PLUS_ZERO = np.kron(np.full((2, 2), 0.5, dtype=complex), np.diag([1.0, 0.0]).ast
 
 
 def three_step_x_entries(rho):
-    """``x_entries`` as three whole-matrix passes: the Hermitian deviation
-    over all 16 entries, ``is_x_state`` per state, then the coherences'
-    imaginary parts."""
+    """``x_entries`` as whole-matrix passes: the first non-finite entry in
+    C order, the Hermitian deviation over all 16 entries, ``is_x_state``
+    per state, then the coherences' imaginary parts."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise NumericalContractError(f"expected (..., 4, 4) states, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        index = np.unravel_index(int(np.argmin(np.isfinite(rho))), rho.shape)
+        raise NumericalContractError(f"non-finite input at entry {tuple(int(i) for i in index)}")
     herm_dev = np.abs(rho - rho.conj().swapaxes(-1, -2)).max()
     if herm_dev > X_STATE_TOL:
         raise NumericalContractError(f"non-Hermitian input (deviation {herm_dev:.3e})")
@@ -77,6 +80,9 @@ _BAD_STATES = {
     "nan_coherence": lambda r: r.__setitem__((0, 3), complex(np.nan, 0.0)),
     "nan_and_non_hermitian": lambda r: (r.__setitem__((3, 1), np.nan),
                                         r.__setitem__((0, 3), 1.0)),
+    "inf_diagonal": lambda r: r.__setitem__((0, 0), np.inf),
+    "inf_off_x_symmetric": lambda r: (r.__setitem__((0, 1), np.inf), r.__setitem__((1, 0), np.inf)),
+    "nan_imaginary_coherence": lambda r: r.__setitem__((1, 2), complex(0.0, np.nan)),
     "just_inside_tolerance": lambda r: (r.__setitem__((1, 3), X_STATE_TOL),
                                         r.__setitem__((3, 1), X_STATE_TOL)),
 }
@@ -86,6 +92,8 @@ _BAD_STATES = {
 _REAL_BAD_STATES = [name for name, edit in _BAD_STATES.items() if not np.imag(_edited(edit)).any()]
 
 
+# an inf entry makes numpy warn in rho - rho^H before x_entries raises
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 class TestXEntries:
     @pytest.mark.parametrize("edit", list(_BAD_STATES.values()), ids=list(_BAD_STATES))
     @pytest.mark.parametrize("stacked", [False, True], ids=["state", "stack"])
@@ -156,6 +164,22 @@ class TestXEntries:
         rho[0, 3] += 1e-6
         with pytest.raises(NumericalContractError, match="non-Hermitian"):
             x_entries(rho)
+
+    def test_non_finite_entry_rejected_by_index(self, rng):
+        # NaN > tol is False, so a check written that way let these through:
+        # a NaN diagonal gave six NaN measures and an inf at rho11 concurrence 0
+        rho = werner_state(0.8)
+        rho[2, 2] = np.nan
+        with pytest.raises(NumericalContractError, match=r"non-finite input at entry \(2, 2\)"):
+            correlation_vector(rho)
+        rho = werner_state(0.8)
+        rho[0, 0] = np.inf
+        with pytest.raises(NumericalContractError, match=r"non-finite input at entry \(0, 0\)"):
+            concurrence(rho)
+        stack = np.stack([random_x_state(rng) for _ in range(3)]).real
+        stack[1, 3, 3] = -np.inf
+        with pytest.raises(NumericalContractError, match=r"non-finite input at entry \(1, 3, 3\)"):
+            concurrence(stack)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2), (4, 3), (3, 4, 2)])
     def test_wrong_shape_rejected(self, shape):

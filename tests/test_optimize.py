@@ -10,16 +10,19 @@ from qcorrkit.channels import (
     apply_cad,
     apply_qmr,
     apply_wm,
+    qmr_diagonal,
+    wm_diagonal,
     wmr_pipeline,
 )
 from qcorrkit.exceptions import NumericalContractError, UnsupportedStateError
-from qcorrkit.measures import concurrence
+from qcorrkit.measures import concurrence, x_entries
 from qcorrkit.optimize import (
     _GRID,
     _GRID_STEP,
     _R_MAX,
     OptimizationResult,
     _grid_factors,
+    _measured,
     optimal_qmr,
 )
 from qcorrkit.states import StateFamily, make_state, random_x_state, werner_state
@@ -101,8 +104,10 @@ class TestAgainstPerCallGrid:
         for name in OptimizationResult.__dataclass_fields__:
             if name != "state":
                 assert getattr(res, name) == getattr(expected, name), name
-        assert res.state.dtype == expected.state.dtype
-        assert res.state.tobytes() == expected.state.tobytes()
+        # the six-number chain returns the real parts of the complex route's state
+        assert res.state.dtype == np.float64
+        assert res.state.tobytes() == expected.state.real.tobytes()
+        assert not expected.state.imag.any()
         return branch
 
     @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
@@ -134,9 +139,9 @@ class TestAgainstPerCallGrid:
 class TestFloatGrid:
     @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
     def test_float_grid_scores_equal_the_complex_route(self, rng, mode):
-        # the optimizer reverses sigma.real on float64 factors; the complex
-        # route reverses the complex sigma and takes ndarray.trace, whose sum
-        # order the float trace keeps, so every trace and score is the same
+        # the optimizer reverses sigma as a real array on float64 factors; the
+        # complex route reverses the complex sigma and takes ndarray.trace, whose
+        # sum order the float trace keeps, so every trace and score is the same
         positive = 0
         for _ in range(300):
             q, p, eta = rng.random(3)
@@ -227,9 +232,9 @@ class TestOptimalQmr:
     )
     @pytest.mark.parametrize("r_b, p", [(0.8, 0.3), (0.43, 0.8)], ids=["interior", "plateau"])
     def test_sigma_off_the_real_x_pattern_raises(self, monkeypatch, mode, edit, error, match, r_b, p):
-        # the grid reverses only sigma's real part, whose coherences are real
-        # and which stays Hermitian here, so sigma itself must be checked; on
-        # the plateau no later step would look at it
+        # the chain runs on the six real numbers of rho0, which hold neither
+        # an imaginary part nor a non-Hermitian pair, so rho0 itself must be
+        # checked; on the plateau no later step would look at it
         def make_state(family):
             rho = werner_state(family.param)
             edit(rho)
@@ -242,6 +247,36 @@ class TestOptimalQmr:
     def test_mode_none_rejected(self):
         with pytest.raises(ValueError):
             optimal_qmr(StateFamily("bell"), ChannelParams(0.5, 0.0), 0.5, WmrMode.NONE)
+
+    @pytest.mark.parametrize(
+        "name, ch, q",
+        [("p", ChannelParams(np.linspace(0.0, 1.0, 1001)), 0.5),
+         ("eta", ChannelParams(0.5, np.array([0.0, 1.0])), 0.5),
+         ("q", ChannelParams(0.5, 0.4), np.array([0.2])),
+         ("q", ChannelParams(0.5, 0.4), np.array([[0.2, 0.5]]))],
+        ids=["p", "eta", "q", "q_2d"],
+    )
+    def test_one_point_only(self, name, ch, q):
+        # an array once failed inside numpy with a broadcasting message
+        with pytest.raises(ValueError, match=rf"^{name} must be a single number, got shape"):
+            optimal_qmr(StateFamily("werner", 0.8), ch, q, WmrMode.TWO_QUBIT)
+
+    def test_zero_d_arrays_are_one_point(self):
+        fam = StateFamily("werner", 0.8)
+        res = optimal_qmr(fam, ChannelParams(np.array(0.5), np.array(0.4)), np.array(0.3),
+                          WmrMode.TWO_QUBIT)
+        assert res == optimal_qmr(fam, ChannelParams(0.5, 0.4), 0.3, WmrMode.TWO_QUBIT)
+
+    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
+    def test_zero_strength_passes_the_six_numbers(self, rng, mode):
+        # as apply_wm and apply_qmr pass the state itself with weight 1
+        rho = random_x_state(rng)
+        x = [float(v) for v in x_entries(rho)]
+        for diagonal, apply in ((wm_diagonal, apply_wm), (qmr_diagonal, apply_qmr)):
+            out, weight = _measured(x, 0.0, diagonal, mode)
+            assert out is x and weight == 1.0
+            state, weight = apply(rho, 0.0, mode)
+            assert state is rho and weight == 1.0
 
     @pytest.mark.parametrize("q", [1.0, -0.1, float("nan")])
     def test_measurement_strength_outside_domain_rejected(self, q):
