@@ -9,12 +9,17 @@ off the real X pattern is refused rather than approximated.  Every
 measure takes one state or a ``(..., 4, 4)`` stack.  The dense 4x4
 routes live on as independent oracles in ``oracles.py``.
 
-:func:`correlation_vector` is the entry point: all six measures, validated
-once, as a :class:`CorrelationVector`.  Only :func:`concurrence` (the
-optimizer's grid) and :func:`trace_distance_discord` (``verify``'s oracle
-check) stand alone.  :func:`normalize` rescales each measure by its
-anchors in ``DEFAULT_NORMALIZATION``, one more ``CorrelationVector``,
-of (maximum, classical limit) pairs.
+:func:`x_correlation_vector` takes the six numbers themselves, of one
+state or of a stack, and gives all six measures as a
+:class:`CorrelationVector`, with every entropic term in one x log2 x pass
+and S(rho) computed once (``docs/decisions.md`` section 2.8); the
+unprotected sweep calls it on numbers that never were a matrix.
+:func:`correlation_vector` is :func:`x_entries`, then that.  Only
+:func:`concurrence` (the optimizer's grid) and
+:func:`trace_distance_discord` (``verify``'s oracle check) stand alone.
+:func:`normalize` rescales each measure by its anchors in
+``DEFAULT_NORMALIZATION``, one more ``CorrelationVector``, of (maximum,
+classical limit) pairs.
 
 All logarithms are base 2, so entropic quantities are in bits and the
 dense-coding capacity peaks at 2.
@@ -40,6 +45,10 @@ _UPPER = [(i, j) for i, j in zip(*np.nonzero(~_X_MASK)) if i < j]
 _UPPER += [(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2)]
 _PAIRS = np.array([[4 * i + j for i, j in _UPPER], [4 * j + i for i, j in _UPPER]])
 _PAIRS.flags.writeable = False
+
+#: the slices of x_correlation_vector's x log2 x pass that sum to an entropy;
+#: the ten steering terms follow them
+_ENTROPY_GROUPS = ((0, 2), (2, 6), (6, 10), (10, 14))
 
 
 class CorrelationVector(NamedTuple):
@@ -89,8 +98,10 @@ def x_entries(rho: np.ndarray) -> tuple[np.ndarray, ...]:
     upper = pairs[..., 0, :]
     # rho - rho^H is anti-Hermitian, so its upper triangle holds its largest
     # modulus; every entry is in a pair, so a NaN or an inf anywhere makes it
-    # NaN or inf, and each check is written so that a NaN fails it
-    herm_dev = np.abs(upper - pairs[..., 1, :].conj()).max()
+    # NaN or inf, and each check is written so that a NaN fails it.  inf - inf
+    # is such a NaN: the error below reports it, so numpy need not warn of it
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm_dev = np.abs(upper - pairs[..., 1, :].conj()).max()
     if not herm_dev <= X_STATE_TOL:
         bad = np.argwhere(~np.isfinite(rho))
         if len(bad):
@@ -121,11 +132,6 @@ def _xlog2x(terms) -> np.ndarray:
     return x * np.log2(np.maximum(x, _TINY))
 
 
-def _entropy(probs) -> np.ndarray:
-    """Shannon entropy in bits of the distribution ``probs``."""
-    return -_xlog2x(probs).sum(axis=0)
-
-
 def _x_spectrum(a, b, c, d, z, w) -> tuple[np.ndarray, ...]:
     """The four eigenvalues: those of the (a, z, d) and the (b, w, c) blocks."""
     m14, r14 = (a + d) / 2.0, np.sqrt(np.square((a - d) / 2.0) + np.square(z))
@@ -139,30 +145,9 @@ def _concurrence(a, b, c, d, z, w):
     return 2.0 * np.maximum(0.0, np.maximum(gap14, gap23))
 
 
-def _dense_coding(a, b, c, d, z, w):
-    """Holevo quantity 1 + H(a + c) - S(rho) of the four equal-weight Pauli
-    encodings of the first qubit, whose mixture is I/2 x diag(a + c, b + d)."""
-    return 1.0 + _entropy((a + c, b + d)) - _entropy(_x_spectrum(a, b, c, d, z, w))
-
-
 def _fef(a, b, c, d, z, w):
     """Fully entangled fraction: for a real X state, the largest Bell-state overlap."""
     return np.maximum((a + d) / 2.0 + np.abs(z), (b + c) / 2.0 + np.abs(w))
-
-
-def _jsd(a, b, c, d, z, w):
-    """Root of the entropic divergence of rho and its diagonal rho_d, whose mean is
-    the X state with coherences z/2, w/2: exactly 0 if incoherent, ~0.56 on Bell."""
-    # S(rho_d) = H(a, b, c, d), taken through the same spectrum formula so
-    # that an incoherent state (z = w = 0) gets an exact 0
-    radicand = (
-        _entropy(_x_spectrum(a, b, c, d, z / 2.0, w / 2.0))
-        - _entropy(_x_spectrum(a, b, c, d, z, w)) / 2.0
-        - _entropy(_x_spectrum(a, b, c, d, 0.0, 0.0)) / 2.0
-    )
-    if (radicand < -_CLAMP).any():
-        raise NumericalContractError(f"coherence radicand {radicand.min():.3e}")
-    return np.sqrt(np.maximum(radicand, 0.0))
 
 
 def _discord(a, b, c, d, z, w):
@@ -184,21 +169,20 @@ def _discord(a, b, c, d, z, w):
     return 0.5 * np.sqrt(np.maximum(ratio, 0.0))
 
 
-def _steering(a, b, c, d, z, w):
-    """Entropic steering inequality's left-hand side: above 2 certifies steering, 6 on Bell."""
+def _steering_terms(a, b, c, d, z, w) -> tuple:
+    """The ten x log2 x arguments of the entropic steering inequality's left-hand side."""
     c1, c2 = 2.0 * (w + z), 2.0 * (w - z)
     c3 = a + d - b - c
     r_marg = a + b - d - c
     s_marg = a - d - b + c
-    t = _xlog2x((
+    return (
         1.0 + c1, 1.0 - c1, 1.0 + c2, 1.0 - c2,
         1.0 + r_marg, 1.0 - r_marg,
         1.0 + c3 + r_marg + s_marg,
         1.0 + c3 - r_marg - s_marg,
         1.0 - c3 - r_marg + s_marg,
         1.0 - c3 + r_marg - s_marg,
-    ))
-    return t[0] + t[1] + t[2] + t[3] - t[4] + t[5] + 0.5 * (t[6] + t[7] + t[8] + t[9])
+    )
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -223,21 +207,60 @@ def trace_distance_discord(rho: np.ndarray) -> float | np.ndarray:
     return _scalar(_discord(*x_entries(rho)))
 
 
+def x_correlation_vector(x) -> CorrelationVector:
+    """All six measures of the X state with the six numbers x = (a, b, c, d, z, w).
+
+    The numbers are floats for one state, or arrays of one shape for a
+    stack, as :func:`x_entries` returns them; they are taken as given,
+    with no check.  Every entropic term goes through one x log2 x pass:
+    the populations a + c, b + d of the second qubit, the spectrum of rho,
+    shared by the dense coding and the JSD, the spectra at (z/2, w/2) and
+    at (0, 0), and the ten steering terms.  Each group is summed as on its
+    own, so the fields equal those of separate passes bit for bit.
+    """
+    a, b, c, d, z, w = x
+    t = _xlog2x((
+        a + c, b + d,
+        *_x_spectrum(a, b, c, d, z, w),
+        *_x_spectrum(a, b, c, d, z / 2.0, w / 2.0),
+        *_x_spectrum(a, b, c, d, 0.0, 0.0),
+        *_steering_terms(a, b, c, d, z, w),
+    ))
+    # Shannon entropies in bits: of the marginal, of rho, of (rho + rho_d)/2 and of rho_d
+    h_marg, s_rho, s_mean, s_diag = (-t[i:j].sum(axis=0) for i, j in _ENTROPY_GROUPS)
+    steer = t[14:]
+    # Holevo quantity 1 + H(a + c) - S(rho) of the four equal-weight Pauli
+    # encodings of the first qubit, whose mixture is I/2 x diag(a + c, b + d)
+    chi = 1.0 + h_marg - s_rho
+    # entropic steering: above 2 certifies steering, 6 on Bell
+    qs = (steer[0] + steer[1] + steer[2] + steer[3] - steer[4] + steer[5]
+          + 0.5 * (steer[6] + steer[7] + steer[8] + steer[9]))
+    tdd = _discord(*x)
+    # JSD coherence: the root of the entropic divergence of rho and its
+    # diagonal rho_d, whose mean is the X state with coherences z/2, w/2.
+    # S(rho_d) = H(a, b, c, d) is taken through the same spectrum formula,
+    # so an incoherent state (z = w = 0) gets an exact 0; ~0.56 on Bell
+    radicand = s_mean - s_rho / 2.0 - s_diag / 2.0
+    if (radicand < -_CLAMP).any():
+        raise NumericalContractError(f"coherence radicand {radicand.min():.3e}")
+    return CorrelationVector(
+        chi=_scalar(chi),
+        fidelity=_scalar((1.0 + 2.0 * _fef(*x)) / 3.0),
+        concurrence=_scalar(_concurrence(*x)),
+        qs=_scalar(qs),
+        tdd=_scalar(tdd),
+        jsd=_scalar(np.sqrt(np.maximum(radicand, 0.0))),
+    )
+
+
 def correlation_vector(rho: np.ndarray) -> CorrelationVector:
     """All six measures of one X state or of a ``(..., 4, 4)`` stack, validated once.
 
-    Fields are floats for one state and arrays for a stack; each array
-    entry equals the field of that state taken on its own.
+    :func:`x_entries`, then :func:`x_correlation_vector`.  Fields are
+    floats for one state and arrays for a stack; each array entry equals
+    the field of that state taken on its own.
     """
-    x = x_entries(rho)
-    return CorrelationVector(
-        chi=_scalar(_dense_coding(*x)),
-        fidelity=_scalar((1.0 + 2.0 * _fef(*x)) / 3.0),
-        concurrence=_scalar(_concurrence(*x)),
-        qs=_scalar(_steering(*x)),
-        tdd=_scalar(_discord(*x)),
-        jsd=_scalar(_jsd(*x)),
-    )
+    return x_correlation_vector(x_entries(rho))
 
 
 def normalize(v: CorrelationVector) -> CorrelationVector:

@@ -2,17 +2,18 @@
 
 The objective is the concurrence of the full measurement/channel/reversal
 pipeline as a function of the reversal strength r at fixed damping,
-memory, and measurement strength.  A call reads the initial state's six
-numbers (a, b, c, d, z, w) once, with :func:`x_entries`, and runs the
-whole chain on them as Python floats: the weak measurement and the
-channel give sigma, which does not depend on r, and one reversal at the
-optimum gives the protected state.  These six-number maps equal the
-entry maps of ``channels.py`` bit for bit (``docs/decisions.md``
-section 1.1).  The optimum itself is the stationary point of the
-concurrence in u = 1 - r, which is unimodal there (section 1.2).  A
-dense coarse grid detects the dead plateau and guards the result: the
-grid and each mode's real reversal factors are built once per process,
-and a call reverses sigma, as a real 4x4 array, on the whole grid as a
+memory, and measurement strength.  A call takes the initial state's six
+numbers (a, b, c, d, z, w) from :func:`x_numbers`, the family's one
+definition, with no dense initial state, and runs the whole chain on
+them as Python floats: the weak measurement and the channel give sigma,
+which does not depend on r, and one reversal at the optimum gives the
+protected state.  These six-number maps equal the entry maps of
+``channels.py`` bit for bit (``docs/decisions.md`` section 1.1).  The
+optimum itself is the stationary point of the concurrence in u = 1 - r,
+which is unimodal there (section 1.2).  A dense coarse grid detects the
+dead plateau and guards the result: the grid and each mode's real
+reversal factors are built once per process, and a call reverses sigma,
+as a real 4x4 array from :func:`x_matrix`, on the whole grid as a
 float64 stack, with one multiply, one trace and one reciprocal per grid
 point, and scores it with one batched ``concurrence`` call.  The result
 carries the protected state at the optimum as a float64 4x4 array, so
@@ -38,8 +39,8 @@ from .channels import (
     wm_diagonal,
 )
 from .exceptions import _one_number, _unit_interval
-from .measures import _concurrence, concurrence, x_entries
-from .states import StateFamily, make_state
+from .measures import _concurrence, concurrence
+from .states import StateFamily, x_matrix, x_numbers
 
 _R_MAX = 1.0 - 1e-6
 _GRID_STEP = 1e-3
@@ -81,12 +82,6 @@ def _measured(x, strength: float, diagonal, mode: WmrMode):
     return _x_measured(x, diagonal(strength, mode).tolist())
 
 
-def _x_matrix(x) -> np.ndarray:
-    """The real 4x4 X state of the six numbers (a, b, c, d, z, w)."""
-    a, b, c, d, z, w = x
-    return np.array([[a, 0.0, 0.0, z], [0.0, b, w, 0.0], [0.0, w, c, 0.0], [z, 0.0, 0.0, d]])
-
-
 def optimal_qmr(
     family: StateFamily, ch: ChannelParams, q: float, mode: WmrMode
 ) -> OptimizationResult:
@@ -107,11 +102,12 @@ def optimal_qmr(
     p, eta = _one_number("p", ch.p), _one_number("eta", ch.eta)
     q = _one_number("q", _unit_interval("q", q, closed=False))
 
-    # the initial state is checked once as a real X state; the chain runs on its six numbers
-    x, t_wm = _measured([float(v) for v in x_entries(make_state(family))], q, wm_diagonal, mode)
+    # the chain runs on the six numbers of the initial state, as Python floats
+    x, t_wm = _measured([float(v) for v in x_numbers(family)], q, wm_diagonal, mode)
     sigma = _x_damped(x, float(p), float(eta), math.sqrt)
 
-    values = concurrence(_sandwich_normalized(_x_matrix(sigma), _GRID, _grid_factors(mode))[0])
+    grid_states = _sandwich_normalized(x_matrix(sigma, float), _GRID, _grid_factors(mode))[0]
+    values = concurrence(grid_states)
     evaluations = _GRID.size
 
     best = int(values.argmax())  # argmax takes the first index, i.e. smallest r
@@ -138,5 +134,5 @@ def optimal_qmr(
         concurrence_at_star=c_star,
         success_probability=float(t_wm * t_qmr),
         evaluations=evaluations,
-        state=_x_matrix(state),
+        state=x_matrix(state, float),
     )

@@ -1,15 +1,22 @@
-"""Two-qubit state constructors, random draws and the X-form test.
+"""Two-qubit initial states as six numbers and as matrices, random draws and the X-form test.
 
-Density matrices are plain complex ``numpy`` arrays in the computational
-basis ordered |00>, |01>, |10>, |11>, so that entry (i, j) with 1-based
-indices matches the usual rho_ij convention (rho_41 is the |11><00|
-coherence).  All functions are pure; arrays are never mutated in place.
-The dense matrix utilities (eigenvalues, entropy, density-matrix
-validation) live with the other reference routes in ``oracles.py``.
+Every initial family is an X state with real coherences, so it is
+defined once, by its six numbers (a, b, c, d, z, w) = (rho11, rho22,
+rho33, rho44, rho14, rho23): :func:`x_numbers` returns them, and the
+sweeps and the optimizer run on them.  The dense constructors write
+those numbers into a 4x4 array with one densifier, :func:`x_matrix`,
+which the optimizer also uses for its float64 states.  Density matrices
+are complex ``numpy`` arrays in the computational basis ordered |00>,
+|01>, |10>, |11>, so that entry (i, j) with 1-based indices matches the
+usual rho_ij convention (rho_41 is the |11><00| coherence).  All
+functions are pure; arrays are never mutated in place.  The dense
+matrix utilities (eigenvalues, entropy, density-matrix validation) live
+with the other reference routes in ``oracles.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +52,9 @@ class StateFamily:
         one of the keys of ``FAMILY_DEFAULTS``
     param
         mixing weight r_b for Werner, anti-diagonal weight for MEMS,
-        |alpha|^2 for the non-maximally entangled pure state.  ``None``
-        (the default) takes the family's entry in ``FAMILY_DEFAULTS``.
+        |alpha|^2 for the non-maximally entangled pure state, where an
+        array of values names a stack of states.  ``None`` (the default)
+        takes the family's entry in ``FAMILY_DEFAULTS``.
         The Bell state has no parameter: a ``"bell"`` value is range
         checked, then replaced by its default, so ``param`` always names
         the state that :func:`make_state` builds.
@@ -65,10 +73,68 @@ class StateFamily:
             object.__setattr__(self, "param", FAMILY_DEFAULTS["bell"])
 
 
+#: (row, column) of a, b, c, d, z, z, w, w: the entries of an X state
+_X_SLOTS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1))
+
+#: (1/sqrt(2))^2 = 0.4999999999999999, Bell's weight as the outer product of
+#: (|00> + |11>)/sqrt(2) rounds it
+_BELL_WEIGHT = (1.0 / math.sqrt(2.0)) * (1.0 / math.sqrt(2.0))
+
+
+def _werner_numbers(r_b):
+    """(1 - r_b)/4 * I + r_b * Bell.  The Bell state is r_b = 1, whose sums
+    0 + 1 * weight give its numbers bit for bit."""
+    mixed, bell = (1.0 - r_b) / 4.0, r_b * _BELL_WEIGHT
+    return mixed + bell, mixed, mixed, mixed + bell, bell, 0.0
+
+
+def _mems_numbers(gamma):
+    """g(gamma) on rho11 and rho44: 1/3 below the knee gamma = 2/3, gamma/2 above it."""
+    g = 1.0 / 3.0 if gamma < 2.0 / 3.0 else gamma / 2.0
+    return g, 1.0 - 2.0 * g, 0.0, g, gamma / 2.0, 0.0
+
+
+def _nme_numbers(alpha2):
+    """alpha|00> + beta|11>, whose outer product holds alpha^2, alpha beta and beta^2."""
+    alpha, beta = np.sqrt(alpha2), np.sqrt(1.0 - alpha2)
+    zero = np.zeros(np.shape(alpha2))[()]
+    return alpha * alpha, zero, zero, beta * beta, alpha * beta, zero
+
+
+def x_numbers(family: StateFamily) -> tuple:
+    """The six numbers (a, b, c, d, z, w) of a family's initial state.
+
+    a, b, c, d are the populations rho11..rho44 and z = rho14, w = rho23
+    the coherences.  Every number is rounded as the outer products and
+    sums of the textbook construction round it (``docs/decisions.md``
+    section 2.8), so Bell's populations are (1/sqrt 2)^2 =
+    0.4999999999999999.  An nme ``param`` may be an array of alpha^2
+    values: the six numbers are then arrays of its shape.  The other
+    families take one number; an array that is not 0-d raises ``ValueError``.
+    """
+    if family.kind == "nme":
+        return _nme_numbers(family.param)
+    param = _one_number("param", family.param)  # Bell's is always 1
+    return _mems_numbers(param) if family.kind == "mems" else _werner_numbers(param)
+
+
+def x_matrix(x, dtype) -> np.ndarray:
+    """The X state of the six numbers x = (a, b, c, d, z, w), as a ``dtype`` 4x4 array.
+
+    Arrays of numbers, all of one shape, give a ``(..., 4, 4)`` stack, one
+    state per entry.  Every entry off the X pattern, and every imaginary
+    part, is +0.
+    """
+    a, b, c, d, z, w = x
+    rho = np.zeros(np.shape(a) + (4, 4), dtype)
+    for (i, j), value in zip(_X_SLOTS, (a, b, c, d, z, z, w, w)):
+        rho[..., i, j] = value
+    return rho
+
+
 def bell_state() -> np.ndarray:
     """Density matrix of (|00> + |11>)/sqrt(2)."""
-    psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    return np.outer(psi, psi.conj())
+    return x_matrix(_werner_numbers(1.0), complex)
 
 
 def werner_state(r_b: float) -> np.ndarray:
@@ -77,7 +143,7 @@ def werner_state(r_b: float) -> np.ndarray:
     ``r_b`` is one number in [0, 1]; an array that is not 0-d raises.
     """
     r_b = _one_number("r_b", _unit_interval("r_b", r_b, closed=True))
-    return (1.0 - r_b) / 4.0 * np.eye(4, dtype=complex) + r_b * bell_state()
+    return x_matrix(_werner_numbers(r_b), complex)
 
 
 def mems_state(gamma: float) -> np.ndarray:
@@ -89,12 +155,7 @@ def mems_state(gamma: float) -> np.ndarray:
     not 0-d raises.
     """
     gamma = _one_number("gamma", _unit_interval("gamma", gamma, closed=True))
-    g = 1.0 / 3.0 if gamma < 2.0 / 3.0 else gamma / 2.0
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = g
-    rho[1, 1] = 1.0 - 2.0 * g
-    rho[0, 3] = rho[3, 0] = gamma / 2.0
-    return rho
+    return x_matrix(_mems_numbers(gamma), complex)
 
 
 def nme_state(alpha2: float | np.ndarray) -> np.ndarray:
@@ -102,18 +163,17 @@ def nme_state(alpha2: float | np.ndarray) -> np.ndarray:
 
     ``alpha2`` may be an array; the result is then a ``(..., 4, 4)``
     stack, one state per entry, each equal bit for bit to the state of
-    that entry built on its own (the same ``psi ⊗ psi*`` products).
-    Every entry must lie in [0, 1]; a NaN is rejected.
+    that entry built on its own.  Every entry must lie in [0, 1]; a NaN
+    is rejected.
     """
-    alpha2 = _unit_interval("alpha2", alpha2, closed=True)
-    psi = np.zeros((*alpha2.shape, 4), dtype=complex)
-    psi[..., 0] = np.sqrt(alpha2)
-    psi[..., 3] = np.sqrt(1.0 - alpha2)
-    return psi[..., :, None] * psi.conj()[..., None, :]
+    return x_matrix(_nme_numbers(_unit_interval("alpha2", alpha2, closed=True)), complex)
 
 
 def make_state(family: StateFamily) -> np.ndarray:
-    """Build the initial density matrix for a :class:`StateFamily`."""
+    """Build the initial density matrix for a :class:`StateFamily`.
+
+    Each constructor densifies the family's six numbers of :func:`x_numbers`.
+    """
     if family.kind == "bell":
         return bell_state()
     if family.kind == "werner":

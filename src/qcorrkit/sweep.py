@@ -10,16 +10,18 @@ strength and success probability.  So the column layout depends only
 on the mode; the CSV writes it as
 ``sweep_var,value,chi,fidelity,concurrence,qs,tdd,jsd,n_*...[,r_star,success_prob]``.
 
-An unprotected sweep (mode NONE) is evaluated as one stack: the p axis
-is one channel call with an array p, the alpha^2 axis one channel call
-on a stack of initial states, and all six measures come from one
-:func:`correlation_vector` call on the resulting ``(points, 4, 4)``
-stack.  The alpha^2 axis builds its initial states with one broadcast
-:func:`nme_state` call.  Each stacked row equals the row of that point
-evaluated on its own, bit for bit.  A protected sweep runs point by
-point, because :func:`optimal_qmr` takes one point per call: it runs
-the measurement, the channel and the reversal on the initial state's
-six numbers, scores the reversal on the 1001-point guard grid as one
+An unprotected sweep (mode NONE) is evaluated as one stack of six
+numbers and never builds a 4x4 array: along p, the family's
+:func:`x_numbers` go through the channel's six-number map
+``channels._x_damped`` with the whole p array; along alpha^2, the nme
+numbers of every alpha^2 at once go through it at the fixed p.  All six
+measures then come from one :func:`x_correlation_vector` call.  Each
+stacked row equals, bit for bit, the row of that point taken on its own
+through the dense route (channel entry maps, then
+:func:`correlation_vector`).  A protected sweep runs point by point,
+because :func:`optimal_qmr` takes one point per call: it runs the
+measurement, the channel and the reversal on the initial state's six
+numbers, scores the reversal on the 1001-point guard grid as one
 float64 stack, and returns the protected state as a float64 4x4 array.
 Either way the table is one :func:`normalize` call and one
 ``np.column_stack`` over the measure columns.
@@ -35,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelParams, WmrMode, apply_cad
+from .channels import ChannelParams, WmrMode, _x_damped
 from .exceptions import _unit_interval
-from .measures import CorrelationVector, correlation_vector, normalize
+from .measures import CorrelationVector, correlation_vector, normalize, x_correlation_vector
 from .optimize import optimal_qmr
-from .states import StateFamily, make_state, nme_state
+from .states import StateFamily, x_numbers
 
 MEASURE_COLUMNS = CorrelationVector._fields
 #: the parameters a sweep can run along
@@ -89,19 +91,18 @@ def _sweep_values(config: SweepConfig) -> np.ndarray:
     return np.linspace(0.0, upper, config.points)
 
 
-def _unprotected_states(config: SweepConfig, values: np.ndarray) -> np.ndarray:
-    """The ``(points, 4, 4)`` stack of channel outputs, from one channel call."""
-    if config.var == "p":
-        return apply_cad(make_state(config.family), ChannelParams(values, config.eta))
-    return apply_cad(nme_state(values), ChannelParams(config.p_fixed, config.eta))
-
-
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every sweep point; rows are fully computed before return."""
     columns = ("value", *MEASURE_COLUMNS, *(f"n_{m}" for m in MEASURE_COLUMNS))
     values = _sweep_values(config)
     if config.mode is WmrMode.NONE:
-        vector, protection = correlation_vector(_unprotected_states(config, values)), ()
+        # the six numbers of every point at once: the family's along p, or
+        # the nme numbers of every alpha^2 at the fixed p
+        if config.var == "p":
+            x, p = x_numbers(config.family), values
+        else:
+            x, p = x_numbers(StateFamily("nme", values)), config.p_fixed
+        vector, protection = x_correlation_vector(_x_damped(x, p, config.eta, np.sqrt)), ()
     else:
         vectors, r_star, success = [], [], []
         for value in values.tolist():

@@ -426,22 +426,22 @@ class TestExitCodeContract:
         assert "contract" in capsys.readouterr().err
 
     def test_contract_failure_on_a_stacked_sweep_exits_2(self, monkeypatch, tmp_path, capsys):
-        # one point of the channel's output stack turns non-Hermitian, so the
-        # stack's single validation in correlation_vector refuses the sweep
+        # the channel's six numbers of one point get a coherence beyond
+        # positivity, so an eigenvalue of that state is negative and the
+        # stack's one x log2 x pass in x_correlation_vector refuses the sweep
         from qcorrkit import sweep
 
-        apply_cad = sweep.apply_cad
+        x_damped = sweep._x_damped
 
-        def skewed(rho, ch):
-            out = apply_cad(rho, ch)
-            out[3, 0, 1] += 1e-6
-            return out
+        def skewed(x, p, eta, sqrt):
+            a, b, c, d, z, w = x_damped(x, p, eta, sqrt)
+            return a, b, c, d, z + (np.arange(z.size) == 3), w
 
-        monkeypatch.setattr(sweep, "apply_cad", skewed)
+        monkeypatch.setattr(sweep, "_x_damped", skewed)
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--family", "bell", "--var", "p", "--points", "9", "-o", str(out)])
         assert code == 2
-        assert "non-Hermitian" in capsys.readouterr().err
+        assert "entropy argument" in capsys.readouterr().err
         assert not out.exists()
 
     @staticmethod

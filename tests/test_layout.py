@@ -143,13 +143,13 @@ def test_cached_grid_factors_are_read_only(mode):
     assert factors.shape == (1001, 4, 4)
 
 
-def test_optimizer_runs_no_complex_chain():
-    # the optimizer's chain runs on six real numbers: it may not call the
-    # complex entry maps nor build a complex array, whatever the spelling
+def _complex_chain(module: str) -> list[str]:
+    """Where ``module`` calls or imports a complex entry map or names a complex
+    dtype, whatever the spelling."""
     entry_maps = {"apply_wm", "apply_cad", "apply_qmr", "wmr_pipeline"}
     complex_names = {"complex", "complex64", "complex128", "complexfloating", "cdouble", "csingle"}
     found = []
-    for node in ast.walk(_tree(PACKAGE / "optimize.py")):
+    for node in ast.walk(_tree(PACKAGE / f"{module}.py")):
         if isinstance(node, ast.Call) and _dotted(node.func).rsplit(".", 1)[-1] in entry_maps:
             found.append(f"line {node.lineno}: calls {_dotted(node.func)}")
         elif isinstance(node, ast.ImportFrom):
@@ -162,7 +162,22 @@ def test_optimizer_runs_no_complex_chain():
         elif isinstance(node, ast.Constant) and (isinstance(node.value, complex)
                                                  or node.value in complex_names):
             found.append(f"line {node.lineno}: {node.value!r}")
+    return found
+
+
+def test_optimizer_runs_no_complex_chain():
+    # the optimizer's chain runs on six real numbers: it may not call the
+    # complex entry maps nor build a complex array
+    found = _complex_chain("optimize")
     assert not found, f"optimize.py runs the complex chain: {found}"
+
+
+def test_unprotected_sweep_runs_no_complex_chain():
+    # the unprotected sweep runs on the six numbers of every point, and the
+    # protected one on the optimizer's float64 states: sweep.py may not call
+    # the complex entry maps nor build a complex array
+    found = _complex_chain("sweep")
+    assert not found, f"sweep.py runs the complex chain: {found}"
 
 
 @pytest.mark.parametrize("module", ["sweep", "dataset"])

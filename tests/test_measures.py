@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,8 +94,6 @@ _BAD_STATES = {
 _REAL_BAD_STATES = [name for name, edit in _BAD_STATES.items() if not np.imag(_edited(edit)).any()]
 
 
-# an inf entry makes numpy warn in rho - rho^H before x_entries raises
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 class TestXEntries:
     @pytest.mark.parametrize("edit", list(_BAD_STATES.values()), ids=list(_BAD_STATES))
     @pytest.mark.parametrize("stacked", [False, True], ids=["state", "stack"])
@@ -180,6 +180,28 @@ class TestXEntries:
         stack[1, 3, 3] = -np.inf
         with pytest.raises(NumericalContractError, match=r"non-finite input at entry \(1, 3, 3\)"):
             concurrence(stack)
+
+    # a warning is an error here: before, inf - inf in rho - rho^H made numpy
+    # print "invalid value encountered in subtract" ahead of the error
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("measure", [x_entries, concurrence, correlation_vector],
+                             ids=["x_entries", "concurrence", "correlation_vector"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["state", "stack"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("entries", [[(0, 0)], [(0, 3), (3, 0)], [(1, 2)], [(0, 1), (1, 0)]],
+                             ids=["rho11", "rho14_pair", "rho23", "off_x_pair"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_input_raises_without_a_warning(
+        self, rng, measure, stacked, dtype, entries, value
+    ):
+        rho = werner_state(0.8).real.astype(dtype)
+        for index in entries:
+            rho[index] = value
+        if stacked:
+            rho = np.stack([random_x_state(rng).real.astype(dtype), rho])
+        where = re.escape(str((1, *entries[0]) if stacked else entries[0]))
+        with pytest.raises(NumericalContractError, match=f"non-finite input at entry {where}"):
+            measure(rho)
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2), (4, 3), (3, 4, 2)])
     def test_wrong_shape_rejected(self, shape):

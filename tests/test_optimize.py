@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import qcorrkit.optimize
 from qcorrkit.channels import (
     ChannelParams,
     WmrMode,
@@ -14,7 +13,6 @@ from qcorrkit.channels import (
     wm_diagonal,
     wmr_pipeline,
 )
-from qcorrkit.exceptions import NumericalContractError, UnsupportedStateError
 from qcorrkit.measures import concurrence, x_entries
 from qcorrkit.optimize import (
     _GRID,
@@ -25,7 +23,7 @@ from qcorrkit.optimize import (
     _measured,
     optimal_qmr,
 )
-from qcorrkit.states import StateFamily, make_state, random_x_state, werner_state
+from qcorrkit.states import StateFamily, make_state, random_x_state
 
 from conftest import closed_form_optimum, closed_form_u_star
 
@@ -220,29 +218,6 @@ class TestOptimalQmr:
         res = optimal_qmr(fam, ChannelParams(0.9, 0.0), 0.1, WmrMode.TWO_QUBIT)
         assert res.concurrence_at_star == 0.0
         assert res.r_star == 0.0
-
-    @pytest.mark.parametrize("mode", [WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT])
-    @pytest.mark.parametrize(
-        "edit, error, match",
-        [(lambda r: (r.__setitem__((1, 2), 1e-6j), r.__setitem__((2, 1), -1e-6j)),
-          UnsupportedStateError, "real"),
-         (lambda r: r.__setitem__((0, 3), r[0, 3] + 1e-6j), NumericalContractError, "non-Hermitian"),
-         (lambda r: r.__setitem__((1, 1), r[1, 1] + 1e-6j), NumericalContractError, "non-Hermitian")],
-        ids=["imaginary_coherence", "non_hermitian_coherence", "imaginary_diagonal"],
-    )
-    @pytest.mark.parametrize("r_b, p", [(0.8, 0.3), (0.43, 0.8)], ids=["interior", "plateau"])
-    def test_sigma_off_the_real_x_pattern_raises(self, monkeypatch, mode, edit, error, match, r_b, p):
-        # the chain runs on the six real numbers of rho0, which hold neither
-        # an imaginary part nor a non-Hermitian pair, so rho0 itself must be
-        # checked; on the plateau no later step would look at it
-        def make_state(family):
-            rho = werner_state(family.param)
-            edit(rho)
-            return rho
-
-        monkeypatch.setattr(qcorrkit.optimize, "make_state", make_state)
-        with pytest.raises(error, match=match):
-            optimal_qmr(StateFamily("werner", r_b), ChannelParams(p, 0.4), 0.5, mode)
 
     def test_mode_none_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts, each run as a subprocess."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -99,3 +100,18 @@ def test_sweep_figures_headers(tmp_path):
     for name, config in configs.items():
         text = (out / name).read_bytes().decode("utf-8")
         assert text == sweep_csv_text(run_sweep(config)), name
+
+
+def test_battery_matches_the_committed_manifest(tmp_path):
+    # every file of the battery keeps its bytes; a change that moves some on
+    # purpose regenerates docs/battery.json and names them
+    manifest = tmp_path / "battery.json"
+    run_script("battery.py", "--manifest", str(manifest))
+    committed = json.loads((ROOT / "docs" / "battery.json").read_text())
+    regenerated = json.loads(manifest.read_text())
+    assert regenerated["note"] == committed["note"]
+    names = sorted(set(committed["files"]) | set(regenerated["files"]))
+    moved = [name for name in names
+             if committed["files"].get(name) != regenerated["files"].get(name)]
+    assert not moved, f"files that differ from docs/battery.json: {moved}"
+    assert manifest.read_bytes() == (ROOT / "docs" / "battery.json").read_bytes()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcorrkit.measures import x_entries
 from qcorrkit.oracles import validate_density_matrix
 from qcorrkit.states import (
     _X_MASK,
@@ -18,6 +19,7 @@ from qcorrkit.states import (
     random_density_matrix,
     random_x_state,
     werner_state,
+    x_numbers,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -111,6 +113,69 @@ class TestConstructors:
             for param in np.linspace(0.0, 1.0, 1000):
                 validate_density_matrix(make_state(StateFamily(kind, float(param))))
         validate_density_matrix(make_state(StateFamily("bell")))
+
+
+def textbook_state(kind, v):
+    """The family's state as the textbook builds it, densely and apart from
+    ``x_numbers``: outer products for Bell and nme, (1 - r)/4 I + r Bell for
+    Werner, and MEMS entry by entry."""
+    psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    bell = np.outer(psi, psi.conj())
+    if kind == "bell":
+        return bell
+    if kind == "werner":
+        return (1.0 - v) / 4.0 * np.eye(4, dtype=complex) + v * bell
+    if kind == "mems":
+        g = 1.0 / 3.0 if v < 2.0 / 3.0 else v / 2.0
+        return np.array([[g, 0, 0, v / 2.0], [0, 1.0 - 2.0 * g, 0, 0],
+                         [0, 0, 0, 0], [v / 2.0, 0, 0, g]], dtype=complex)
+    psi = np.array([np.sqrt(v), 0.0, 0.0, np.sqrt(1.0 - v)], dtype=complex)
+    return np.outer(psi, psi.conj())
+
+
+#: a 1001-point grid over [0, 1], both ends included
+PARAM_GRID = np.linspace(0.0, 1.0, 1001).tolist()
+#: MEMS's knee 2/3 and its two float neighbours, where g(gamma) switches branch
+MEMS_KNEE = [np.nextafter(2.0 / 3.0, 0.0), 2.0 / 3.0, np.nextafter(2.0 / 3.0, 1.0)]
+
+
+class TestXNumbers:
+    """Each family's six numbers are its one definition; the dense states are
+    built from them.  Both must equal the textbook construction byte for
+    byte, so a family whose numbers drift from its dense state fails here."""
+
+    @pytest.mark.parametrize("kind", sorted(FAMILY_DEFAULTS))
+    def test_numbers_and_dense_state_equal_the_textbook_state(self, kind):
+        params = PARAM_GRID + [0.0, 1.0] + (MEMS_KNEE if kind == "mems" else [])
+        for v in params:
+            family = StateFamily(kind, v)
+            textbook = textbook_state(kind, family.param)
+            numbers = np.array(x_numbers(family), dtype=float)
+            assert numbers.tobytes() == np.array(x_entries(textbook)).tobytes(), (kind, v)
+            assert numbers.tobytes() == np.array(x_entries(make_state(family))).tobytes(), (kind, v)
+            assert make_state(family).tobytes() == textbook.tobytes(), (kind, v)
+
+    def test_bell_keeps_the_rounding_of_its_outer_product(self):
+        # (1/sqrt 2)^2 rounds to the double below 1/2
+        a, b, c, d, z, w = x_numbers(StateFamily("bell"))
+        assert a == d == z == 0.4999999999999999 and b == c == w == 0.0
+
+    @pytest.mark.parametrize("shape", [(1001,), (7, 143)])
+    def test_nme_array_numbers_and_stack_equal_the_textbook_states(self, shape):
+        values = np.linspace(0.0, 1.0, 1001)
+        textbook = np.stack([textbook_state("nme", v) for v in values.tolist()])
+        textbook = textbook.reshape(shape + (4, 4))
+        family = StateFamily("nme", values.reshape(shape))
+        numbers = x_numbers(family)
+        assert all(np.shape(n) == shape for n in numbers)
+        assert np.array(numbers).tobytes() == np.array(x_entries(textbook)).tobytes()
+        assert make_state(family).tobytes() == textbook.tobytes()
+        assert nme_state(values.reshape(shape)).tobytes() == textbook.tobytes()
+
+    @pytest.mark.parametrize("kind", ["werner", "mems"])
+    def test_one_number_families_refuse_an_array(self, kind):
+        with pytest.raises(ValueError, match=r"^param must be a single number, got shape \(2,\)"):
+            x_numbers(StateFamily(kind, np.array([0.2, 0.9])))
 
 
 class TestPurityAndXForm:

@@ -103,9 +103,11 @@ STACKED_FAMILIES = [
 
 
 class TestStackedUnprotectedSweep:
-    """An unprotected sweep is one channel call and one measure call on a
-    stack; each of its rows must equal, with ==, the row of that point
-    evaluated on its own through the single-state route."""
+    """An unprotected sweep is one channel map and one measure call on the
+    six numbers of every point at once; each of its rows must equal, with
+    ==, the row of that point evaluated on its own through the dense
+    single-state route, and its measure columns must equal, byte for byte,
+    the dense route on the whole ``(points, 4, 4)`` stack."""
 
     @staticmethod
     def _point_row(family, p, eta, value):
@@ -135,7 +137,7 @@ class TestStackedUnprotectedSweep:
                                              ("alpha2", StateFamily("nme", 0.5))],
                              ids=["p", "alpha2"])
     def test_one_channel_and_one_measure_call_per_sweep(self, monkeypatch, var, family):
-        calls = {"apply_cad": 0, "correlation_vector": 0}
+        calls = {"_x_damped": 0, "x_correlation_vector": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -147,7 +149,29 @@ class TestStackedUnprotectedSweep:
             monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
         result = run_sweep(SweepConfig(family, 0.4, var=var, points=37))
         assert len(result.table) == 37
-        assert calls == {"apply_cad": 1, "correlation_vector": 1}
+        assert calls == {"_x_damped": 1, "x_correlation_vector": 1}
+
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize(
+        "family, var",
+        [(StateFamily("bell"), "p"), (StateFamily("werner", 0.8), "p"),
+         (StateFamily("mems", 0.5), "p"), (StateFamily("mems", 0.8), "p"),
+         (StateFamily("nme", 0.3), "p"), (StateFamily("nme", 0.3), "alpha2")],
+        ids=["bell-p", "werner0.8-p", "mems0.5-p", "mems0.8-p", "nme0.3-p", "nme-alpha2"],
+    )
+    def test_measures_equal_the_dense_stack_byte_for_byte(self, family, var, eta):
+        # the dense route: the family's complex 4x4 states, the channel's
+        # entry maps on the stack, and x_entries before the measures
+        config = SweepConfig(family, eta, var=var, points=201, p_fixed=0.37)
+        values = np.linspace(0.0, 1.0, 201)
+        if var == "p":
+            dense = apply_cad(make_state(family), ChannelParams(values, eta))
+        else:
+            dense = apply_cad(make_state(StateFamily("nme", values)), ChannelParams(0.37, eta))
+        vector = correlation_vector(dense)
+        result = run_sweep(config)
+        assert result.table.tobytes() == np.column_stack(
+            [values, *vector, *normalize(vector)]).tobytes()
 
 
 class TestProtectedSweepTable:
