@@ -10,32 +10,38 @@ in this process inside a temporary directory:
 - ``optimize`` JSONs of every family under wm1 and wm2 at p 0.2 and 0.8,
   q 0.3 and 0.9 and eta 0 and 1;
 - the stdout of ``verify``;
-- the ``no_wmr`` and ``wmr2`` datasets of Bell and Werner 0.8 at eta 0
-  and 1, written by ``train --dataset-out``.
+- the ``no_wmr`` and ``wmr2`` datasets and models of Bell and Werner 0.8
+  at eta 0 and 1, written by ``train --dataset-out --model-out``.
 
 The manifest (``docs/battery.json`` unless ``--manifest`` names another
 file) records per file the command that wrote it, its byte count and
-its sha256, and no timings.  Trained models are left out: their bytes
-depend on the BLAS thread count, so the ``train`` runs here record only
-their datasets.  The same source gives the same manifest, so a change
-that must keep every byte keeps this file as it is, and one that moves
-bytes on purpose shows here which files moved.  The script prints each
-command before it runs, and stops at the first command that fails and
-exits with its code.
+its sha256, and no timings.  The script sets one BLAS thread before
+numpy loads, as ``bench/run.py`` does, because a trained model's bytes
+depend on the thread count: the models recorded are the 1-thread bytes.
+The same source gives the same manifest, so a change that must keep
+every byte keeps this file as it is, and one that moves bytes on
+purpose shows here which files moved.  The script prints each command
+before it runs, and stops at the first command that fails and exits
+with its code.
 """
 
-import argparse
-import contextlib
-import hashlib
-import io
-import json
 import os
-import pathlib
-import shlex
-import sys
-import tempfile
 
-from qcorrkit import cli
+# before numpy loads, which reads these once
+for _var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import pathlib  # noqa: E402
+import shlex  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+
+from qcorrkit import cli  # noqa: E402
 
 FAMILIES = (
     ("bell", "1.0"), ("werner", "0.8"), ("werner", "0.43"),
@@ -47,13 +53,14 @@ POINTS = "41"
 
 NOTE = (
     "sha256 and byte count of each file that its command writes, or of its stdout for "
-    "verify; trained models are left out, because their bytes depend on the BLAS thread "
-    "count, so the train commands record only the datasets they write"
+    "verify; the commands run with one BLAS thread, and the trained models are the "
+    "1-thread bytes, because a model's bytes depend on the BLAS thread count"
 )
 
 
-def commands() -> list[tuple[str, list[str]]]:
-    """(file name, ``qcorrkit`` argv) of every file, in run order; paths are relative."""
+def commands() -> list[tuple[tuple[str, ...], list[str]]]:
+    """(names of the files it writes, ``qcorrkit`` argv) of every command, in
+    run order; paths are relative."""
     table = []
     for family, param in FAMILIES:
         for eta in ETAS:
@@ -62,7 +69,7 @@ def commands() -> list[tuple[str, list[str]]]:
                     if (var == "q" and mode == "none") or (var == "alpha2" and family != "nme"):
                         continue
                     name = f"sweep_{family}{param}_{var}_{mode}_eta{eta}.csv"
-                    table.append((name, [
+                    table.append(((name,), [
                         "sweep", "--family", family, "--param", param, "--eta", eta,
                         "--mode", mode, "--var", var, "--points", POINTS, "-o", name,
                     ]))
@@ -72,16 +79,16 @@ def commands() -> list[tuple[str, list[str]]]:
                 for q in ("0.3", "0.9"):
                     for eta in ("0", "1"):
                         name = f"optimize_{family}{param}_{mode}_p{p}_q{q}_eta{eta}.json"
-                        table.append((name, [
+                        table.append(((name,), [
                             "optimize", "--family", family, "--param", param, "--p", p,
                             "--eta", eta, "--q", q, "--mode", mode, "-o", name,
                         ]))
-    table.append(("verify.txt", ["verify"]))
+    table.append((("verify.txt",), ["verify"]))
     for family, param in FAMILIES[:2]:
         for scenario in ("no_wmr", "wmr2"):
             for eta in ("0", "1"):
                 stem = f"{scenario}_{family}{param}_eta{eta}"
-                table.append((f"{stem}_data.csv", [
+                table.append(((f"{stem}_data.csv", f"{stem}_model.json"), [
                     "train", "--family", family, "--param", param, "--scenario", scenario,
                     "--eta", eta, "--rows", "50", "--restarts", "1", "--max-epochs", "1",
                     "--seed", "3", "--dataset-out", f"{stem}_data.csv",
@@ -103,7 +110,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="battery-") as out:
         os.chdir(out)
         try:
-            for name, argv in commands():
+            for names, argv in commands():
                 command = f"qcorrkit {shlex.join(argv)}"
                 print(f"$ {command}", flush=True)
                 stdout = io.StringIO()
@@ -112,12 +119,13 @@ def main() -> int:
                 if code:
                     return code
                 if argv[0] == "verify":
-                    pathlib.Path(name).write_text(stdout.getvalue(), encoding="utf-8")
-                data = pathlib.Path(name).read_bytes()
-                files[name] = {
-                    "command": command, "bytes": len(data),
-                    "sha256": hashlib.sha256(data).hexdigest(),
-                }
+                    pathlib.Path(names[0]).write_text(stdout.getvalue(), encoding="utf-8")
+                for name in names:
+                    data = pathlib.Path(name).read_bytes()
+                    files[name] = {
+                        "command": command, "bytes": len(data),
+                        "sha256": hashlib.sha256(data).hexdigest(),
+                    }
         finally:
             os.chdir(cwd)
     manifest.write_text(json.dumps({"note": NOTE, "files": files}, indent=1, sort_keys=True) + "\n")

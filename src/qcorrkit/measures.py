@@ -21,12 +21,23 @@ unprotected sweep calls it on numbers that never were a matrix.
 ``DEFAULT_NORMALIZATION``, one more ``CorrelationVector``, of (maximum,
 classical limit) pairs.
 
+The closed forms are written once, as kernels with arithmetic operators
+and a square root, maximum and minimum passed in, as the six-number maps
+of ``channels.py`` take their square root.  One state's numbers run on
+Python floats (``math.sqrt`` and a maximum and minimum that break a tie
+of +0.0 and -0.0 as numpy does); a stack's run on arrays (``np.sqrt``,
+``np.maximum``, ``np.minimum``).  Both give the same bits
+(``docs/decisions.md`` section 2.9); one state so escapes numpy's
+overhead on each call with scalars.
+
 All logarithms are base 2, so entropic quantities are in bits and the
 dense-coding capacity peaks at 2.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -94,30 +105,74 @@ def x_entries(rho: np.ndarray) -> tuple[np.ndarray, ...]:
         rho = rho.astype(complex)
     if rho.shape[-2:] != (4, 4):
         raise NumericalContractError(f"expected (..., 4, 4) states, got shape {rho.shape}")
+    real = rho.dtype == np.float64
     pairs = rho.reshape(rho.shape[:-2] + (16,))[..., _PAIRS]
     upper = pairs[..., 0, :]
     # rho - rho^H is anti-Hermitian, so its upper triangle holds its largest
     # modulus; every entry is in a pair, so a NaN or an inf anywhere makes it
     # NaN or inf, and each check is written so that a NaN fails it.  inf - inf
-    # is such a NaN: the error below reports it, so numpy need not warn of it
+    # is such a NaN: the error below reports it, so numpy need not warn of it.
+    # A real array is its own conjugate, and its moduli can overwrite it
     with np.errstate(invalid="ignore", over="ignore"):
-        herm_dev = np.abs(upper - pairs[..., 1, :].conj()).max()
+        if real:
+            dev = upper - pairs[..., 1, :]
+            herm_dev = np.abs(dev, out=dev).max()
+        else:
+            herm_dev = np.abs(upper - pairs[..., 1, :].conj()).max()
     if not herm_dev <= X_STATE_TOL:
         bad = np.argwhere(~np.isfinite(rho))
         if len(bad):
             raise NumericalContractError(f"non-finite input at entry {tuple(bad[0].tolist())}")
         raise NumericalContractError(f"non-Hermitian input (deviation {herm_dev:.3e})")
-    if not np.abs(pairs[..., :4]).max() <= X_STATE_TOL:
+    off_x = pairs[..., :4]
+    if not np.abs(off_x, out=off_x if real else None).max() <= X_STATE_TOL:
         raise UnsupportedStateError("X-state formula fed a non-X state")
-    imag = np.abs(upper[..., 8:].imag).max()
-    if not imag <= X_STATE_TOL:
-        raise UnsupportedStateError(f"X-state coherences must be real (imaginary part {imag:.3e})")
+    if not real:
+        imag = np.abs(upper[..., 8:].imag).max()
+        if not imag <= X_STATE_TOL:
+            raise UnsupportedStateError(
+                f"X-state coherences must be real (imaginary part {imag:.3e})")
     # [()] turns the entries of one state into scalars, and leaves arrays as they are
     return tuple(upper[..., k].real[()] for k in range(4, 10))
 
 
 def _scalar(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
+
+
+def _max(x: float, y: float) -> float:
+    """``np.maximum(x, y)`` on two floats, NaN aside: y unless x is larger."""
+    return x if x > y else y
+
+
+def _min(x: float, y: float) -> float:
+    """``np.minimum(x, y)`` on two floats, NaN aside: y unless x is smaller."""
+    return x if x < y else y
+
+
+class _Ops(NamedTuple):
+    """The square root, maximum and minimum that the kernels below apply."""
+
+    sqrt: Callable
+    maximum: Callable
+    minimum: Callable
+
+
+#: one state's Python floats (docs/decisions.md section 2.9) and a stack's arrays
+_FLOAT_OPS = _Ops(math.sqrt, _max, _min)
+_ARRAY_OPS = _Ops(np.sqrt, np.maximum, np.minimum)
+
+
+def _operands(x) -> tuple[list, _Ops]:
+    """The six numbers x with the ops they take: as Python floats, unless
+    one of them is an array with a dimension, which makes x a stack."""
+    if any(isinstance(v, np.ndarray) and v.ndim for v in x):
+        return list(x), _ARRAY_OPS
+    return list(map(float, x)), _FLOAT_OPS
+
+
+def _lowest(x: float | np.ndarray) -> float:
+    return x if isinstance(x, float) else x.min()
 
 
 def _xlog2x(terms) -> np.ndarray:
@@ -132,41 +187,56 @@ def _xlog2x(terms) -> np.ndarray:
     return x * np.log2(np.maximum(x, _TINY))
 
 
-def _x_spectrum(a, b, c, d, z, w) -> tuple[np.ndarray, ...]:
+def _entropy(terms):
+    """Minus the sum of the x log2 x terms, as ``np.sum`` forms it over at
+    most seven of them: from +0.0, left to right."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return -total
+
+
+def _x_spectrum(a, b, c, d, z, w, sqrt) -> tuple:
     """The four eigenvalues: those of the (a, z, d) and the (b, w, c) blocks."""
-    m14, r14 = (a + d) / 2.0, np.sqrt(np.square((a - d) / 2.0) + np.square(z))
-    m23, r23 = (b + c) / 2.0, np.sqrt(np.square((b - c) / 2.0) + np.square(w))
+    h14, h23 = (a - d) / 2.0, (b - c) / 2.0
+    m14, r14 = (a + d) / 2.0, sqrt(h14 * h14 + z * z)
+    m23, r23 = (b + c) / 2.0, sqrt(h23 * h23 + w * w)
     return m14 + r14, m14 - r14, m23 + r23, m23 - r23
 
 
-def _concurrence(a, b, c, d, z, w):
-    gap14 = np.abs(z) - np.sqrt(np.maximum(b * c, 0.0))
-    gap23 = np.abs(w) - np.sqrt(np.maximum(a * d, 0.0))
-    return 2.0 * np.maximum(0.0, np.maximum(gap14, gap23))
+def _concurrence(a, b, c, d, z, w, ops: _Ops):
+    sqrt, maximum, _ = ops
+    gap14 = abs(z) - sqrt(maximum(b * c, 0.0))
+    gap23 = abs(w) - sqrt(maximum(a * d, 0.0))
+    return 2.0 * maximum(0.0, maximum(gap14, gap23))
 
 
-def _fef(a, b, c, d, z, w):
+def _fef(a, b, c, d, z, w, ops: _Ops):
     """Fully entangled fraction: for a real X state, the largest Bell-state overlap."""
-    return np.maximum((a + d) / 2.0 + np.abs(z), (b + c) / 2.0 + np.abs(w))
+    return ops.maximum((a + d) / 2.0 + abs(z), (b + c) / 2.0 + abs(w))
 
 
-def _discord(a, b, c, d, z, w):
+def _discord(a, b, c, d, z, w, ops: _Ops):
+    sqrt, maximum, minimum = ops
     # only the squares of the transverse correlations 2(w + z), 2(w - z)
     # enter, ordered so that the larger is gamma1
-    sq_plus, sq_minus = np.square(2.0 * (w + z)), np.square(2.0 * (w - z))
-    g1sq, g2sq = np.maximum(sq_plus, sq_minus), np.minimum(sq_plus, sq_minus)
-    g3sq = np.square(1.0 - 2.0 * (b + c))
+    g_plus, g_minus, g3 = 2.0 * (w + z), 2.0 * (w - z), 1.0 - 2.0 * (b + c)
+    sq_plus, sq_minus = g_plus * g_plus, g_minus * g_minus
+    g1sq, g2sq, g3sq = maximum(sq_plus, sq_minus), minimum(sq_plus, sq_minus), g3 * g3
     x_a3 = 2.0 * (a + b) - 1.0
-    big = np.maximum(g3sq, g2sq + np.square(x_a3))
-    small = np.minimum(g3sq, g1sq)
+    big = maximum(g3sq, g2sq + x_a3 * x_a3)
+    small = minimum(g3sq, g1sq)
     denom = big - small + g1sq - g2sq
-    degenerate = np.abs(denom) < 1e-12
-    ratio = np.where(
-        degenerate, g1sq, (g1sq * big - g2sq * small) / np.where(degenerate, 1.0, denom)
-    )
-    if (ratio < -_CLAMP).any():
-        raise NumericalContractError(f"negative discord radicand {ratio.min():.3e}")
-    return 0.5 * np.sqrt(np.maximum(ratio, 0.0))
+    if ops is _FLOAT_OPS:
+        ratio = g1sq if abs(denom) < 1e-12 else (g1sq * big - g2sq * small) / denom
+    else:
+        degenerate = abs(denom) < 1e-12
+        ratio = np.where(
+            degenerate, g1sq, (g1sq * big - g2sq * small) / np.where(degenerate, 1.0, denom)
+        )
+    if _lowest(ratio) < -_CLAMP:
+        raise NumericalContractError(f"negative discord radicand {_lowest(ratio):.3e}")
+    return 0.5 * sqrt(maximum(ratio, 0.0))
 
 
 def _steering_terms(a, b, c, d, z, w) -> tuple:
@@ -191,7 +261,8 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     A separable X state gets an exact 0.  Accepts a stack of states with
     shape (..., 4, 4) and then returns an array.
     """
-    return _scalar(_concurrence(*x_entries(rho)))
+    x, ops = _operands(x_entries(rho))
+    return _concurrence(*x, ops)
 
 
 def trace_distance_discord(rho: np.ndarray) -> float | np.ndarray:
@@ -204,7 +275,8 @@ def trace_distance_discord(rho: np.ndarray) -> float | np.ndarray:
     degenerate family (all four branch arguments equal, e.g.
     Bell-diagonal states) is |gamma1|/2 and is returned instead.
     """
-    return _scalar(_discord(*x_entries(rho)))
+    x, ops = _operands(x_entries(rho))
+    return _discord(*x, ops)
 
 
 def x_correlation_vector(x) -> CorrelationVector:
@@ -212,22 +284,29 @@ def x_correlation_vector(x) -> CorrelationVector:
 
     The numbers are floats for one state, or arrays of one shape for a
     stack, as :func:`x_entries` returns them; they are taken as given,
-    with no check.  Every entropic term goes through one x log2 x pass:
-    the populations a + c, b + d of the second qubit, the spectrum of rho,
-    shared by the dense coding and the JSD, the spectra at (z/2, w/2) and
-    at (0, 0), and the ten steering terms.  Each group is summed as on its
-    own, so the fields equal those of separate passes bit for bit.
+    with no check.  Numbers none of which is an array with a dimension
+    are one state: they run as Python floats, and every field is a float.
+    Every entropic term goes through one x log2 x pass, a numpy call
+    either way: the populations a + c, b + d of the second qubit, the
+    spectrum of rho, shared by the dense coding and the JSD, the spectra
+    at (z/2, w/2) and at (0, 0), and the ten steering terms.  Each group
+    is summed as ``np.sum`` sums it on its own, so the fields equal those
+    of separate passes, and one state's equal its row of a stack, bit for
+    bit.
     """
+    x, ops = _operands(x)
     a, b, c, d, z, w = x
     t = _xlog2x((
         a + c, b + d,
-        *_x_spectrum(a, b, c, d, z, w),
-        *_x_spectrum(a, b, c, d, z / 2.0, w / 2.0),
-        *_x_spectrum(a, b, c, d, 0.0, 0.0),
+        *_x_spectrum(a, b, c, d, z, w, ops.sqrt),
+        *_x_spectrum(a, b, c, d, z / 2.0, w / 2.0, ops.sqrt),
+        *_x_spectrum(a, b, c, d, 0.0, 0.0, ops.sqrt),
         *_steering_terms(a, b, c, d, z, w),
     ))
+    if ops is _FLOAT_OPS:
+        t = t.tolist()
     # Shannon entropies in bits: of the marginal, of rho, of (rho + rho_d)/2 and of rho_d
-    h_marg, s_rho, s_mean, s_diag = (-t[i:j].sum(axis=0) for i, j in _ENTROPY_GROUPS)
+    h_marg, s_rho, s_mean, s_diag = (_entropy(t[i:j]) for i, j in _ENTROPY_GROUPS)
     steer = t[14:]
     # Holevo quantity 1 + H(a + c) - S(rho) of the four equal-weight Pauli
     # encodings of the first qubit, whose mixture is I/2 x diag(a + c, b + d)
@@ -235,21 +314,21 @@ def x_correlation_vector(x) -> CorrelationVector:
     # entropic steering: above 2 certifies steering, 6 on Bell
     qs = (steer[0] + steer[1] + steer[2] + steer[3] - steer[4] + steer[5]
           + 0.5 * (steer[6] + steer[7] + steer[8] + steer[9]))
-    tdd = _discord(*x)
+    tdd = _discord(*x, ops)
     # JSD coherence: the root of the entropic divergence of rho and its
     # diagonal rho_d, whose mean is the X state with coherences z/2, w/2.
     # S(rho_d) = H(a, b, c, d) is taken through the same spectrum formula,
     # so an incoherent state (z = w = 0) gets an exact 0; ~0.56 on Bell
     radicand = s_mean - s_rho / 2.0 - s_diag / 2.0
-    if (radicand < -_CLAMP).any():
-        raise NumericalContractError(f"coherence radicand {radicand.min():.3e}")
+    if _lowest(radicand) < -_CLAMP:
+        raise NumericalContractError(f"coherence radicand {_lowest(radicand):.3e}")
     return CorrelationVector(
-        chi=_scalar(chi),
-        fidelity=_scalar((1.0 + 2.0 * _fef(*x)) / 3.0),
-        concurrence=_scalar(_concurrence(*x)),
-        qs=_scalar(qs),
-        tdd=_scalar(tdd),
-        jsd=_scalar(np.sqrt(np.maximum(radicand, 0.0))),
+        chi=chi,
+        fidelity=(1.0 + 2.0 * _fef(*x, ops)) / 3.0,
+        concurrence=_concurrence(*x, ops),
+        qs=qs,
+        tdd=tdd,
+        jsd=ops.sqrt(ops.maximum(radicand, 0.0)),
     )
 
 

@@ -15,9 +15,12 @@ dead plateau and guards the result: the grid and each mode's real
 reversal factors are built once per process, and a call reverses sigma,
 as a real 4x4 array from :func:`x_matrix`, on the whole grid as a
 float64 stack, with one multiply, one trace and one reciprocal per grid
-point, and scores it with one batched ``concurrence`` call.  The result
-carries the protected state at the optimum as a float64 4x4 array, so
-callers never rebuild it.  Everything is deterministic.
+point, and scores it with one batched ``concurrence`` call.  The
+concurrence at the optimum runs the same kernel on the six numbers as
+Python floats, bit for bit with that call's array form
+(``docs/decisions.md`` section 2.9).  The result carries the protected
+state at the optimum as a float64 4x4 array, so callers never rebuild
+it.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .channels import (
     wm_diagonal,
 )
 from .exceptions import _one_number, _unit_interval
-from .measures import _concurrence, concurrence
+from .measures import _FLOAT_OPS, _concurrence, concurrence
 from .states import StateFamily, x_matrix, x_numbers
 
 _R_MAX = 1.0 - 1e-6
@@ -121,7 +124,7 @@ def optimal_qmr(
         u = math.sqrt(s44 / s11) if mode is WmrMode.TWO_QUBIT else (s22 + s44) / (s11 + s33)
         r_star = 1.0 - min(max(u, 1.0 - _R_MAX), 1.0)
         state, t_qmr = _measured(sigma, r_star, qmr_diagonal, mode)
-        c_star = float(_concurrence(*state))
+        c_star = _concurrence(*state, _FLOAT_OPS)
         evaluations += 1
         # the closed form must never lose to the best grid candidate, and a
         # tie (flat or boundary maximum) resolves to the smaller r

@@ -23,6 +23,9 @@ because :func:`optimal_qmr` takes one point per call: it runs the
 measurement, the channel and the reversal on the initial state's six
 numbers, scores the reversal on the 1001-point guard grid as one
 float64 stack, and returns the protected state as a float64 4x4 array.
+That state's row is one :func:`correlation_vector` call, whose measures
+run on its six numbers as Python floats and equal the row the state
+would have in a stack, bit for bit (``docs/decisions.md`` section 2.9).
 Either way the table is one :func:`normalize` call and one
 ``np.column_stack`` over the measure columns.
 

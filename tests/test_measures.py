@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 
 import numpy as np
@@ -13,6 +15,7 @@ from qcorrkit.measures import (
     correlation_vector,
     normalize,
     trace_distance_discord,
+    x_correlation_vector,
     x_entries,
 )
 from qcorrkit.states import (
@@ -406,6 +409,74 @@ class TestCorrelationVector:
         # every measure is an X-state closed form, so there is no partial vector
         with pytest.raises(UnsupportedStateError):
             correlation_vector(PLUS_ZERO)
+
+
+def _one_state_edge_cases(rng):
+    """Real X states whose measures take the kernels' corner cases: Bell,
+    |00><00|, |11><11|, I/4, and random draws with z = w = 0, with negative
+    coherences and with -0.0 entries."""
+    states = [bell_state().real, GROUND.real, np.diag([0.0, 0.0, 0.0, 1.0]), MIXED.real]
+    for _ in range(20):
+        rho = random_x_state(rng).real
+        incoherent, negative, signed_zero = rho.copy(), rho.copy(), rho.copy()
+        incoherent[[0, 3, 1, 2], [3, 0, 2, 1]] = 0.0
+        negative[[0, 3, 1, 2], [3, 0, 2, 1]] = -np.abs(rho[[0, 3, 1, 2], [3, 0, 2, 1]])
+        signed_zero[[0, 3, 1, 2], [3, 0, 2, 1]] = -0.0
+        states += [incoherent, negative, signed_zero]
+    states += [np.diag([1.0, -0.0, -0.0, 0.0]), np.diag([0.5, -0.0, 0.5, -0.0])]
+    return states
+
+
+def _field_bits(vector):
+    return [np.float64(field).tobytes() for field in vector]
+
+
+class TestOneStateOnFloats:
+    """One state's measures run on Python floats and a stack's on arrays,
+    through the same kernels; every field agrees bit for bit, sign of zero
+    included (docs/decisions.md section 2.9)."""
+
+    def test_one_state_equals_its_row_of_the_stack(self, rng):
+        states = [random_x_state(rng).real for _ in range(400)] + _one_state_edge_cases(rng)
+        stacked = correlation_vector(np.stack(states))
+        for i, rho in enumerate(states):
+            row = [field[i].tobytes() for field in stacked]
+            numbers = x_entries(rho)
+            for vector in (
+                correlation_vector(rho),
+                correlation_vector(rho.astype(np.complex128)),
+                x_correlation_vector(numbers),
+                x_correlation_vector([float(v) for v in numbers]),
+            ):
+                assert all(type(field) is float for field in vector)
+                assert _field_bits(vector) == row, (i, vector)
+            assert np.float64(concurrence(rho)).tobytes() == row[2]
+            assert np.float64(trace_distance_discord(rho)).tobytes() == row[4]
+
+    @pytest.mark.parametrize("base", [(0.0,) * 6, (1.0,) + (0.0,) * 5, (0.0,) * 3 + (1.0, 0.0, 0.0)],
+                             ids=["zero", "00", "11"])
+    def test_signed_zeros_match_the_stack(self, base):
+        # every pattern of +0.0 and -0.0 in the zero numbers, one state at a
+        # time and as one stack; the all-zero numbers give entropy groups of
+        # -0.0 terms, which np.sum adds up to +0.0
+        numbers = [[v or math.copysign(0.0, sign) for v, sign in zip(base, signs)]
+                   for signs in itertools.product((1.0, -1.0), repeat=6)]
+        stacked = x_correlation_vector(np.array(numbers).T)
+        for i, x in enumerate(numbers):
+            assert _field_bits(x_correlation_vector(x)) == [f[i].tobytes() for f in stacked], x
+
+    @pytest.mark.parametrize("as_numpy", [False, True], ids=["float", "float64"])
+    def test_negative_coherence_radicand_raises_alike(self, as_numpy):
+        # populations of 1e5 pass every x log2 x argument, and the rounding of
+        # entropies near 5e5 leaves S((rho + rho_d)/2) below the mean of S(rho)
+        # and S(rho_d) by more than 1e-12
+        crafted = (1e5, 1e5, 1e5, 1e5, 1e-3, 0.0)
+        one = [np.float64(v) for v in crafted] if as_numpy else list(crafted)
+        stack = [np.array([v, good]) for v, good in zip(crafted, x_entries(bell_state()))]
+        message = "coherence radicand -9.313e-10"
+        for x in (one, stack):
+            with pytest.raises(NumericalContractError, match=f"^{message}$"):
+                x_correlation_vector(x)
 
 
 finite_measure = st.floats(min_value=-5, max_value=10, allow_nan=False)
