@@ -13,6 +13,7 @@ keeps it that way.
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import itemgetter
 
@@ -176,18 +177,20 @@ def reduced_state(rho: np.ndarray, keep: int) -> np.ndarray:
     return np.trace(r, axis1=1, axis2=3) if keep == 0 else np.trace(r, axis1=0, axis2=2)
 
 
-def _first_qubit_blocks(rho: np.ndarray) -> list[list[complex]]:
-    """Rows (D_j, B_j, C_j) over the four entries j of the 2x2 blocks of rho.
+def _first_qubit_blocks(rho: np.ndarray) -> list[list[float]]:
+    """Rows (D_j, B_j, C_j) over the four entries j of the 2x2 blocks of rho, as real parts.
 
     With rho_ac = (<a| x I) rho (|c> x I) for first-qubit basis states a
     and c: D = rho_11 - rho_00, B = rho_01, C = rho_10, each raveled.
+    Row j is (Re D_j, Im D_j, Re B_j, Im B_j, Re C_j, Im C_j) as Python
+    floats, read once per oracle call.
     """
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     blocks = np.stack((r[1, :, 1] - r[0, :, 0], r[0, :, 1], r[1, :, 0]), axis=-1)
-    return blocks.reshape(4, 3).tolist()
+    return np.stack((blocks.real, blocks.imag), axis=-1).reshape(4, 6).tolist()
 
 
-def _disturbance(blocks: list[list[complex]], ct, st, cp, sp, sqrt):
+def _disturbance(blocks: list[list[float]], ct, st, cp, sp, sqrt):
     """The formula of :func:`_dephasing_distance` on cos/sin of theta and phi.
 
     The arguments are either numpy arrays with ``sqrt=np.sqrt`` or Python
@@ -198,9 +201,9 @@ def _disturbance(blocks: list[list[complex]], ct, st, cp, sp, sqrt):
     hp, hm = 1.0 + ct, 1.0 - ct
     k1, k2, k3, k4 = hp * cp, hp * sp, hm * cp, hm * sp
     parts = []
-    for d, b, c in blocks:
-        parts.append(d.real * st + b.real * k1 - b.imag * k2 - c.real * k3 - c.imag * k4)
-        parts.append(d.imag * st + b.imag * k1 + b.real * k2 - c.imag * k3 + c.real * k4)
+    for dr, di, br, bi, cr, ci in blocks:
+        parts.append(dr * st + br * k1 - bi * k2 - cr * k3 - ci * k4)
+        parts.append(di * st + bi * k1 + br * k2 - ci * k3 + cr * k4)
     x00r, x00i, x01r, x01i, x10r, x10i, x11r, x11i = parts
     frob = (x00r * x00r + x00i * x00i + x01r * x01r + x01i * x01i
             + x10r * x10r + x10i * x10i + x11r * x11r + x11i * x11i)
@@ -210,7 +213,7 @@ def _disturbance(blocks: list[list[complex]], ct, st, cp, sp, sqrt):
     return sqrt(frob + 2.0 * sqrt(det_r * det_r + det_i * det_i))
 
 
-def _dephasing_distance(blocks: list[list[complex]], theta, phi) -> float | np.ndarray:
+def _dephasing_distance(blocks: list[list[float]], theta, phi) -> float | np.ndarray:
     """Trace norm of rho minus its first-qubit dephasing along (theta, phi).
 
     Takes rho as its :func:`_first_qubit_blocks` and works for any
@@ -226,7 +229,7 @@ def _dephasing_distance(blocks: list[list[complex]], theta, phi) -> float | np.n
     return _disturbance(blocks, ct, st, cp, sp, np.sqrt)[()]
 
 
-def _point_distance(blocks: list[list[complex]], theta: float, phi: float) -> float:
+def _point_distance(blocks: list[list[float]], theta: float, phi: float) -> float:
     """:func:`_dephasing_distance` at one angle pair, on Python floats.
 
     cos and sin run through the same numpy ufuncs as the grid's; the rest
@@ -316,6 +319,27 @@ def _nelder_mead(f, x0: float, y0: float) -> tuple[tuple[float, float], float, i
     return sim[0][1], min(v for v, _ in sim), nfev
 
 
+@functools.cache
+def _angle_grid(n_theta: int, n_phi: int) -> tuple[np.ndarray, ...]:
+    """theta, phi and cos/sin of both over the oracle's raveled angle grid, read-only.
+
+    Built once per grid size in a process: theta takes n_theta points on
+    [0, pi], phi n_phi points on [0, 2 pi).  Returns (theta, phi, cos
+    theta, sin theta, cos phi, sin phi), each of n_theta * n_phi entries,
+    the cos and sin from the same ufuncs as :func:`_dephasing_distance`'s.
+    """
+    tt, pp = np.meshgrid(
+        np.linspace(0.0, np.pi, n_theta),
+        np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False),
+        indexing="ij",
+    )
+    theta, phi = tt.ravel(), pp.ravel()
+    grid = (theta, phi, np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi))
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
 def tdd_measurement_oracle(rho: np.ndarray, n_theta: int = 61, n_phi: int = 48) -> float:
     """Discord as the minimal disturbance by a first-qubit projective measurement.
 
@@ -324,18 +348,16 @@ def tdd_measurement_oracle(rho: np.ndarray, n_theta: int = 61, n_phi: int = 48) 
     refinement from the grid's best angle pair, and keeps the smaller of
     the two minima.  Grid and simplex evaluate the same formula on rho's
     blocks; the simplex is :func:`_nelder_mead`, scipy's algorithm ported
-    bit for bit onto Python floats, so no scipy module loads.
+    bit for bit onto Python floats, so no scipy module loads.  The grid's
+    angles and their cos and sin are built once per grid size
+    (:func:`_angle_grid`).
     """
     blocks = _first_qubit_blocks(rho)
-    tt, pp = np.meshgrid(
-        np.linspace(0.0, np.pi, n_theta),
-        np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False),
-        indexing="ij",
-    )
-    vals = _dephasing_distance(blocks, tt.ravel(), pp.ravel())
+    theta, phi, ct, st, cp, sp = _angle_grid(n_theta, n_phi)
+    vals = _disturbance(blocks, ct, st, cp, sp, np.sqrt)
     i = int(vals.argmin())
     _, fun, _ = _nelder_mead(
-        lambda theta, phi: _point_distance(blocks, theta, phi), float(tt.flat[i]), float(pp.flat[i])
+        lambda t, p: _point_distance(blocks, t, p), float(theta[i]), float(phi[i])
     )
     return float(min(vals[i], fun))
 

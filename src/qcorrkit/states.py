@@ -201,20 +201,26 @@ def random_x_state(rng: np.random.Generator) -> np.ndarray:
     |rho23| <= sqrt(rho22 rho33), so the output is PSD by construction.
     """
     pop = rng.dirichlet(np.ones(4))
-    rho = np.diag(pop).astype(complex)
-    c14 = (2.0 * rng.random() - 1.0) * np.sqrt(pop[0] * pop[3])
-    c23 = (2.0 * rng.random() - 1.0) * np.sqrt(pop[1] * pop[2])
+    rho = np.zeros((4, 4), dtype=complex)
+    rho.flat[::5] = pop  # the diagonal
+    a, b, c, d = pop.tolist()
+    c14 = (2.0 * rng.random() - 1.0) * math.sqrt(a * d)
+    c23 = (2.0 * rng.random() - 1.0) * math.sqrt(b * c)
     rho[0, 3] = rho[3, 0] = c14
     rho[1, 2] = rho[2, 1] = c23
     return rho
 
 
-def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
-    """Draw a random full-rank 4x4 density matrix.
+def random_density_matrix(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Draw a random full-rank 4x4 density matrix, or a ``(count, 4, 4)`` stack of them.
 
     A complex Ginibre matrix A (real parts drawn before imaginary parts)
     gives rho = A A^dagger / Tr(A A^dagger), which is generally not X-form.
+    A stack draws its matrices one after another from the stream, so it
+    equals ``count`` single draws bit for bit and leaves ``rng`` in the
+    same state.
     """
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = a @ a.conj().T
-    return rho / rho.trace()
+    g = rng.normal(size=(2, 4, 4) if count is None else (count, 2, 4, 4))
+    a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return rho / rho.trace(axis1=-2, axis2=-1)[..., None, None]

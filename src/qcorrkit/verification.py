@@ -39,7 +39,7 @@ def _channel_checks(rng: np.random.Generator, samples: int) -> list[EquivalenceC
     checks = []
 
     # every state is drawn before any channel parameter; the verify output depends on this order
-    rhos = np.stack([random_density_matrix(rng) for _ in range(samples)])
+    rhos = random_density_matrix(rng, samples)
     p, eta = rng.random((samples, 2)).T
     outs = np.stack([apply_ad_uncorrelated(rhos, p), apply_cad(rhos, ChannelParams(p, eta))])
     dev_trace = _largest(np.abs(outs.trace(axis1=-2, axis2=-1).real - 1.0))
@@ -73,7 +73,7 @@ def _channel_checks(rng: np.random.Generator, samples: int) -> list[EquivalenceC
 
     ground = np.zeros((4, 4), dtype=complex)
     ground[0, 0] = 1.0
-    rhos = np.stack([random_density_matrix(rng) for _ in range(10)])
+    rhos = random_density_matrix(rng, 10)
     dev_decay = _largest(
         np.abs(apply_cad(rhos, ChannelParams(1.0, 0.0)) - ground),
         np.abs(apply_cad(bell_state(), ChannelParams(1.0, 1.0)) - ground),

@@ -27,6 +27,7 @@ import pytest
 from qcorrkit.channels import WmrMode
 from qcorrkit.cli import build_parser
 from qcorrkit.optimize import _grid_factors
+from qcorrkit.oracles import _angle_grid
 
 from conftest import readme_commands
 
@@ -141,6 +142,18 @@ def test_cached_grid_factors_are_read_only(mode):
     # real factors for the real part of sigma: a complex cache would double it
     assert factors.dtype == np.float64
     assert factors.shape == (1001, 4, 4)
+
+
+def test_cached_oracle_angle_grid_is_read_only():
+    # every discord oracle call of a process reads these arrays: a write
+    # into one would silently move every later oracle value
+    grid = _angle_grid(61, 48)
+    assert grid is _angle_grid(61, 48)
+    for array in grid:
+        assert not array.flags.writeable
+        assert array.shape == (61 * 48,)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def _complex_chain(module: str) -> list[str]:

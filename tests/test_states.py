@@ -202,3 +202,34 @@ class TestPurityAndXForm:
             validate_density_matrix(rho)
             assert not is_x_state(rho)
             assert np.abs(rho[~_X_MASK]).max() > 1e-6
+
+
+class TestRandomDraws:
+    @pytest.mark.parametrize("count", [1, 10, 200])
+    def test_counted_ginibre_draw_is_count_single_draws(self, count):
+        # one stacked draw must give the bits of count single draws, each
+        # of them the textbook A A^dagger / Tr, and leave the stream where
+        # the singles leave it
+        for seed in range(20):
+            stacked, single, textbook = (np.random.default_rng(seed) for _ in range(3))
+            drawn = random_density_matrix(stacked, count)
+            assert drawn.shape == (count, 4, 4)
+            singles = np.stack([random_density_matrix(single) for _ in range(count)])
+            assert drawn.tobytes() == singles.tobytes()
+            for rho in singles:
+                a = textbook.normal(size=(4, 4)) + 1j * textbook.normal(size=(4, 4))
+                expected = a @ a.conj().T
+                assert rho.tobytes() == (expected / expected.trace()).tobytes()
+            assert stacked.random() == single.random() == textbook.random()
+
+    def test_random_x_state_matches_the_diagonal_construction(self):
+        for seed in range(1000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            pop = ref.dirichlet(np.ones(4))
+            expected = np.diag(pop).astype(complex)
+            c14 = (2.0 * ref.random() - 1.0) * np.sqrt(pop[0] * pop[3])
+            c23 = (2.0 * ref.random() - 1.0) * np.sqrt(pop[1] * pop[2])
+            expected[0, 3] = expected[3, 0] = c14
+            expected[1, 2] = expected[2, 1] = c23
+            assert random_x_state(rng).tobytes() == expected.tobytes()
+            assert rng.random() == ref.random()

@@ -86,3 +86,40 @@ def test_summary_bytes_are_pinned(kwargs, digest):
     """The report text, deviations and worst cases included, to the byte."""
     summary = verify_report(**kwargs).summary()
     assert hashlib.sha256(summary.encode()).hexdigest() == digest
+
+
+_ZERO, _ULP = "0x0.0p+0", "0x1.0000000000000p-52"
+
+#: the argument sets of ``SUMMARY_SHA256`` -> every check's ``max_deviation.hex()``,
+#: in report order; the summary rounds deviations to 4 digits, so only these
+#: pins catch a move of the last bit
+DEVIATION_HEX = [
+    ({}, (
+        "0x1.f000000000000p-50", "0x1.c000000000000p-50", "0x1.8000000000000p-52",
+        "0x1.2000000000000p-50", _ULP, "0x1.4e35660000000p-28", "0x1.8000000000000p-52",
+        "0x1.4000000000000p-52", "0x1.8000000000000p-52", _ZERO, _ULP, _ZERO, _ZERO, _ULP,
+        _ZERO, "0x1.b740000000000p-40",
+    )),
+    ({"grid_points": 3}, (
+        "0x1.f000000000000p-50", "0x1.6000000000000p-50", "0x1.8000000000000p-52",
+        "0x1.2000000000000p-50", _ULP, "0x1.4e35660000000p-28", "0x1.8000000000000p-52",
+        "0x1.4000000000000p-52", "0x1.8000000000000p-52", _ZERO, _ULP, _ZERO, _ZERO, _ULP,
+        _ZERO, "0x1.b740000000000p-40",
+    )),
+    ({"grid_points": 4, "seed": 7, "samples": 30}, (
+        "0x1.6000000000000p-50", "0x1.2000000000000p-50", _ULP,
+        "0x1.2000000000000p-51", _ULP, "0x1.ae89f98000000p-28", _ULP,
+        _ULP, "0x1.8000000000000p-52", _ZERO, _ULP, _ZERO, _ZERO, _ULP,
+        _ZERO, "0x1.b370000000000p-40",
+    )),
+]
+
+
+def test_deviation_pins_cover_the_summary_pins():
+    assert [kwargs for kwargs, _ in DEVIATION_HEX] == [kwargs for kwargs, _ in SUMMARY_SHA256]
+
+
+@pytest.mark.parametrize("kwargs, pinned", DEVIATION_HEX)
+def test_raw_deviations_are_pinned(kwargs, pinned):
+    report = verify_report(**kwargs)
+    assert tuple(c.max_deviation.hex() for c in report.checks) == pinned
