@@ -14,7 +14,6 @@ from .channels import (
     ChannelParams,
     WmrMode,
     WmrParams,
-    apply_ad_uncorrelated,
     apply_cad,
     apply_qmr,
     apply_wm,
@@ -52,14 +51,10 @@ from .mlp import (
 from .optimize import OptimizationResult, optimal_qmr
 from .states import (
     StateFamily,
-    bell_state,
     is_x_state,
     make_state,
-    mems_state,
-    nme_state,
     random_density_matrix,
     random_x_state,
-    werner_state,
 )
 from .sweep import SweepConfig, run_sweep
 from .training import TrainReport, lm_train, restart_search

@@ -1,13 +1,15 @@
 """Amplitude damping with memory and the measurement/reversal pipeline.
 
-The two-qubit channel interpolates between independent single-qubit
-amplitude damping (memory eta = 0) and fully correlated damping (eta = 1),
-where both excitations decay together or not at all.  Optional protection
-wraps the channel between a weak measurement of strength q (applied before
-the noise) and a measurement reversal of strength r (applied after).  The
-Kraus sums that define these steps run as entry maps on (..., 4, 4) stacks:
-damping scales entries and moves decayed weight onto the ground block, and
-the diagonal, non-unitary measurements rescale entries.  The measured state
+The two-qubit channel, :func:`apply_cad`, is the one way to damp a
+state.  It interpolates between independent single-qubit amplitude
+damping (memory eta = 0, the default of :class:`ChannelParams`) and fully
+correlated damping (eta = 1), where both excitations decay together or
+not at all.  Optional protection wraps the channel between a weak
+measurement of strength q (applied before the noise) and a measurement
+reversal of strength r (applied after).  The Kraus sums that define
+these steps run as entry maps on (..., 4, 4) stacks: damping scales
+entries and moves decayed weight onto the ground block, and the
+diagonal, non-unitary measurements rescale entries.  The measured state
 is renormalized and the discarded trace is reported as the success
 probability of the probabilistic protocol.
 
@@ -84,47 +86,38 @@ def _outer(factors: np.ndarray) -> np.ndarray:
     return factors[..., :, None] * factors[..., None, :]
 
 
-def apply_ad_uncorrelated(rho: np.ndarray, p: float | np.ndarray) -> np.ndarray:
-    """Memoryless two-qubit amplitude damping: each qubit damped on its own.
-
-    Damping one qubit is an entry map: entry (i, j) scales by sqrt(1 - p)
-    once per excitation of that qubit in i and in j, and p times its
-    excited block lands on its ground block.  The first qubit is damped,
-    then the second.  An array ``p`` broadcasts against the leading dims
-    of ``rho``.
-    """
-    p = _unit_interval("p", p, closed=True)
-    factors = np.ones((2,) + p.shape + (4,))
-    s = np.sqrt(1.0 - p)[..., None]
-    factors[0, ..., 2:] = s    # |1x>: first qubit excited
-    factors[1, ..., 1::2] = s  # |x1>: second qubit excited
-    first, second = _outer(factors)
-    p = p[..., None, None]
-    out = rho * first
-    ground = out[..., :2, :2]  # a view: += writes through, with no copy back
-    ground += p * rho[..., 2:, 2:]
-    damped = out * second
-    ground = damped[..., ::2, ::2]
-    ground += p * out[..., 1::2, 1::2]
-    return damped
-
-
 def apply_cad(rho: np.ndarray, ch: ChannelParams) -> np.ndarray:
     """Partially correlated damping: (1-eta) * uncorrelated + eta * correlated.
 
-    The correlated branch damps only the doubly excited amplitude and
-    sends the weight p of |11><11| to |00><00|.  Accepts (..., 4, 4)
-    stacks; array p and eta broadcast against their leading dims.  Where
-    eta = 0 the result is exactly the uncorrelated map.
+    The uncorrelated branch damps each qubit on its own, the first, then
+    the second.  Damping one qubit is an entry map: entry (i, j) scales
+    by sqrt(1 - p) once per excitation of that qubit in i and in j, and p
+    times its excited block lands on its ground block.  The correlated
+    branch damps only the doubly excited amplitude and sends the weight p
+    of |11><11| to |00><00|.  Accepts (..., 4, 4) stacks; array p and eta
+    broadcast against their leading dims.  Where eta = 0 the result is
+    exactly the uncorrelated branch, the memoryless channel.
     """
     p, eta = np.asarray(ch.p, dtype=float)[()], np.asarray(ch.eta, dtype=float)[..., None, None]
-    out = (1.0 - eta) * apply_ad_uncorrelated(rho, p)
+    s = np.sqrt(1.0 - p)
+    factors = np.ones((2,) + p.shape + (4,))
+    factors[0, ..., 2:] = s[..., None]    # |1x>: first qubit excited
+    factors[1, ..., 1::2] = s[..., None]  # |x1>: second qubit excited
+    first, second = _outer(factors)
+    weight = p[..., None, None]
+    out = rho * first
+    ground = out[..., :2, :2]  # a view: += writes through, with no copy back
+    ground += weight * rho[..., 2:, 2:]
+    damped = out * second
+    ground = damped[..., ::2, ::2]
+    ground += weight * out[..., 1::2, 1::2]
+    out = (1.0 - eta) * damped
     if np.count_nonzero(eta):  # the correlated branch only matters where there is memory
         factors = np.ones(p.shape + (4,))
-        factors[..., 3] = np.sqrt(1.0 - p)
+        factors[..., 3] = s
         corr = rho * _outer(factors)
         ground = corr[..., :1, :1]
-        ground += p[..., None, None] * rho[..., 3:, 3:]
+        ground += weight * rho[..., 3:, 3:]
         out += eta * corr
     return out
 
@@ -199,10 +192,11 @@ def _x_damped(x, p, eta, sqrt) -> tuple:
     """:func:`apply_cad` on the six numbers x = (a, b, c, d, z, w).
 
     With s = sqrt(1 - p), where ``sqrt`` is ``math.sqrt`` for floats and
-    ``np.sqrt`` for arrays: the first qubit damps, then the second, as
-    :func:`apply_ad_uncorrelated` does; the result scales by (1 - eta), and
-    where any eta is not 0, eta times the correlated branch of the input
-    is added.  Each number takes its entry's operations in their order.
+    ``np.sqrt`` for arrays: the first qubit damps, then the second, as in
+    the uncorrelated branch of :func:`apply_cad`; the result scales by
+    (1 - eta), and where any eta is not 0, eta times the correlated branch
+    of the input is added.  Each number takes its entry's operations in
+    their order.
     """
     a, b, c, d, z, w = x
     s = sqrt(1.0 - p)

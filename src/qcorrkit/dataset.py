@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ SCENARIOS = {
     "wmr2": {"mode": WmrMode.TWO_QUBIT, "var": "q"},
 }
 CSV_HEADER = ["scenario", "eta", "sweep_var", "sweep_value", *FEATURE_NAMES, TARGET_NAME]
+#: a number cell: an ASCII decimal literal, the form of every float ``repr``
+#: that :func:`csv_text` writes; ``float`` alone would also take "1_0",
+#: non-ASCII digits and surrounding blanks
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 @dataclass
@@ -71,15 +76,12 @@ def write_dataset_csv(path, data: Dataset) -> None:
 
 
 def _number(path, line_no: int, col: str, cell: str, param: str = "") -> float:
-    """The cell as a finite float, inside the domain of ``param`` if one is named:
-    [0, 1], or [0, 1) for the measurement strength q."""
-    try:
-        x = float(cell)
-    except ValueError:
-        x = math.nan
+    """The cell, an ASCII decimal literal, as a finite float, inside the domain
+    of ``param`` if one is named: [0, 1], or [0, 1) for the measurement strength q."""
+    x = float(cell) if _DECIMAL.fullmatch(cell) else math.nan
     try:
         if not math.isfinite(x):
-            raise ValueError(f"not a finite number: {cell!r}")
+            raise ValueError(f"not a finite decimal number: {cell!r}")
         if param:
             _unit_interval(param, x, closed=param != "q")
     except ValueError as exc:

@@ -3,15 +3,16 @@
 Every initial family is an X state with real coherences, so it is
 defined once, by its six numbers (a, b, c, d, z, w) = (rho11, rho22,
 rho33, rho44, rho14, rho23): :func:`x_numbers` returns them, and the
-sweeps and the optimizer run on them.  The dense constructors write
-those numbers into a 4x4 array with one densifier, :func:`x_matrix`,
-which the optimizer also uses for its float64 states.  Density matrices
-are complex ``numpy`` arrays in the computational basis ordered |00>,
-|01>, |10>, |11>, so that entry (i, j) with 1-based indices matches the
-usual rho_ij convention (rho_41 is the |11><00| coherence).  All
-functions are pure; arrays are never mutated in place.  The dense
-matrix utilities (eigenvalues, entropy, density-matrix validation) live
-with the other reference routes in ``oracles.py``.
+sweeps and the optimizer run on them.  :func:`make_state`, the one
+dense constructor, writes those numbers into a complex 4x4 array with
+the one densifier, :func:`x_matrix`, which the optimizer also uses for
+its float64 states.  Density matrices are complex ``numpy`` arrays in
+the computational basis ordered |00>, |01>, |10>, |11>, so that entry
+(i, j) with 1-based indices matches the usual rho_ij convention (rho_41
+is the |11><00| coherence).  All functions are pure; arrays are never
+mutated in place.  The dense matrix utilities (eigenvalues, entropy,
+density-matrix validation) live with the other reference routes in
+``oracles.py``.
 """
 
 from __future__ import annotations
@@ -132,55 +133,11 @@ def x_matrix(x, dtype) -> np.ndarray:
     return rho
 
 
-def bell_state() -> np.ndarray:
-    """Density matrix of (|00> + |11>)/sqrt(2)."""
-    return x_matrix(_werner_numbers(1.0), complex)
-
-
-def werner_state(r_b: float) -> np.ndarray:
-    """Mixture (1 - r_b)/4 * I + r_b * Bell; r_b sets the purity.
-
-    ``r_b`` is one number in [0, 1]; an array that is not 0-d raises.
-    """
-    r_b = _one_number("r_b", _unit_interval("r_b", r_b, closed=True))
-    return x_matrix(_werner_numbers(r_b), complex)
-
-
-def mems_state(gamma: float) -> np.ndarray:
-    """Maximally entangled mixed state with anti-diagonal weight gamma.
-
-    The (1,1)/(4,4) populations follow the piecewise g(gamma): 1/3 below
-    gamma = 2/3 and gamma/2 above, which maximizes entanglement at fixed
-    linear entropy.  ``gamma`` is one number in [0, 1]; an array that is
-    not 0-d raises.
-    """
-    gamma = _one_number("gamma", _unit_interval("gamma", gamma, closed=True))
-    return x_matrix(_mems_numbers(gamma), complex)
-
-
-def nme_state(alpha2: float | np.ndarray) -> np.ndarray:
-    """Pure state alpha|00> + beta|11> with alpha = sqrt(alpha2), beta real.
-
-    ``alpha2`` may be an array; the result is then a ``(..., 4, 4)``
-    stack, one state per entry, each equal bit for bit to the state of
-    that entry built on its own.  Every entry must lie in [0, 1]; a NaN
-    is rejected.
-    """
-    return x_matrix(_nme_numbers(_unit_interval("alpha2", alpha2, closed=True)), complex)
-
-
 def make_state(family: StateFamily) -> np.ndarray:
-    """Build the initial density matrix for a :class:`StateFamily`.
-
-    Each constructor densifies the family's six numbers of :func:`x_numbers`.
-    """
-    if family.kind == "bell":
-        return bell_state()
-    if family.kind == "werner":
-        return werner_state(family.param)
-    if family.kind == "mems":
-        return mems_state(family.param)
-    return nme_state(family.param)
+    """The initial density matrix of a :class:`StateFamily`: its six numbers of
+    :func:`x_numbers`, densified.  An nme ``param`` array gives a
+    ``(..., 4, 4)`` stack, one state per entry."""
+    return x_matrix(x_numbers(family), complex)
 
 
 def is_x_state(rho: np.ndarray) -> bool | np.ndarray:

@@ -11,19 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import (
-    ChannelParams,
-    WmrMode,
-    WmrParams,
-    apply_ad_uncorrelated,
-    apply_cad,
-    wmr_pipeline,
-)
+from .channels import ChannelParams, WmrMode, WmrParams, apply_cad, wmr_pipeline
 from .closed_forms import EquivalenceCheck, VerificationReport, verify_closed_forms
 from .exceptions import NumericalContractError
 from .measures import concurrence, trace_distance_discord
 from .oracles import _reference_pipeline_state, tdd_measurement_oracle
-from .states import bell_state, is_x_state, random_density_matrix, random_x_state
+from .states import StateFamily, is_x_state, make_state, random_density_matrix, random_x_state
 
 #: random X states drawn for the discord oracle check
 _ORACLE_SAMPLES = 12
@@ -41,17 +34,17 @@ def _channel_checks(rng: np.random.Generator, samples: int) -> list[EquivalenceC
     # every state is drawn before any channel parameter; the verify output depends on this order
     rhos = random_density_matrix(rng, samples)
     p, eta = rng.random((samples, 2)).T
-    outs = np.stack([apply_ad_uncorrelated(rhos, p), apply_cad(rhos, ChannelParams(p, eta))])
+    outs = np.stack([apply_cad(rhos, ChannelParams(p, e)) for e in (0.0, eta)])
     dev_trace = _largest(np.abs(outs.trace(axis1=-2, axis2=-1).real - 1.0))
     # the eigensolver fails on a NaN entry: such an output gets a NaN lowest eigenvalue
     finite = np.isfinite(outs).all(axis=(-2, -1))
     lowest = np.full(finite.shape, np.nan)
     lowest[finite] = np.linalg.eigvalsh(outs[finite]).min(axis=-1)
     dev_psd = _largest(-lowest)
-    # the independent straight-line composition, not apply_ad_uncorrelated,
-    # which apply_cad itself returns at eta = 0; with q = r = 0 the mode is moot
+    # the eta = 0 outputs against the independent straight-line composition
+    # of oracles.py; with q = r = 0 the mode is moot
     reference = _reference_pipeline_state(rhos, p, 0.0, 0.0, 0.0, WmrMode.TWO_QUBIT)
-    dev_reduction = _largest(np.abs(apply_cad(rhos, ChannelParams(p, 0.0)) - reference))
+    dev_reduction = _largest(np.abs(outs[0] - reference))
     checks.append(EquivalenceCheck("channel trace preservation", dev_trace, 1e-12))
     checks.append(EquivalenceCheck("channel positivity", dev_psd, 1e-10))
     checks.append(EquivalenceCheck("eta=0 reduces to uncorrelated damping", dev_reduction, 1e-12))
@@ -71,16 +64,16 @@ def _channel_checks(rng: np.random.Generator, samples: int) -> list[EquivalenceC
     checks.append(EquivalenceCheck("pipeline with q=r=0 equals bare channel", _largest(*identity), 0.0))
     checks.append(EquivalenceCheck("X-form closure through the pipeline", _largest(*closure), 0.0))
 
+    bell = make_state(StateFamily("bell"))
     ground = np.zeros((4, 4), dtype=complex)
     ground[0, 0] = 1.0
     rhos = random_density_matrix(rng, 10)
     dev_decay = _largest(
         np.abs(apply_cad(rhos, ChannelParams(1.0, 0.0)) - ground),
-        np.abs(apply_cad(bell_state(), ChannelParams(1.0, 1.0)) - ground),
+        np.abs(apply_cad(bell, ChannelParams(1.0, 1.0)) - ground),
     )
     checks.append(EquivalenceCheck("full decay lands on the ground state", dev_decay, 1e-12))
 
-    bell = bell_state()
     ps = np.linspace(0.0, 1.0, 21)
     try:
         gap = concurrence(apply_cad(bell, ChannelParams(ps, 1.0))) - concurrence(

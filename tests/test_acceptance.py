@@ -34,10 +34,8 @@ from qcorrkit.oracles import tdd_measurement_oracle
 from qcorrkit.optimize import optimal_qmr
 from qcorrkit.states import (
     StateFamily,
-    bell_state,
     make_state,
     random_x_state,
-    werner_state,
 )
 from qcorrkit.sweep import SweepConfig, run_sweep
 from qcorrkit.training import lm_train, restart_search
@@ -66,7 +64,7 @@ def bell_models():
 
 
 def test_criterion_1_normalization_anchors():
-    v = correlation_vector(bell_state())
+    v = correlation_vector(make_state(StateFamily("bell")))
     errs = [
         abs(v.chi - 2.0),
         abs(v.fidelity - 1.0),
@@ -118,7 +116,7 @@ def test_criterion_2_steering_sudden_death_thresholds():
 
 
 def test_criterion_3_endpoint_purity():
-    bell = bell_state()
+    bell = make_state(StateFamily("bell"))
     decay_dev = max(
         float(np.abs(apply_cad(bell, ChannelParams(1.0, eta)) - GROUND).max())
         for eta in (0.0, 1.0)
@@ -233,7 +231,7 @@ def test_criterion_4_wmr_dominance_grid():
 
 
 def test_criterion_5_memory_dominance():
-    bell = bell_state()
+    bell = make_state(StateFamily("bell"))
     worst = 0.0
     for p in np.linspace(0.0, 1.0, 41):
         gap = float(
@@ -247,7 +245,7 @@ def test_criterion_5_memory_dominance():
 
 
 def test_criterion_6_entanglement_sudden_death():
-    werner = werner_state(0.8)
+    werner = make_state(StateFamily("werner", 0.8))
 
     def conc(p: float) -> float:
         return float(concurrence(apply_cad(werner, ChannelParams(p, 0.0))))
@@ -264,7 +262,7 @@ def test_criterion_6_entanglement_sudden_death():
     dead_after = conc(min(p_star + 2e-4, 1.0)) == 0.0
     alive_before = conc(max(p_star - 2e-4, 0.0)) > 0.0
 
-    bell = bell_state()
+    bell = make_state(StateFamily("bell"))
     bell_alive = all(
         float(concurrence(apply_cad(bell, ChannelParams(float(p), 0.0)))) > 0.0
         for p in np.linspace(0.0, 1.0 - 1e-4, 400)
@@ -303,7 +301,8 @@ def test_criterion_8_discord_oracle_equivalence():
     # degenerate-branch continuity: eps-perturbations of Bell-diagonal
     # states move the discord by at most O(eps)
     worst_jump = 0.0
-    for base in (werner_state(0.8), bell_state(), werner_state(0.5)):
+    for family in (StateFamily("werner", 0.8), StateFamily("bell"), StateFamily("werner", 0.5)):
+        base = make_state(family)
         t0 = trace_distance_discord(base)
         for _ in range(20):
             delta = np.zeros((4, 4))

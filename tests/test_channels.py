@@ -9,7 +9,6 @@ from qcorrkit.channels import (
     WmrParams,
     _x_damped,
     _x_measured,
-    apply_ad_uncorrelated,
     apply_cad,
     apply_qmr,
     apply_wm,
@@ -20,7 +19,13 @@ from qcorrkit.channels import (
 from qcorrkit.exceptions import DegenerateMeasurementError
 from qcorrkit.optimize import _R_MAX
 from qcorrkit.oracles import _reference_pipeline_state, validate_density_matrix
-from qcorrkit.states import bell_state, is_x_state, random_density_matrix, random_x_state
+from qcorrkit.states import (
+    StateFamily,
+    is_x_state,
+    make_state,
+    random_density_matrix,
+    random_x_state,
+)
 
 
 def kraus_sum_oracle(rho, p, eta=0.0):
@@ -40,27 +45,30 @@ def kraus_sum_oracle(rho, p, eta=0.0):
 
 
 class TestUncorrelated:
+    """Memory eta = 0, the default: each qubit damps on its own."""
+
     def test_p_zero_identity(self, rng):
         rho = random_density_matrix(rng)
-        np.testing.assert_allclose(apply_ad_uncorrelated(rho, 0.0), rho, atol=1e-15)
+        np.testing.assert_allclose(apply_cad(rho, ChannelParams(0.0)), rho, atol=1e-15)
 
     def test_p_one_full_decay(self, rng):
         rho = random_density_matrix(rng)
-        out = apply_ad_uncorrelated(rho, 1.0)
+        out = apply_cad(rho, ChannelParams(1.0))
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_bell_half_damping(self):
         # frozen from the four-term Kraus-sum oracle
-        out = apply_ad_uncorrelated(bell_state(), 0.5)
+        bell = make_state(StateFamily("bell"))
+        out = apply_cad(bell, ChannelParams(0.5))
         np.testing.assert_allclose(out.diagonal().real, [0.625, 0.125, 0.125, 0.125], atol=1e-14)
         assert out[0, 3].real == pytest.approx(0.25)  # coherence scales by (1-p)
-        np.testing.assert_allclose(out, kraus_sum_oracle(bell_state(), 0.5), atol=1e-15)
+        np.testing.assert_allclose(out, kraus_sum_oracle(bell, 0.5), atol=1e-15)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_ad_uncorrelated(bell_state(), 1.2)
+            apply_cad(make_state(StateFamily("bell")), ChannelParams(1.2))
 
 
 class TestAgainstKrausSums:
@@ -106,7 +114,7 @@ class TestCorrelated:
         np.testing.assert_allclose(apply_cad(rho, ChannelParams(0.8, 1.0)), rho, atol=1e-15)
 
     def test_bell_full_memory(self):
-        out = apply_cad(bell_state(), ChannelParams(0.5, 1.0))
+        out = apply_cad(make_state(StateFamily("bell")), ChannelParams(0.5, 1.0))
         np.testing.assert_allclose(out.diagonal().real, [0.75, 0.0, 0.0, 0.25], atol=1e-14)
         assert out[0, 3].real == pytest.approx(np.sqrt(0.5) / 2)
 
@@ -115,7 +123,7 @@ class TestCorrelated:
         for _ in range(10_000):
             rho = random_x_state(rng)
             p, eta = float(rng.random()), float(rng.random())
-            ad = apply_ad_uncorrelated(rho, p)
+            ad = apply_cad(rho, ChannelParams(p))
             cad = apply_cad(rho, ChannelParams(p, eta))
             assert abs(ad.trace().real - 1.0) <= 1e-12
             assert abs(cad.trace().real - 1.0) <= 1e-12
@@ -131,7 +139,7 @@ class TestCorrelated:
         ground = np.zeros((4, 4))
         ground[0, 0] = 1.0
         for eta in (0.0, 1.0):
-            out = apply_cad(bell_state(), ChannelParams(1.0, eta))
+            out = apply_cad(make_state(StateFamily("bell")), ChannelParams(1.0, eta))
             np.testing.assert_allclose(out, ground, atol=1e-12)
 
 
@@ -159,7 +167,7 @@ class TestMeasurements:
 
     def test_bell_weak_measurement_two_qubit(self):
         # frozen from the direct 4x4 sandwich: (1, qb, qb^2)/2 then renormalize
-        out, t = apply_wm(bell_state(), 0.5, WmrMode.TWO_QUBIT)
+        out, t = apply_wm(make_state(StateFamily("bell")), 0.5, WmrMode.TWO_QUBIT)
         assert t == pytest.approx(0.625)
         assert out[0, 0].real == pytest.approx(0.8)
         assert out[0, 3].real == pytest.approx(0.4)
@@ -167,7 +175,7 @@ class TestMeasurements:
 
     def test_bell_reversal_one_qubit(self):
         # frozen from the direct sandwich oracle with diag(sqrt(1-r),1) on qubit 2
-        out, t = apply_qmr(bell_state(), 0.5, WmrMode.ONE_QUBIT)
+        out, t = apply_qmr(make_state(StateFamily("bell")), 0.5, WmrMode.ONE_QUBIT)
         assert t == pytest.approx(0.75)
         assert out[0, 0].real == pytest.approx(1 / 3)
         assert out[0, 3].real == pytest.approx(np.sqrt(0.5) / 1.5)
@@ -254,9 +262,9 @@ class TestMeasurements:
 
     def test_strength_domain(self):
         with pytest.raises(ValueError):
-            apply_wm(bell_state(), 1.0, WmrMode.TWO_QUBIT)
+            apply_wm(make_state(StateFamily("bell")), 1.0, WmrMode.TWO_QUBIT)
         with pytest.raises(ValueError):
-            apply_qmr(bell_state(), -0.1, WmrMode.ONE_QUBIT)
+            apply_qmr(make_state(StateFamily("bell")), -0.1, WmrMode.ONE_QUBIT)
 
     def test_degenerate_trace_raises(self):
         top = np.zeros((4, 4), dtype=complex)
@@ -289,14 +297,14 @@ class TestPipeline:
     def test_matched_strengths_invert_without_noise(self):
         # at p=0 the measurement/reversal diagonals compose to (1-q) * identity,
         # so q = r returns the input exactly; the success weight still drops
-        bell = bell_state()
+        bell = make_state(StateFamily("bell"))
         out = wmr_pipeline(bell, ChannelParams(0.0, 0.0), WmrParams(0.3, 0.3, WmrMode.TWO_QUBIT))
         np.testing.assert_allclose(out.state, bell, atol=1e-15)
         assert out.success_probability == pytest.approx(0.49)
         assert out.success_probability < 1.0
 
     def test_mismatched_strengths_change_the_state(self):
-        bell = bell_state()
+        bell = make_state(StateFamily("bell"))
         out = wmr_pipeline(bell, ChannelParams(0.0, 0.0), WmrParams(0.3, 0.6, WmrMode.TWO_QUBIT))
         assert np.abs(out.state - bell).max() > 1e-3
         assert out.success_probability < 1.0
@@ -348,10 +356,10 @@ class TestParameterArrays:
 
     def test_uncorrelated_damping(self, states):
         for rho in states:
-            out = apply_ad_uncorrelated(rho, self.PS)
+            out = apply_cad(rho, ChannelParams(self.PS))
             assert out.shape == (4, 4, 4)
             for p, state in zip(self.PS, out):
-                assert np.array_equal(state, apply_ad_uncorrelated(rho, float(p)))
+                assert np.array_equal(state, apply_cad(rho, ChannelParams(float(p))))
 
     def test_correlated_damping_grid(self, states):
         p, eta = np.ix_(self.PS, self.ETAS)
@@ -365,7 +373,7 @@ class TestParameterArrays:
     def test_eta_zero_is_exactly_uncorrelated(self, states):
         for rho in states:
             out = apply_cad(rho, ChannelParams(self.PS, np.zeros(4)))
-            assert np.array_equal(out, apply_ad_uncorrelated(rho, self.PS))
+            assert np.array_equal(out, apply_cad(rho, ChannelParams(self.PS)))
             # an all-zero memory array still broadcasts into the result
             assert apply_cad(rho, ChannelParams(0.3, np.zeros((2, 1)))).shape == (2, 1, 4, 4)
 
@@ -404,8 +412,6 @@ class TestParameterArrays:
     def test_every_damping_entry_is_validated(self, bad):
         ps = np.array([0.2, bad, 0.5])
         with pytest.raises(ValueError):
-            apply_ad_uncorrelated(bell_state(), ps)
-        with pytest.raises(ValueError):
             ChannelParams(ps, 0.5)
         with pytest.raises(ValueError):
             ChannelParams(0.5, ps)
@@ -415,9 +421,9 @@ class TestParameterArrays:
         qs = np.array([[0.2, 0.0], [bad, 0.5]])
         for mode in WmrMode:
             with pytest.raises(ValueError):
-                apply_wm(bell_state(), qs, mode)
+                apply_wm(make_state(StateFamily("bell")), qs, mode)
             with pytest.raises(ValueError):
-                apply_qmr(bell_state(), qs, mode)
+                apply_qmr(make_state(StateFamily("bell")), qs, mode)
         with pytest.raises(ValueError):
             WmrParams(qs, 0.1)
         with pytest.raises(ValueError):

@@ -532,7 +532,7 @@ _SCIPY_PROBE = textwrap.dedent("""
     stage("optimize", main(["optimize", "--family", "bell", "--p", "0.5", "--q", "0.3", "-o", out]))
     mlp.save_mlp(mlp.init_mlp(seed=1), out)
     stage("weights", main(["weights", "--model", out, "-o", out]))
-    oracles.tdd_measurement_oracle(states.bell_state())
+    oracles.tdd_measurement_oracle(states.make_state(states.StateFamily("bell")))
     stage("discord oracle")
     stage("verify", main(["verify", "--grid-points", "2", "--samples", "10"]))
     mlp.forward(mlp.init_mlp(seed=1), np.zeros(5))

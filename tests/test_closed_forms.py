@@ -15,7 +15,7 @@ from qcorrkit.closed_forms import (
     wootters_concurrence_oracle,
 )
 from qcorrkit.measures import concurrence
-from qcorrkit.states import bell_state, random_density_matrix, random_x_state
+from qcorrkit.states import StateFamily, make_state, random_density_matrix, random_x_state
 
 
 class TestClosedForms:
@@ -25,9 +25,10 @@ class TestClosedForms:
 
     def test_measurement_free_reduction(self):
         # q = r = 0 must reproduce the bare-channel concurrence
+        bell = make_state(StateFamily("bell"))
         for eta in (0.0, 0.5, 1.0):
             for p in (0.0, 0.25, 0.5, 0.9):
-                bare = concurrence(apply_cad(bell_state(), ChannelParams(p, eta)))
+                bare = concurrence(apply_cad(bell, ChannelParams(p, eta)))
                 assert bell_concurrence_one_qubit(p, 0.0, 0.0, eta) == pytest.approx(
                     bare, abs=1e-12
                 )
@@ -37,21 +38,20 @@ class TestClosedForms:
 
     def test_noise_free_slice_depends_on_measurements_only(self):
         # p = 0, eta irrelevant: the sandwich alone sets the concurrence
+        bell = make_state(StateFamily("bell"))
         for q, r in ((0.2, 0.6), (0.5, 0.1), (0.8, 0.8)):
             for mode, fn in (
                 (WmrMode.ONE_QUBIT, bell_concurrence_one_qubit),
                 (WmrMode.TWO_QUBIT, bell_concurrence_two_qubit),
             ):
                 direct = concurrence(
-                    wmr_pipeline(
-                        bell_state(), ChannelParams(0.0, 0.0), WmrParams(q, r, mode)
-                    ).state
+                    wmr_pipeline(bell, ChannelParams(0.0, 0.0), WmrParams(q, r, mode)).state
                 )
                 assert fn(0.0, q, r, 0.0) == pytest.approx(direct, abs=1e-12)
                 assert fn(0.0, q, r, 1.0) == pytest.approx(direct, abs=1e-12)
 
     def test_random_points_match_pipeline(self, rng):
-        bell = bell_state()
+        bell = make_state(StateFamily("bell"))
         for _ in range(200):
             p, eta = rng.random() * 0.95, rng.random() * 0.95
             q, r = rng.random() * 0.95, rng.random() * 0.95
@@ -114,6 +114,7 @@ class TestStacks:
         # the same largest deviation, at the first point that reaches it
         axis = np.linspace(0.0, 0.95, 3)
         report = verify_closed_forms(grid_points=3)
+        bell = make_state(StateFamily("bell"))
         for check, mode, fn in zip(
             report.checks[:2],
             (WmrMode.ONE_QUBIT, WmrMode.TWO_QUBIT),
@@ -122,7 +123,7 @@ class TestStacks:
             worst, case = 0.0, {}
             for p, q, r, eta in itertools.product(*(axis.tolist(),) * 4):
                 numeric = concurrence(
-                    wmr_pipeline(bell_state(), ChannelParams(p, eta), WmrParams(q, r, mode)).state
+                    wmr_pipeline(bell, ChannelParams(p, eta), WmrParams(q, r, mode)).state
                 )
                 dev = abs(fn(p, q, r, eta) - numeric)
                 if dev > worst:

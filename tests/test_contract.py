@@ -1,5 +1,5 @@
-"""Wrong input fails loudly: a parameter outside its unit interval, and a
-mutated model file, each exit 1 and write nothing.
+"""Wrong input fails loudly: a parameter outside its unit interval, a
+mutated model file and a mutated dataset file each exit 1 and write nothing.
 
 Every parameter goes through one check, ``exceptions._unit_interval``:
 p, eta and the state-family parameters lie in [0, 1], the strengths q
@@ -15,6 +15,13 @@ string.  For every mutant ``predict`` and
 ``weights`` exit 1, print one ``error:`` line and no warning or
 traceback, and write no file; the unmutated file exits 0.  The training
 report is optional and free-form, so its contents are not mutated.
+
+Hypothesis mutates a saved dataset the same way, one change per example:
+a cell dropped or added, the file cut inside a line, ``nan``, ``inf``,
+``1_0`` or an empty cell in place of a number, one row's scenario, eta
+or sweep_var changed, or the header dropped.  For every mutant
+``predict --data`` and ``train --data`` exit 1 under the same terms;
+the unmutated file exits 0.
 """
 
 import contextlib
@@ -29,18 +36,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcorrkit.channels import (
-    ChannelParams,
-    WmrMode,
-    WmrParams,
-    apply_ad_uncorrelated,
-    apply_qmr,
-    apply_wm,
-)
+from qcorrkit.channels import ChannelParams, WmrMode, WmrParams, apply_qmr, apply_wm
 from qcorrkit.cli import main
-from qcorrkit.dataset import build_dataset, write_dataset_csv
+from qcorrkit.dataset import CSV_HEADER, build_dataset, write_dataset_csv
 from qcorrkit.mlp import init_mlp, mlp_to_json, set_input_scaling
-from qcorrkit.states import FAMILY_DEFAULTS, StateFamily, bell_state, mems_state, nme_state, werner_state
+from qcorrkit.states import FAMILY_DEFAULTS, StateFamily, make_state
 from qcorrkit.sweep import SweepConfig
 
 DATA = build_dataset(StateFamily("bell"), "no_wmr", 0.0, points=50)
@@ -221,22 +221,110 @@ def test_a_mutated_model_exits_1_and_writes_nothing(data_csv, mutant):
         assert [p.name for p in tmp.iterdir()] == ["model.json"], what
 
 
-BELL = bell_state()
-#: every entry point of the unit-interval rule: (parameter name, closed, call);
-#: werner_state and mems_state build one state, so their array is 0-d, while
-#: nme_state stacks, so its array holds the value between two valid entries
+def _dataset_text() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        write_dataset_csv(path, DATA)
+        return path.read_bytes().decode("utf-8")
+
+
+#: the saved dataset's lines, header first, without their "\r\n" ends
+DATASET_LINES = _dataset_text().split("\r\n")[:-1]
+#: index of every number column of a dataset row
+NUMBER_COLUMNS = [i for i, name in enumerate(CSV_HEADER) if name not in ("scenario", "sweep_var")]
+#: label column -> texts that differ from its value in every row of DATA,
+#: which has the scenario no_wmr, eta 0.0 and the axis p
+LABEL_SWAPS = {0: ["wmr2", "x"], 1: ["0.25", "1.0", "5e-324"], 2: ["q", "alpha2"]}
+
+
+@st.composite
+def dataset_mutants(draw):
+    """(what was changed, the mutated dataset's text)."""
+    lines = list(DATASET_LINES)
+    kind = draw(st.sampled_from(["drop_cell", "add_cell", "truncate", "number", "label", "header"]))
+    if kind == "header":
+        del lines[0]
+        return "header dropped", "\r\n".join(lines) + "\r\n"
+    k = draw(st.integers(0 if kind in ("drop_cell", "add_cell", "truncate") else 1, len(lines) - 1))
+    if kind == "truncate":  # the file ends inside line k, before its last comma
+        cut = draw(st.integers(1, lines[k].rindex(",")))
+        return f"line {k + 1} cut after {cut} characters", "\r\n".join(lines[:k] + [lines[k][:cut]])
+    row = lines[k].split(",")
+    if kind == "drop_cell":
+        del row[draw(st.integers(0, len(row) - 1))]
+    elif kind == "add_cell":
+        row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(["0.5", ""])))
+    elif kind == "number":
+        row[draw(st.sampled_from(NUMBER_COLUMNS))] = draw(st.sampled_from(["nan", "inf", "1_0", ""]))
+    else:
+        col = draw(st.sampled_from(sorted(LABEL_SWAPS)))
+        row[col] = draw(st.sampled_from(LABEL_SWAPS[col]))
+    lines[k] = ",".join(row)
+    return f"{kind} on line {k + 1}: {lines[k]}", "\r\n".join(lines) + "\r\n"
+
+
+def _data_commands(data: Path, out: Path):
+    return [
+        ["predict", "--model", str(out / "model.json"), "--data", str(data),
+         "-o", str(out / "pred.csv")],
+        ["train", "--data", str(data), "--restarts", "1", "--max-epochs", "1",
+         "--model-out", str(out / "trained.json"), "--summary-out", str(out / "summary.csv")],
+    ]
+
+
+def _dataset_dir(tmp: Path, text: str) -> Path:
+    """``tmp`` holding the paper model as model.json and ``text`` as data.csv."""
+    (tmp / "model.json").write_text(MODEL)
+    data = tmp / "data.csv"
+    data.write_bytes(text.encode("utf-8"))
+    return data
+
+
+def test_the_saved_dataset_is_read(tmp_path):
+    data = _dataset_dir(tmp_path, "\r\n".join(DATASET_LINES) + "\r\n")
+    for argv in _data_commands(data, tmp_path):
+        code, _, err, caught = _run(argv)
+        assert (code, err, caught) == (0, "", []), argv[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data.csv", "model.json", "pred.csv", "summary.csv", "trained.json"
+    ]
+
+
+@given(dataset_mutants())
+def test_a_mutated_dataset_exits_1_and_writes_nothing(mutant):
+    what, text = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = _dataset_dir(tmp, text)
+        for argv in _data_commands(data, tmp):
+            code, out, err, caught = _run(argv)
+            assert code == 1, (what, argv[0], err)
+            assert out == "" and caught == [], (what, argv[0], out, caught)
+            assert err.startswith("error: ") and err.count("\n") == 1, (what, argv[0], err)
+        assert sorted(p.name for p in tmp.iterdir()) == ["data.csv", "model.json"], what
+
+
+BELL = make_state(StateFamily("bell"))
+#: family -> its parameter array at a value: a werner or mems state is one
+#: state, so its array is 0-d, while an nme array stacks, so it holds the
+#: value between two valid entries
+PARAM_ARRAYS = {"werner": np.array, "mems": np.array, "nme": lambda v: np.array([0.5, v, 0.25])}
+
+
+def _make_state(kind, array=None):
+    """``make_state`` of the family ``kind`` at a value, or at ``array(value)``."""
+    return lambda v: make_state(StateFamily(kind, v if array is None else array(v)))
+
+
+#: every entry point of the unit-interval rule: (parameter name, closed, call)
 ENTRY_POINTS = {
     **{f"StateFamily-{kind}": ("param", True, lambda v, kind=kind: StateFamily(kind, v))
        for kind in FAMILY_DEFAULTS},
-    "werner_state": ("r_b", True, werner_state),
-    "werner_state-array": ("r_b", True, lambda v: werner_state(np.array(v))),
-    "mems_state": ("gamma", True, mems_state),
-    "mems_state-array": ("gamma", True, lambda v: mems_state(np.array(v))),
-    "nme_state": ("alpha2", True, nme_state),
-    "nme_state-array": ("alpha2", True, lambda v: nme_state(np.array([0.5, v, 0.25]))),
+    **{f"make_state-{kind}": ("param", True, _make_state(kind)) for kind in PARAM_ARRAYS},
+    **{f"make_state-{kind}-array": ("param", True, _make_state(kind, array))
+       for kind, array in PARAM_ARRAYS.items()},
     "ChannelParams-p": ("p", True, lambda v: ChannelParams(v, 0.0)),
     "ChannelParams-eta": ("eta", True, lambda v: ChannelParams(0.5, v)),
-    "apply_ad_uncorrelated": ("p", True, lambda v: apply_ad_uncorrelated(BELL, v)),
     "WmrParams-q": ("q", False, lambda v: WmrParams(v, 0.0)),
     "WmrParams-r": ("r", False, lambda v: WmrParams(0.0, v)),
     "apply_wm": ("q", False, lambda v: apply_wm(BELL, v, WmrMode.TWO_QUBIT)),

@@ -74,14 +74,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=r"row 2.*'tdd'.*oops"):
             read_dataset_csv(path)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    # besides nan and inf, cells that float() takes but no writer produces:
+    # a digit separator, Arabic-Indic digits and blanks around the number
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1_0", "\u0660.\u0665", " 0.5 ", "0.5\t"])
     @pytest.mark.parametrize("col", ["qs", "tdd", "sweep_value", "eta"])
     def test_non_finite_cell_names_row_and_column(self, tmp_path, col, cell):
         row = "no_wmr,0.0,p,0.0,0.1,0.2,0.3,0.4,0.5,0.6".split(",")
         row[CSV_HEADER.index(col)] = cell
         path = tmp_path / "bad.csv"
-        path.write_text(",".join(CSV_HEADER) + "\n" + ",".join(row) + "\n")
-        with pytest.raises(ValueError, match=rf"row 2, column '{col}'.*{cell}"):
+        path.write_text(",".join(CSV_HEADER) + "\n" + ",".join(row) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"row 2, column '{col}'.*" + re.escape(repr(cell))):
             read_dataset_csv(path)
 
     @pytest.mark.parametrize(

@@ -10,8 +10,9 @@ defaulted field of a public dataclass and every CLI flag; tests alone
 do not keep a name or a setting alive.  No module
 imports scipy, which only the tests use, and ``sweep.csv_text`` is the
 only CSV writer, and ``exceptions._unit_interval`` the only function
-that spells the unit-interval message.  Every array a module holds for
-all its callers is read-only.
+that spells the unit-interval message.  In ``states.py`` only
+``x_numbers`` (and the family's own check) branches on a family name.
+Every array a module holds for all its callers is read-only.
 """
 
 import argparse
@@ -28,6 +29,7 @@ from qcorrkit.channels import WmrMode
 from qcorrkit.cli import build_parser
 from qcorrkit.optimize import _grid_factors
 from qcorrkit.oracles import _angle_grid
+from qcorrkit.states import FAMILY_DEFAULTS
 
 from conftest import readme_commands
 
@@ -107,6 +109,31 @@ def _strings_by_function(node: ast.AST, owner: str | None = None):
         yield owner, node.value
     for child in ast.iter_child_nodes(node):
         yield from _strings_by_function(child, owner)
+
+
+def _family_comparisons(node: ast.AST, owner: str = ""):
+    """(qualified name of the enclosing function or class, line) of every
+    comparison under ``node`` between a family ``kind`` and a family name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        owner = f"{owner}.{node.name}" if owner else node.name
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        kinds = [o for o in operands if _dotted(o).rsplit(".", 1)[-1] == "kind"]
+        names = [c for o in operands for c in ast.walk(o)
+                 if isinstance(c, ast.Constant) and c.value in FAMILY_DEFAULTS]
+        if kinds and names:
+            yield owner, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _family_comparisons(child, owner)
+
+
+def test_x_numbers_is_the_one_family_dispatcher():
+    # each family is defined once, by its six numbers: a second function
+    # branching on the family name would be a second definition of a state
+    allowed = {"x_numbers", "StateFamily.__post_init__"}
+    comparisons = _family_comparisons(_tree(PACKAGE / "states.py"))
+    found = [f"{owner}, line {line}" for owner, line in comparisons if owner not in allowed]
+    assert not found, f"states.py branches on a family name outside x_numbers: {found}"
 
 
 def test_one_function_spells_the_unit_interval_message():

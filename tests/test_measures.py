@@ -20,12 +20,10 @@ from qcorrkit.measures import (
 )
 from qcorrkit.states import (
     X_STATE_TOL,
-    bell_state,
+    StateFamily,
     is_x_state,
-    mems_state,
-    nme_state,
+    make_state,
     random_x_state,
-    werner_state,
 )
 
 from conftest import find_zero_crossing
@@ -69,7 +67,7 @@ def _outcome(extract, rho):
 
 
 def _edited(edit):
-    rho = werner_state(0.8)
+    rho = make_state(StateFamily("werner", 0.8))
     edit(rho)
     return rho
 
@@ -143,7 +141,8 @@ class TestXEntries:
         assert _outcome(x_entries, rho) == _outcome(x_entries, rho.astype(np.complex128))
 
     def test_six_numbers_of_one_state_and_of_a_stack(self, rng):
-        assert x_entries(mems_state(0.8)) == pytest.approx((0.4, 0.2, 0.0, 0.4, 0.4, 0.0))
+        mems = make_state(StateFamily("mems", 0.8))
+        assert x_entries(mems) == pytest.approx((0.4, 0.2, 0.0, 0.4, 0.4, 0.0))
         stack = np.stack([random_x_state(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
         entries = x_entries(stack)
         assert all(e.shape == (2, 3) for e in entries)
@@ -156,14 +155,14 @@ class TestXEntries:
                 x_entries(rho)
 
     def test_complex_coherence_rejected(self):
-        rho = bell_state()
+        rho = make_state(StateFamily("bell"))
         rho[1, 1] = rho[2, 2] = 0.0
         rho[1, 2], rho[2, 1] = 1e-9j, -1e-9j
         with pytest.raises(UnsupportedStateError, match="real"):
             x_entries(rho)
 
     def test_non_hermitian_rejected(self):
-        rho = werner_state(0.8)
+        rho = make_state(StateFamily("werner", 0.8))
         rho[0, 3] += 1e-6
         with pytest.raises(NumericalContractError, match="non-Hermitian"):
             x_entries(rho)
@@ -171,11 +170,11 @@ class TestXEntries:
     def test_non_finite_entry_rejected_by_index(self, rng):
         # NaN > tol is False, so a check written that way let these through:
         # a NaN diagonal gave six NaN measures and an inf at rho11 concurrence 0
-        rho = werner_state(0.8)
+        rho = make_state(StateFamily("werner", 0.8))
         rho[2, 2] = np.nan
         with pytest.raises(NumericalContractError, match=r"non-finite input at entry \(2, 2\)"):
             correlation_vector(rho)
-        rho = werner_state(0.8)
+        rho = make_state(StateFamily("werner", 0.8))
         rho[0, 0] = np.inf
         with pytest.raises(NumericalContractError, match=r"non-finite input at entry \(0, 0\)"):
             concurrence(rho)
@@ -197,7 +196,7 @@ class TestXEntries:
     def test_non_finite_input_raises_without_a_warning(
         self, rng, measure, stacked, dtype, entries, value
     ):
-        rho = werner_state(0.8).real.astype(dtype)
+        rho = make_state(StateFamily("werner", 0.8)).real.astype(dtype)
         for index in entries:
             rho[index] = value
         if stacked:
@@ -225,7 +224,8 @@ class TestJsd:
         # radicand is h-like: -0.75 log2 0.75 - 0.25 log2 0.25 - 1/2
         expected = np.sqrt(-(0.75 * np.log2(0.75) + 0.25 * np.log2(0.25)) - 0.5)
         assert expected == pytest.approx(0.557923045284144, abs=1e-12)
-        assert correlation_vector(bell_state()).jsd == pytest.approx(expected, abs=1e-12)
+        bell = make_state(StateFamily("bell"))
+        assert correlation_vector(bell).jsd == pytest.approx(expected, abs=1e-12)
 
 
 def wootters_eigenvalue_oracle(rho):
@@ -240,14 +240,15 @@ def wootters_eigenvalue_oracle(rho):
 
 class TestConcurrence:
     def test_bell_maximal(self):
-        assert concurrence(bell_state()) == pytest.approx(1.0)
+        assert concurrence(make_state(StateFamily("bell"))) == pytest.approx(1.0)
 
     def test_maximally_mixed_separable(self):
         assert concurrence(MIXED) == 0.0
 
     def test_werner_against_both_oracles(self):
-        c = concurrence(werner_state(0.8))
-        assert c == pytest.approx(wootters_eigenvalue_oracle(werner_state(0.8)), abs=1e-7)
+        werner = make_state(StateFamily("werner", 0.8))
+        c = concurrence(werner)
+        assert c == pytest.approx(wootters_eigenvalue_oracle(werner), abs=1e-7)
         assert c == pytest.approx((3 * 0.8 - 1) / 2, abs=1e-12)
 
     def test_random_states_match_eigenvalue_oracle(self, rng):
@@ -260,7 +261,7 @@ class TestConcurrence:
     def test_pure_partially_entangled_states(self):
         for a2 in np.linspace(0.0, 1.0, 101):
             expected = 2.0 * np.sqrt(a2 * (1.0 - a2))
-            assert abs(concurrence(nme_state(float(a2))) - expected) <= 1e-10
+            assert abs(concurrence(make_state(StateFamily("nme", float(a2)))) - expected) <= 1e-10
 
     def test_batched_matches_scalar(self, rng):
         stack = np.stack([random_x_state(rng) for _ in range(8)])
@@ -291,7 +292,8 @@ def test_every_measure_takes_a_stack(rng, measure):
     # scalars goes through pow and misses the last bit on a few states.
     # correlation_vector's fields, raw and normalized, are arrays on the
     # stack and floats on each state, and must agree entry by entry
-    stack = np.stack([random_x_state(rng) for _ in range(3000)] + [bell_state(), werner_state(0.8)])
+    bell, werner = make_state(StateFamily("bell")), make_state(StateFamily("werner", 0.8))
+    stack = np.stack([random_x_state(rng) for _ in range(3000)] + [bell, werner])
     batched = measure(stack.reshape(2, 1501, 4, 4))
     assert batched.shape == (2, 1501)
     assert batched.ravel().tolist() == [measure(rho) for rho in stack]
@@ -299,7 +301,7 @@ def test_every_measure_takes_a_stack(rng, measure):
 
 class TestDenseCoding:
     def test_bell_two_bits(self):
-        assert correlation_vector(bell_state()).chi == pytest.approx(2.0, abs=1e-9)
+        assert correlation_vector(make_state(StateFamily("bell"))).chi == pytest.approx(2.0, abs=1e-9)
 
     def test_ground_state_classical_limit(self):
         # mixing the four encodings of |00> gives (|00><00| + |10><10|)/2
@@ -313,7 +315,7 @@ class TestTeleportation:
     # the fidelity is (1 + 2 FEF)/3, with FEF the largest overlap with a
     # maximally entangled state
     def test_bell_perfect(self):
-        assert correlation_vector(bell_state()).fidelity == pytest.approx(1.0)
+        assert correlation_vector(make_state(StateFamily("bell"))).fidelity == pytest.approx(1.0)
 
     def test_ground_state_classical_limit(self):
         # overlap with any maximally entangled state is 1/2 for |00>
@@ -332,21 +334,24 @@ class TestTraceDistanceDiscord:
         # frozen: (a, b, c, d, z, w) = (0.4, 0.2, 0, 0.4, 0.4, 0), so
         # gamma1 = 0.8, gamma2 = -0.8, gamma3 = 0.6, x = 0.2
         # -> ratio (0.64*0.68 - 0.64*0.36)/0.32 = 0.64, half its root is 0.4
-        assert trace_distance_discord(mems_state(0.8)) == pytest.approx(0.4, abs=1e-12)
+        mems = make_state(StateFamily("mems", 0.8))
+        assert trace_distance_discord(mems) == pytest.approx(0.4, abs=1e-12)
 
     def test_werner_degenerate_branch(self):
         # all branch arguments coincide; the limit |gamma1|/2 applies
-        assert trace_distance_discord(werner_state(0.8)) == pytest.approx(0.4, abs=1e-12)
+        werner = make_state(StateFamily("werner", 0.8))
+        assert trace_distance_discord(werner) == pytest.approx(0.4, abs=1e-12)
 
     def test_bell_limit(self):
-        assert trace_distance_discord(bell_state()) == pytest.approx(0.5, abs=1e-12)
+        bell = make_state(StateFamily("bell"))
+        assert trace_distance_discord(bell) == pytest.approx(0.5, abs=1e-12)
 
     def test_non_x_state_rejected(self):
         with pytest.raises(UnsupportedStateError):
             trace_distance_discord(PLUS_ZERO)
 
     def test_complex_coherence_rejected(self):
-        rho = bell_state()
+        rho = make_state(StateFamily("bell"))
         rho[0, 3] = 0.5j
         rho[3, 0] = -0.5j
         with pytest.raises(UnsupportedStateError):
@@ -357,8 +362,9 @@ class TestSteering:
     def test_bell_maximal(self):
         # term-by-term: (a, b, c, d, z, w) = (1/2, 0, 0, 1/2, 1/2, 0), so
         # c1 = 2(w + z) = 1, c2 = 2(w - z) = -1, c3 = 1, local imbalances 0
-        assert x_entries(bell_state()) == pytest.approx((0.5, 0.0, 0.0, 0.5, 0.5, 0.0))
-        assert correlation_vector(bell_state()).qs == pytest.approx(6.0, abs=1e-9)
+        bell = make_state(StateFamily("bell"))
+        assert x_entries(bell) == pytest.approx((0.5, 0.0, 0.0, 0.5, 0.5, 0.0))
+        assert correlation_vector(bell).qs == pytest.approx(6.0, abs=1e-9)
 
     def test_ground_state_classical_limit(self):
         # c1 = c2 = 0, c3 = r = s = 1: the terms sum to -2 + 4 = 2
@@ -370,12 +376,12 @@ class TestSteering:
     def test_non_x_rejected(self):
         # one non-X state refuses the whole stack: no partial vector of the valid states
         with pytest.raises(UnsupportedStateError):
-            correlation_vector(np.stack([bell_state(), PLUS_ZERO]))
+            correlation_vector(np.stack([make_state(StateFamily("bell")), PLUS_ZERO]))
 
 
 class TestCorrelationVector:
     def test_bell_composition(self):
-        v = correlation_vector(bell_state())
+        v = correlation_vector(make_state(StateFamily("bell")))
         assert v.chi == pytest.approx(2.0, abs=1e-9)
         assert v.fidelity == pytest.approx(1.0, abs=1e-12)
         assert v.concurrence == pytest.approx(1.0, abs=1e-12)
@@ -415,7 +421,8 @@ def _one_state_edge_cases(rng):
     """Real X states whose measures take the kernels' corner cases: Bell,
     |00><00|, |11><11|, I/4, and random draws with z = w = 0, with negative
     coherences and with -0.0 entries."""
-    states = [bell_state().real, GROUND.real, np.diag([0.0, 0.0, 0.0, 1.0]), MIXED.real]
+    bell = make_state(StateFamily("bell")).real
+    states = [bell, GROUND.real, np.diag([0.0, 0.0, 0.0, 1.0]), MIXED.real]
     for _ in range(20):
         rho = random_x_state(rng).real
         incoherent, negative, signed_zero = rho.copy(), rho.copy(), rho.copy()
@@ -472,7 +479,8 @@ class TestOneStateOnFloats:
         # and S(rho_d) by more than 1e-12
         crafted = (1e5, 1e5, 1e5, 1e5, 1e-3, 0.0)
         one = [np.float64(v) for v in crafted] if as_numpy else list(crafted)
-        stack = [np.array([v, good]) for v, good in zip(crafted, x_entries(bell_state()))]
+        bell = x_entries(make_state(StateFamily("bell")))
+        stack = [np.array([v, good]) for v, good in zip(crafted, bell)]
         message = "coherence radicand -9.313e-10"
         for x in (one, stack):
             with pytest.raises(NumericalContractError, match=f"^{message}$"):
@@ -536,7 +544,7 @@ class TestProducedValueRanges:
 
 class TestHierarchy:
     def test_steering_dies_before_concurrence(self):
-        bell = bell_state()
+        bell = make_state(StateFamily("bell"))
         ps = np.linspace(0.0, 1.0, 801)
         n_qs, n_c, n_tdd = [], [], []
         for p in ps:

@@ -24,12 +24,9 @@ from qcorrkit.oracles import (
 )
 from qcorrkit.states import (
     StateFamily,
-    bell_state,
     make_state,
-    mems_state,
     random_density_matrix,
     random_x_state,
-    werner_state,
 )
 
 from conftest import random_unitary
@@ -42,9 +39,9 @@ def local_rotation(rng):
 class TestTddOracle:
     def test_bell_and_mems_reference_points(self):
         # the measurement-minimization oracle is twice the closed form
-        assert tdd_measurement_oracle(bell_state()) == pytest.approx(1.0, abs=1e-9)
-        assert tdd_measurement_oracle(mems_state(0.8)) == pytest.approx(0.8, abs=1e-9)
-        assert tdd_measurement_oracle(werner_state(0.8)) == pytest.approx(0.8, abs=1e-9)
+        for kind, param, expected in (("bell", None, 1.0), ("mems", 0.8, 0.8), ("werner", 0.8, 0.8)):
+            rho = make_state(StateFamily(kind, param))
+            assert tdd_measurement_oracle(rho) == pytest.approx(expected, abs=1e-9)
 
     def test_proportionality_sample(self, rng):
         ratios = []
@@ -96,7 +93,8 @@ class TestTddOracle:
                 np.testing.assert_array_equal(batched.ravel(), floats)
 
     def test_default_grid_is_61_by_48(self, rng):
-        for rho in (random_x_state(rng), random_density_matrix(rng), mems_state(0.8)):
+        mems = make_state(StateFamily("mems", 0.8))
+        for rho in (random_x_state(rng), random_density_matrix(rng), mems):
             assert tdd_measurement_oracle(rho) == tdd_measurement_oracle(rho, 61, 48)
 
     def test_pinned_values(self):
@@ -105,9 +103,9 @@ class TestTddOracle:
         rho[0, 3] = rho[3, 0] = 0.12
         rho[1, 2] = rho[2, 1] = 0.05
         for state, pinned in (
-            (bell_state(), "0x1.ffffffffffffcp-1"),
-            (werner_state(0.8), "0x1.9999999999996p-1"),
-            (mems_state(0.3), "0x1.3333333333332p-2"),
+            (make_state(StateFamily("bell")), "0x1.ffffffffffffcp-1"),
+            (make_state(StateFamily("werner", 0.8)), "0x1.9999999999996p-1"),
+            (make_state(StateFamily("mems", 0.3)), "0x1.3333333333332p-2"),
             (rho, "0x1.2e320ca07dbfap-2"),
         ):
             assert tdd_measurement_oracle(state).hex() == pinned
@@ -124,7 +122,8 @@ class TestSimplexPort:
 
         rng = np.random.default_rng(0)
         states = [random_x_state(rng) for _ in range(60)] + [random_density_matrix(rng) for _ in range(60)]
-        states += [bell_state(), werner_state(0.8), mems_state(0.8), mems_state(0.3)]
+        states += [make_state(StateFamily(kind, v))
+                   for kind, v in (("bell", None), ("werner", 0.8), ("mems", 0.8), ("mems", 0.3))]
         tt, pp = np.meshgrid(
             np.linspace(0.0, np.pi, 61),
             np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False),
@@ -237,7 +236,8 @@ class TestClosedFormsAgainstDenseOracles:
 
 class TestDenseCodingOracle:
     def test_partial_trace_identity(self, rng):
-        for rho in (bell_state(), werner_state(0.6), mems_state(0.7), random_x_state(rng)):
+        families = (StateFamily("bell"), StateFamily("werner", 0.6), StateFamily("mems", 0.7))
+        for rho in [make_state(family) for family in families] + [random_x_state(rng)]:
             assert correlation_vector(rho).chi == pytest.approx(
                 dense_coding_oracle(rho), abs=1e-10
             )
@@ -247,7 +247,7 @@ class TestSteeringOracle:
     def test_matches_closed_form_on_balanced_states(self):
         # zero local z-imbalance makes the asymmetric marginal term vanish
         for r_b in (1.0, 0.8, 0.5, 0.2):
-            rho = werner_state(r_b)
+            rho = make_state(StateFamily("werner", r_b))
             assert steering_entropy_oracle(rho) == pytest.approx(
                 correlation_vector(rho).qs, abs=1e-9
             )
@@ -268,7 +268,7 @@ class TestSteeringOracle:
 class TestLocalUnitaryInvariance:
     def test_spectrum_based_measures(self, rng):
         # rotated states are no longer X-form, so the dense oracles take them
-        for rho in (werner_state(0.8), random_x_state(rng)):
+        for rho in (make_state(StateFamily("werner", 0.8)), random_x_state(rng)):
             c0 = wootters_concurrence_oracle(rho)
             f0 = fully_entangled_fraction_oracle(rho)
             x0 = dense_coding_oracle(rho)
@@ -306,13 +306,15 @@ class TestEigenvalues:
 
     def test_bell_is_pure(self):
         np.testing.assert_allclose(
-            hermitian_eigenvalues(bell_state()), [1, 0, 0, 0], atol=1e-12
+            hermitian_eigenvalues(make_state(StateFamily("bell"))), [1, 0, 0, 0], atol=1e-12
         )
 
     def test_werner_spectrum(self):
         # direct diagonalization of the mixture: 0.05 + 0.8 on the Bell ray
         np.testing.assert_allclose(
-            hermitian_eigenvalues(werner_state(0.8)), [0.85, 0.05, 0.05, 0.05], atol=1e-12
+            hermitian_eigenvalues(make_state(StateFamily("werner", 0.8))),
+            [0.85, 0.05, 0.05, 0.05],
+            atol=1e-12,
         )
 
     def test_non_hermitian_rejected(self):
@@ -353,10 +355,11 @@ class TestEntropy:
         # direct evaluation over the spectrum {0.85, 0.05, 0.05, 0.05}
         expected = -(0.85 * np.log2(0.85) + 3 * 0.05 * np.log2(0.05))
         assert expected == pytest.approx(0.847584679824574, abs=1e-12)
-        assert von_neumann_entropy(werner_state(0.8)) == pytest.approx(expected, abs=1e-12)
+        werner = make_state(StateFamily("werner", 0.8))
+        assert von_neumann_entropy(werner) == pytest.approx(expected, abs=1e-12)
 
     def test_basis_invariance(self, rng):
-        rho = werner_state(0.37)
+        rho = make_state(StateFamily("werner", 0.37))
         base = von_neumann_entropy(rho)
         for _ in range(100):
             u = random_unitary(rng, dim=4)

@@ -22,16 +22,14 @@ def verify_report(**overrides):
 
 
 def test_wrong_uncorrelated_channel_fails_the_reduction_check(monkeypatch):
-    # a valid channel with the wrong rate, swapped in wherever the code
-    # under test reaches apply_ad_uncorrelated; apply_cad returns it at
-    # eta = 0, so only an independent reference can tell
-    original = channels.apply_ad_uncorrelated
+    # a valid channel with the wrong rate, swapped in wherever verify calls
+    # apply_cad; at eta = 0 only the independent reference can tell
+    original = channels.apply_cad
 
-    def half_damping(rho, p):
-        return original(rho, p / 2.0)
+    def half_damping(rho, ch):
+        return original(rho, channels.ChannelParams(ch.p / 2.0, ch.eta))
 
-    monkeypatch.setattr(channels, "apply_ad_uncorrelated", half_damping)
-    monkeypatch.setattr(verification, "apply_ad_uncorrelated", half_damping)
+    monkeypatch.setattr(verification, "apply_cad", half_damping)
     report = verify_report(grid_points=1, samples=5)
     (check,) = [c for c in report.checks if c.name == REDUCTION]
     assert not check.passed
@@ -62,12 +60,21 @@ def test_nan_channel_output_fails(monkeypatch):
 
 def test_all_nan_channel_output_fails_instead_of_crashing(monkeypatch, capsys):
     # NaN entries below the diagonal stop the positivity eigensolve; the
-    # checks must still report them as failures (exit 3), not crash (exit 1)
-    original = channels.apply_ad_uncorrelated
-    monkeypatch.setattr(verification, "apply_ad_uncorrelated", lambda rho, p: original(rho, p) * np.nan)
+    # checks must still report them as failures (exit 3), not crash (exit 1).
+    # Every check that reads verify's own channel output fails; the X-form
+    # closure reads wmr_pipeline's, which keeps the real channel
+    original = channels.apply_cad
+    monkeypatch.setattr(verification, "apply_cad", lambda rho, ch: original(rho, ch) * np.nan)
     report = verify_report(grid_points=1, samples=5)
     failed = {c.name for c in report.checks if not c.passed}
-    assert failed == {"channel trace preservation", "channel positivity"}
+    assert failed == {
+        "channel trace preservation",
+        "channel positivity",
+        REDUCTION,
+        "pipeline with q=r=0 equals bare channel",
+        "full decay lands on the ground state",
+        "memory never hurts Bell concurrence",
+    }
     assert main(["verify", "--grid-points", "1", "--samples", "5"]) == 3
     assert "Eigenvalues did not converge" not in capsys.readouterr().err
 
