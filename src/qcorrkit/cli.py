@@ -47,9 +47,9 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        # newline="": the CSV texts end their lines in "\r\n" already
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        # one binary write: the CSV texts end their lines in "\r\n" already
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
 
 
 def _weight_summary_text(net) -> str:

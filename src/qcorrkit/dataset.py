@@ -71,8 +71,8 @@ def build_dataset(family: StateFamily, scenario: str, eta: float, points: int = 
 def write_dataset_csv(path, data: Dataset) -> None:
     labels = [(data.scenario, repr(float(data.eta)), SCENARIOS[data.scenario]["var"])] * len(data)
     rows = np.column_stack([data.sweep_values, data.features, data.targets])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(csv_text(CSV_HEADER, labels, rows))
+    with open(path, "wb") as fh:
+        fh.write(csv_text(CSV_HEADER, labels, rows).encode())
 
 
 def _number(path, line_no: int, col: str, cell: str, param: str = "") -> float:

@@ -327,9 +327,8 @@ def mlp_from_json(text: str) -> Mlp:
 
 
 def save_mlp(net: Mlp, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(mlp_to_json(net))
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write((mlp_to_json(net) + "\n").encode())
 
 
 def load_mlp(path) -> Mlp:

@@ -55,7 +55,8 @@ class StateFamily:
         mixing weight r_b for Werner, anti-diagonal weight for MEMS,
         |alpha|^2 for the non-maximally entangled pure state, where an
         array of values names a stack of states.  ``None`` (the default)
-        takes the family's entry in ``FAMILY_DEFAULTS``.
+        takes the family's entry in ``FAMILY_DEFAULTS``.  It is kept as a
+        Python float or a float64 array, whatever float type it came in.
         The Bell state has no parameter: a ``"bell"`` value is range
         checked, then replaced by its default, so ``param`` always names
         the state that :func:`make_state` builds.
@@ -67,11 +68,15 @@ class StateFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_DEFAULTS:
             raise ValueError(f"unknown state family {self.kind!r}")
-        if self.param is None:
-            object.__setattr__(self, "param", FAMILY_DEFAULTS[self.kind])
-        _unit_interval("param", self.param, closed=True)
+        param = FAMILY_DEFAULTS[self.kind] if self.param is None else self.param
+        # float64 once, so that a float32 value names the state of its
+        # float64 value; a scalar is kept as a Python float
+        param = _unit_interval("param", param, closed=True)
         if self.kind == "bell":
-            object.__setattr__(self, "param", FAMILY_DEFAULTS["bell"])
+            param = FAMILY_DEFAULTS["bell"]
+        elif np.ndim(param) == 0:
+            param = float(param)
+        object.__setattr__(self, "param", param)
 
 
 #: (row, column) of a, b, c, d, z, z, w, w: the entries of an X state

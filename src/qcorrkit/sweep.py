@@ -30,7 +30,10 @@ Either way the table is one :func:`normalize` call and one
 ``np.column_stack`` over the measure columns.
 
 :func:`csv_text` writes every CSV of the package: sweeps, datasets,
-predictions and weight summaries.
+predictions and weight summaries.  It formats the table column by
+column and identical columns once; :func:`normalize` keeps concurrence
+and tdd bit for bit, so a sweep's ``n_concurrence`` and ``n_tdd``
+columns reuse the strings of ``concurrence`` and ``tdd``.
 """
 
 from __future__ import annotations
@@ -128,18 +131,30 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 def csv_text(header, labels, rows) -> str:
     """CSV text whose row i is the text cells ``labels[i]``, then the ``repr``
-    of each float in the 2-D float table ``rows[i]``.
+    of each float in the 2-D float table ``rows[i]``, which has one column
+    or more.
 
     The text is what the excel-dialect :func:`csv.writer` writes for
     these cells, built without it: comma-separated cells, lines ending
     in ``"\\r\\n"``, and no quoting, so no header name or label may hold
     a comma, quote, CR or LF; a float ``repr`` never does.
+
+    The table is formatted column by column, and identical columns are
+    formatted once: a column whose bytes equal an earlier column's (so
+    -0.0 and 0.0 differ, and so do NaN payloads) takes that column's
+    strings.  A sweep's ``n_concurrence`` and ``n_tdd`` are such copies.
     """
+    table = np.asarray(rows, dtype=float)
+    raw, width = table.T.tobytes(), 8 * len(table)
+    strings = {}
+    cells = []
+    for j, column in enumerate(table.T.tolist()):
+        key = raw[j * width:(j + 1) * width]
+        if key not in strings:
+            strings[key] = list(map(repr, column))
+        cells.append(strings[key])
     lines = [",".join(header)]
-    lines += [
-        ",".join((*label, *map(repr, row)))
-        for label, row in zip(labels, np.asarray(rows, dtype=float).tolist(), strict=True)
-    ]
+    lines += [",".join((*label, *row)) for label, row in zip(labels, zip(*cells), strict=True)]
     return "\r\n".join(lines) + "\r\n"
 
 

@@ -10,7 +10,8 @@ defaulted field of a public dataclass and every CLI flag; tests alone
 do not keep a name or a setting alive.  No module
 imports scipy, which only the tests use, and ``sweep.csv_text`` is the
 only CSV writer, and ``exceptions._unit_interval`` the only function
-that spells the unit-interval message.  In ``states.py`` only
+that spells the unit-interval message.  No module opens a file for
+writing in text mode.  In ``states.py`` only
 ``x_numbers`` (and the family's own check) branches on a family name.
 Every array a module holds for all its callers is read-only.
 """
@@ -99,6 +100,34 @@ def test_no_csv_writer_outside_csv_text():
                 found += [f"{path.name} line {node.lineno}: from csv import {a.name}"
                           for a in node.names if a.name in writers]
     assert not found, f"CSV writers outside sweep.csv_text: {found}"
+
+
+def _text_writes(tree: ast.Module):
+    """Line and call of every ``open`` under ``tree`` whose mode writes text
+    (or is not a string constant), and of every ``write_text`` call."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func)
+        if name.rsplit(".", 1)[-1] == "write_text":
+            yield f"line {node.lineno}: {name}"
+        elif name.rsplit(".", 1)[-1] == "open":
+            # builtin open(file, mode), but Path.open(mode)
+            positional = node.args[1:2] if name == "open" else node.args[:1]
+            modes = positional + [k.value for k in node.keywords if k.arg == "mode"]
+            if not modes:
+                continue   # mode "r"
+            mode = modes[0].value if isinstance(modes[0], ast.Constant) else None
+            if mode is None or (set(mode) & set("wax+") and "b" not in mode):
+                yield f"line {node.lineno}: {name}(mode={mode!r})"
+
+
+def test_no_module_writes_a_file_in_text_mode():
+    # every output file is its encoded text, written in one binary write:
+    # no text layer encodes it or translates its newlines
+    found = [f"{path.name} {call}" for path in sorted(PACKAGE.glob("*.py"))
+             for call in _text_writes(_tree(path))]
+    assert not found, f"files opened for writing in text mode: {found}"
 
 
 def _strings_by_function(node: ast.AST, owner: str | None = None):

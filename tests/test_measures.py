@@ -499,6 +499,14 @@ class TestNormalization:
         n = normalize(v)
         assert all(x == pytest.approx(0.0, abs=1e-12) for x in n)
 
+    def test_concurrence_and_tdd_are_kept_bit_for_bit(self):
+        # their anchors are (1, 0), so (x - 0)/(1 - 0) is x: a sweep's
+        # n_concurrence and n_tdd columns are copies, which csv_text formats once
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(float)
+        x = np.concatenate([[0.0, -0.0, 1.0, 0.3, 5e-324, -2.5, math.inf, -math.inf, math.nan], nans])
+        n = normalize(CorrelationVector(*[x] * 6))
+        assert n.concurrence.tobytes() == n.tdd.tobytes() == x.tobytes()
+
     def test_values_below_classical_go_negative(self):
         v = CorrelationVector(chi=0.5, fidelity=0.5, concurrence=0.0, qs=0.0, tdd=0.0, jsd=0.0)
         n = normalize(v)

@@ -17,6 +17,7 @@ from qcorrkit.states import (
     random_x_state,
     x_numbers,
 )
+from qcorrkit.sweep import SweepConfig, run_sweep, sweep_csv_text
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -81,6 +82,22 @@ class TestConstructors:
         assert stack.tobytes() == outer.tobytes()
         grid = make_state(StateFamily("nme", values[:150].reshape(10, 15)))
         assert grid.tobytes() == stack[:150].tobytes() and grid.shape == (10, 15, 4, 4)
+
+    @pytest.mark.parametrize("kind", ["werner", "mems", "nme"])
+    def test_a_float32_parameter_names_the_state_of_its_float64_value(self, kind):
+        # the parameter is converted to float64 once, before any arithmetic
+        single = np.float32(0.8)
+        family, wide = StateFamily(kind, single), StateFamily(kind, float(single))
+        assert type(family.param) is float and repr(family) == repr(wide)
+        assert make_state(family).tobytes() == make_state(wide).tobytes()
+        texts = [sweep_csv_text(run_sweep(SweepConfig(f, 0.4, points=3))) for f in (family, wide)]
+        assert texts[0] == texts[1]
+
+    def test_a_float32_nme_array_names_the_states_of_its_float64_values(self):
+        single = np.linspace(0.0, 1.0, 7, dtype=np.float32)
+        family, wide = StateFamily("nme", single), StateFamily("nme", single.astype(float))
+        assert family.param.dtype == np.float64
+        assert make_state(family).tobytes() == make_state(wide).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, 1.5])
     def test_nme_stack_rejects_and_names_a_bad_entry(self, bad):

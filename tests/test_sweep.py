@@ -309,6 +309,49 @@ class TestCsvText:
         )
         assert out.read_bytes() == expected.encode()
 
+    #: NaNs with the payloads 1 and 2, whose reprs are both "nan"
+    NAN_1, NAN_2 = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(float)
+    TABLES = {
+        "signed-zeros": [[0.0, -0.0, 0.0], [0.0, -0.0, -0.0], [0.0, -0.0, 1.0]],
+        "equal-columns": [[0.1, 0.1, 0.3, 0.1], [1e-300, 1e-300, 2.0, 1e-300], [math.inf] * 4],
+        "nan-payloads": [[NAN_1, NAN_2, math.nan], [NAN_1, NAN_2, math.nan]],
+        "one-row": [[0.25, -0.0, 0.25]],
+        "zero-rows": np.empty((0, 3)),
+        "no-rows": [],
+    }
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_column_formatting_equals_csv_writer(self, name):
+        table = np.asarray(self.TABLES[name], dtype=float)
+        header = ("var", *(f"c{j}" for j in range(table.shape[-1])))
+        labels = [(f"row{i}",) for i in range(len(table))]
+        expected = self._writer_text(
+            header, [[*label, *map(repr, row)] for label, row in zip(labels, table.tolist())]
+        )
+        assert sweep.csv_text(header, labels, self.TABLES[name]) == expected
+
+    def test_bitwise_equal_columns_are_formatted_once(self, monkeypatch):
+        calls = []
+
+        def counting_repr(x):
+            calls.append(x)
+            return repr(x)
+
+        # n_concurrence and n_tdd are bitwise copies of concurrence and tdd
+        result = run_sweep(SweepConfig(StateFamily("werner", 0.8), eta=0.4, points=11))
+        expected = sweep_csv_text(result)
+        monkeypatch.setattr(sweep, "repr", counting_repr, raising=False)
+        assert sweep_csv_text(result) == expected
+        assert len(calls) == 11 * (len(result.columns) - 2)
+        calls.clear()
+        sweep_csv_text(result)   # no memo outlives a call
+        assert len(calls) == 11 * (len(result.columns) - 2)
+
+    @pytest.mark.parametrize("labels", [3, 5])
+    def test_label_count_must_equal_row_count(self, labels):
+        with pytest.raises(ValueError):
+            sweep.csv_text(("var", "x", "y"), [("p",)] * labels, np.zeros((4, 2)))
+
 
 #: CLI ``sweep`` flags -> SHA-256 of the written file
 SWEEP_PINS = {
