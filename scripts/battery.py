@@ -15,33 +15,27 @@ in this process inside a temporary directory:
 
 The manifest (``docs/battery.json`` unless ``--manifest`` names another
 file) records per file the command that wrote it, its byte count and
-its sha256, and no timings.  The script sets one BLAS thread before
-numpy loads, as ``bench/run.py`` does, because a trained model's bytes
-depend on the thread count: the models recorded are the 1-thread bytes.
-The same source gives the same manifest, so a change that must keep
-every byte keeps this file as it is, and one that moves bytes on
-purpose shows here which files moved.  The script prints each command
-before it runs, and stops at the first command that fails and exits
-with its code.
+its sha256, and no timings.  The restart search trains on one BLAS
+thread whatever the process's own setting, so the manifest is the same
+at any BLAS thread count.  The same source gives the same manifest, so
+a change that must keep every byte keeps this file as it is, and one
+that moves bytes on purpose shows here which files moved.  The script
+prints each command before it runs, and stops at the first command
+that fails and exits with its code.
 """
 
+import argparse
+import contextlib
+import hashlib
+import io
+import json
 import os
+import pathlib
+import shlex
+import sys
+import tempfile
 
-# before numpy loads, which reads these once
-for _var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import pathlib  # noqa: E402
-import shlex  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-
-from qcorrkit import cli  # noqa: E402
+from qcorrkit import cli
 
 FAMILIES = (
     ("bell", "1.0"), ("werner", "0.8"), ("werner", "0.43"),
@@ -53,8 +47,7 @@ POINTS = "41"
 
 NOTE = (
     "sha256 and byte count of each file that its command writes, or of its stdout for "
-    "verify; the commands run with one BLAS thread, and the trained models are the "
-    "1-thread bytes, because a model's bytes depend on the BLAS thread count"
+    "verify; a trained model's bytes do not depend on the BLAS thread count"
 )
 
 

@@ -234,8 +234,6 @@ def _discord(a, b, c, d, z, w, ops: _Ops):
         ratio = np.where(
             degenerate, g1sq, (g1sq * big - g2sq * small) / np.where(degenerate, 1.0, denom)
         )
-    if _lowest(ratio) < -_CLAMP:
-        raise NumericalContractError(f"negative discord radicand {_lowest(ratio):.3e}")
     return 0.5 * sqrt(maximum(ratio, 0.0))
 
 

@@ -14,14 +14,15 @@ networks and keeps the one with the lowest test MSE.  The recipe is
 fixed: only the epoch cap is a parameter, and the gradient stop is the
 constant ``_GRAD_TOL``.  Every run is deterministic in its seed: the
 network seed drives both the weight draw and the train/val/test
-shuffle.  Restarts share nothing, so when BLAS leaves cores free the
-search trains them in forked worker processes (``docs/decisions.md``
-section 6), with the same result: a worker sends back its trained net
-and report whole.
+shuffle.  The search trains its restarts with BLAS on one thread, in
+forked worker processes when cores are free (``docs/decisions.md``
+section 6), so neither the caller's BLAS setting nor the worker count
+moves a byte: a worker sends back its trained net and report whole.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field, asdict, replace
 from itertools import repeat
@@ -50,12 +51,6 @@ _MU_MIN = 1e-20  # keeps the damped system solvable after long streaks
 _MAX_VAL_FAILS = 6
 _GRAD_TOL = 1e-7  # stop once the gradient's infinity norm drops below this
 _SPLIT = (0.70, 0.15, 0.15)  # train, validation, test fractions
-#: BLAS thread variables in the order OpenBLAS reads them
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-#: those variables as BLAS saw them: it reads them once, when numpy loads,
-#: and this module loads numpy or loads after it, so a later change to the
-#: environment reaches neither BLAS nor the worker count
-_BLAS_ENVIRON = {var: os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ}
 
 
 @dataclass
@@ -198,25 +193,22 @@ def lm_train(net: Mlp, data: Dataset, max_epochs: int = 1000) -> TrainReport:
     )
 
 
-def _worker_count(environ, cores: int, restarts: int) -> int:
-    """Processes a restart search trains in, leaving no core to two threads.
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy's wheel bundles, with its thread-count calls
+    typed, or None where numpy has none (a numpy built on another BLAS)."""
+    import ctypes
+    import glob
 
-    Each process runs BLAS on as many threads as the first of
-    ``_BLAS_THREAD_VARS`` in ``environ`` that holds a positive whole
-    number says, or on every one of ``cores`` when none does, as
-    OpenBLAS reads them.  So the count is ``cores // threads``, and never
-    more than ``restarts``.
-    """
-    threads = cores
-    for var in _BLAS_THREAD_VARS:
-        try:
-            value = int(environ.get(var, ""))
-        except ValueError:
-            continue
-        if value > 0:
-            threads = value
-            break
-    return min(restarts, cores // threads)
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*"):
+        lib = ctypes.CDLL(path)  # numpy loaded it, so this is the copy numpy calls
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return lib
+    return None
 
 
 def _train_restart(data: Dataset, seed: int, max_epochs: int):
@@ -229,29 +221,36 @@ def _train_restart(data: Dataset, seed: int, max_epochs: int):
     return net, report
 
 
-def _train_restarts(data: Dataset, seeds: list[int], max_epochs: int):
-    """:func:`_train_restart` of every seed, in seed order.
+def _train_restarts(data: Dataset, seeds: list[int], max_epochs: int) -> list:
+    """:func:`_train_restart` of every seed, in seed order, on one BLAS thread.
 
-    In one process the restarts train one by one as the result is read.
-    With ``w = _worker_count(...)`` of 2 or more they train in ``w``
-    forked workers, and every worker has exited before this returns; an
-    exception other than :class:`TrainingFailure` propagates either way.
+    They train in ``w = min(restarts, usable cores)`` forked workers, which
+    inherit the one thread, or here when ``w`` is 1 or there is no
+    :func:`_openblas` (on the caller's BLAS).  Every worker has exited, and
+    the caller's thread count is back, before this returns or raises.
     """
-    # the cores this process may run on: the affinity mask exists on Linux,
-    # which can fork; elsewhere one, so the search stays in this process
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     args = (repeat(data), seeds, repeat(max_epochs))
-    workers = _worker_count(_BLAS_ENVIRON, cores, len(seeds))
-    if workers < 2:
-        return map(_train_restart, *args)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    blas = _openblas()
+    if blas is None:
+        return list(map(_train_restart, *args))
+    threads = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(1)
     try:
-        return list(pool.map(_train_restart, *args))
+        # usable cores: the affinity mask exists on Linux, which can fork; elsewhere 1
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = min(len(seeds), cores)
+        if workers < 2:
+            return list(map(_train_restart, *args))
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            return list(pool.map(_train_restart, *args))
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
-        pool.shutdown(cancel_futures=True)
+        blas.scipy_openblas_set_num_threads64_(threads)
 
 
 def restart_search(
@@ -267,9 +266,11 @@ def restart_search(
     deterministic child seed of ``seed``; the winner is the restart with
     the lowest test MSE (first on ties).  Runs whose loss turns
     non-finite are skipped; if every restart fails, a
-    :class:`TrainingFailure` is raised.  The restarts run in parallel
-    when BLAS leaves cores free (:func:`_worker_count`); the result does
-    not depend on how many processes train them.
+    :class:`TrainingFailure` is raised.  Every restart trains with BLAS
+    on one thread, the caller's count restored after, and the restarts
+    train in parallel on the usable cores (:func:`_train_restarts`); the
+    result depends neither on how many processes train them nor on the
+    caller's BLAS thread count.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")

@@ -547,11 +547,10 @@ _SCIPY_PROBE = textwrap.dedent("""
 def test_no_command_loads_scipy(tmp_path):
     # scipy is a test dependency only: no command, the network or the
     # discord oracle may load any of it.  Nor may they load the process
-    # pool's modules, which only a restart search with a free core for a
-    # second worker imports: the probe's train has one restart, which
-    # trains in-process, as the benchmark's warm-up does, even with BLAS
-    # pinned to one thread as the benchmark pins it
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    # pool's modules, which only a restart search with a second restart and
+    # a second core imports: the probe's train has one restart, which
+    # trains in-process, as the benchmark's warm-up does
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
     )

@@ -1,5 +1,9 @@
+import hashlib
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,46 +289,34 @@ class TestRestartSearch:
         assert best.restarts_run == restarts
 
 
-def set_blas_threads(monkeypatch, threads):
-    """Two usable cores, and the process started with BLAS pinned to ``threads``
-    (None: unset), as ``training`` read the environment at import."""
-    environ = {} if threads is None else {"OPENBLAS_NUM_THREADS": str(threads)}
-    monkeypatch.setattr(training, "_BLAS_ENVIRON", environ)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def set_cores(monkeypatch, cores):
+    """``cores`` usable cores: with 2 a search of two or more restarts trains
+    them in forked workers, with 1 in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
 
-@pytest.mark.parametrize(
-    "environ,cores,restarts,workers",
-    [
-        ({}, 2, 20, 1),                                    # unset: BLAS takes every core
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 20, 2),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),          # one restart
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 20, 1),         # one core
-        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 20, 1),
-        ({"OPENBLAS_NUM_THREADS": "16"}, 8, 20, 0),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 64, 20, 20),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 64, 3, 3),
-        ({"OPENBLAS_NUM_THREADS": "4"}, 64, 20, 16),
-        ({"GOTO_NUM_THREADS": "2"}, 8, 20, 4),
-        ({"OMP_NUM_THREADS": "1"}, 8, 20, 8),
-        ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 8, 20, 4),
-        ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 8, 20, 2),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 8, 20, 8),
-        ({"OPENBLAS_NUM_THREADS": "-3", "OMP_NUM_THREADS": "2"}, 8, 20, 4),
-        ({"OPENBLAS_NUM_THREADS": "two", "GOTO_NUM_THREADS": ""}, 8, 20, 1),
-    ],
-)
-def test_worker_count_leaves_no_core_to_two_threads(environ, cores, restarts, workers):
-    # a pure rule: large core counts are checked here, never by starting workers
-    assert training._worker_count(environ, cores, restarts) == workers
+def blas_threads():
+    return training._openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def caller_on_two_threads():
+    """The caller's BLAS on two threads, so a pin to one that outlives a search shows."""
+    blas = training._openblas()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be set")
+    before = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(2)
+    yield
+    blas.scipy_openblas_set_num_threads64_(before)
 
 
 class TestWorkerPool:
     """Restarts trained in forked workers give the bytes of one process."""
 
-    def search(self, monkeypatch, threads, data, restarts, seed):
-        """``restart_search`` with BLAS at ``threads``: its result and the processes it forked."""
-        set_blas_threads(monkeypatch, threads)
+    def search(self, monkeypatch, cores, data, restarts, seed):
+        """``restart_search`` on ``cores`` cores: its result and the processes it forked."""
+        set_cores(monkeypatch, cores)
         forks, fork = [], os.fork
 
         def counting_fork():  # the pool starts its workers through os.fork
@@ -341,8 +333,8 @@ class TestWorkerPool:
     def test_pool_gives_the_bytes_of_one_process(self, rng, monkeypatch):
         data = synthetic_dataset(rng, n=100, fn=lambda x: x[:, 0] * x[:, 2])
         use_network(monkeypatch, (3, 6, 1), ("logsig", "linear"))
-        (net, report), forks = self.search(monkeypatch, 1, data, 4, 9)
-        (ref, ref_report), ref_forks = self.search(monkeypatch, None, data, 4, 9)
+        (net, report), forks = self.search(monkeypatch, 2, data, 4, 9)
+        (ref, ref_report), ref_forks = self.search(monkeypatch, 1, data, 4, 9)
         assert (forks, ref_forks) == (2, 0)
         assert net.params.tobytes() == ref.params.tobytes()
         assert net.input_min.tobytes() == ref.input_min.tobytes()
@@ -364,31 +356,87 @@ class TestWorkerPool:
             return net
 
         monkeypatch.setattr(training, "init_mlp", init)
-        (net, report), forks = self.search(monkeypatch, 1, data, 3, 5)
-        (ref, ref_report), ref_forks = self.search(monkeypatch, None, data, 3, 5)
+        (net, report), forks = self.search(monkeypatch, 2, data, 3, 5)
+        (ref, ref_report), ref_forks = self.search(monkeypatch, 1, data, 3, 5)
         assert (forks, ref_forks) == (2, 0)
         assert report.best_restart != 0
         assert net.params.tobytes() == ref.params.tobytes() and report == ref_report
 
-    @pytest.mark.parametrize("threads", [1, None])
-    def test_other_errors_propagate(self, rng, monkeypatch, threads):
+    @pytest.mark.parametrize("cores", [2, 1])
+    def test_other_errors_propagate(self, rng, monkeypatch, cores):
         data = synthetic_dataset(rng, n=3)
         use_network(monkeypatch, (3, 2, 1), ("logsig", "linear"))
         with pytest.raises(ValueError, match="dataset too small"):
-            self.search(monkeypatch, threads, data, 4, 1)
+            self.search(monkeypatch, cores, data, 4, 1)
 
     def test_one_restart_starts_no_process(self, rng, monkeypatch):
         data = synthetic_dataset(rng, n=100, fn=lambda x: x[:, 0])
         use_network(monkeypatch, (3, 2, 1), ("logsig", "linear"))
-        assert self.search(monkeypatch, 1, data, 1, 3)[1] == 0
+        assert self.search(monkeypatch, 2, data, 1, 3)[1] == 0
 
-    def test_a_variable_set_after_import_starts_no_process(self, rng, monkeypatch):
-        # BLAS read the environment when numpy loaded; importing bench/run.py
-        # pins it afterwards, which reaches neither BLAS nor the worker count
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 5])
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_workers_are_the_restarts_or_the_cores_whichever_is_fewer(
+        self, rng, monkeypatch, cores, restarts
+    ):
+        # one worker trains in this process and forks nothing, as does every
+        # search where numpy bundles no OpenBLAS to pin
+        data = synthetic_dataset(rng, n=40, fn=lambda x: x[:, 1])
+        use_network(monkeypatch, (3, 2, 1), ("logsig", "linear"))
+        workers = min(restarts, cores) if training._openblas() is not None else 1
+        assert self.search(monkeypatch, cores, data, restarts, 4)[1] == (workers if workers > 1 else 0)
+
+    @pytest.mark.parametrize("cores", [2, 1])
+    def test_restarts_train_on_one_blas_thread_and_the_caller_keeps_its_own(
+        self, rng, monkeypatch, cores, caller_on_two_threads
+    ):
         data = synthetic_dataset(rng, n=100, fn=lambda x: x[:, 0])
         use_network(monkeypatch, (3, 2, 1), ("logsig", "linear"))
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert self.search(monkeypatch, None, data, 3, 3)[1] == 0
+        during, train = [], training.lm_train
+
+        def counting_train(*args, **kwargs):  # in a forked worker, the append is the worker's
+            during.append(blas_threads())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(training, "lm_train", counting_train)
+        self.search(monkeypatch, cores, data, 2, 3)
+        assert blas_threads() == 2
+        assert during == ([] if cores == 2 else [1, 1])
+        with pytest.raises(ValueError, match="dataset too small"):
+            self.search(monkeypatch, cores, synthetic_dataset(rng, n=3), 2, 1)
+        assert blas_threads() == 2
+
+    def test_without_openblas_the_search_stays_in_process(self, rng, monkeypatch):
+        data = synthetic_dataset(rng, n=100, fn=lambda x: x[:, 0] * x[:, 2])
+        use_network(monkeypatch, (3, 6, 1), ("logsig", "linear"))
+        (ref, ref_report), _ = self.search(monkeypatch, 1, data, 4, 9)
+        monkeypatch.setattr(training, "_openblas", lambda: None)
+        (net, report), forks = self.search(monkeypatch, 2, data, 4, 9)
+        assert forks == 0
+        assert net.params.tobytes() == ref.params.tobytes() and report == ref_report
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_model_bytes_do_not_follow_the_blas_threads(tmp_path, restarts):
+    # BLAS reads its thread variables when numpy loads, so each count is a
+    # new process; a 350-row Gram product or solve changes its last bits
+    # between 1 and 2 threads, and the search pins its restarts to one
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    digests = set()
+    for threads in ("1", None, "2"):
+        model = tmp_path / f"model_{threads}.json"
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from qcorrkit.cli import main; sys.exit(main())",
+             "train", "--rows", "500", "--restarts", str(restarts), "--max-epochs", "3",
+             "--seed", "7", "--model-out", str(model)],
+            env=env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, check=True,
+        )
+        digests.add(hashlib.sha256(model.read_bytes()).hexdigest())
+    assert len(digests) == 1, digests
 
 
 class TestOnPipelineData:
